@@ -3,8 +3,9 @@
 Setting ``ERGOPULSE_NO_NUMBA=1`` in the environment (or a failed numba
 import) selects the pure-numpy lane.  The same function bodies run in
 either lane, so both produce identical results up to floating-point
-roundoff; only the compilation differs.  ``benchmarks/bench_kernels.py``
-times the two lanes against each other.
+roundoff; only the compilation differs.  The optimizer kernels
+(simplex_project, tv_value, tv_descent) work on stacks of rows with
+whole-array numpy operations and are not jitted in either lane.
 """
 
 from __future__ import annotations
@@ -142,82 +143,70 @@ def expm_pade13(a):
     return r
 
 
-@njit(cache=True)
 def simplex_project(v):
-    """Euclidean projection onto the probability simplex (sort and threshold)."""
-    n = v.shape[0]
-    mu = np.sort(v)[::-1]
-    csum = 0.0
-    theta = 0.0
-    for i in range(n):
-        csum += mu[i]
-        t = (csum - 1.0) / (i + 1.0)
-        if mu[i] - t > 0.0:
-            theta = t
+    """Row-wise Euclidean projection onto the probability simplex.
+
+    Sort and threshold (Condat, Math. Prog. 2016) on every row of an
+    (..., n) array at once: theta is the last running threshold
+    (cumsum - 1) / k that leaves the k-th largest entry positive.
+    """
+    n = v.shape[-1]
+    mu = -np.sort(-v, axis=-1)
+    t = (np.cumsum(mu, axis=-1) - 1.0) / np.arange(1.0, n + 1.0)
+    keep = mu - t > 0.0
+    last = n - 1 - np.argmax(keep[..., ::-1], axis=-1)
+    theta = np.take_along_axis(t, last[..., None], axis=-1)
+    theta = np.where(keep.any(axis=-1, keepdims=True), theta, 0.0)
     w = v - theta
-    for i in range(n):
-        if w[i] < 0.0:
-            w[i] = 0.0
-    return w
+    return np.where(w < 0.0, 0.0, w)
 
 
-@njit(cache=True)
 def tv_value(w):
-    """w_1 + sum_i |w_{i+1} - w_i| + w_n."""
-    v = w[0] + w[w.shape[0] - 1]
-    for i in range(w.shape[0] - 1):
-        v += abs(w[i + 1] - w[i])
+    """w_1 + sum_i |w_{i+1} - w_i| + w_n for every row of an (..., n) array.
+
+    The differences are added one column at a time, left to right, so a
+    row's value does not depend on the rows stacked with it.
+    """
+    v = w[..., 0] + w[..., -1]
+    for i in range(w.shape[-1] - 1):
+        v = v + np.abs(w[..., i + 1] - w[..., i])
     return v
 
 
-@njit(cache=True)
 def tv_descent(w0, step_scale, max_iters, step_tol):
-    """Projected subgradient descent for tv_value with step_scale/k steps.
+    """Projected subgradient descent for tv_value with step_scale/k steps,
+    run in lockstep on every row of the (R, n) start stack w0.
 
     Uses sign(0) = 0 for the kink subgradient and clips weights into
-    [0, 1 - 1e-12] so every iterate is a valid schedule row.  Returns
-    (best_point, best_value, iterations, smallest_value_seen).
+    [0, 1 - 1e-12] so every iterate is a valid schedule row.  A row stops
+    on its own once an iterate moves less than step_tol in sup norm.
+    Returns (best_rows, best_values, total_iterations, smallest_values_seen),
+    where total_iterations sums the iterations of all rows.
     """
-    n = w0.shape[0]
-    w = simplex_project(w0.copy())
-    for i in range(n):
-        if w[i] > 1.0 - 1e-12:
-            w[i] = 1.0 - 1e-12
+    top = 1.0 - 1e-12
+    w = np.minimum(simplex_project(np.asarray(w0, dtype=np.float64)), top)
     best = w.copy()
     best_v = tv_value(w)
-    min_seen = best_v
-    iters = 0
-    g = np.empty(n, dtype=np.float64)
+    min_seen = best_v.copy()
+    live = np.arange(w.shape[0])
+    total = 0
     for k in range(1, max_iters + 1):
-        iters = k
-        for i in range(n):
-            g[i] = 0.0
-        g[0] += 1.0
-        g[n - 1] += 1.0
-        for i in range(n - 1):
-            diff = w[i + 1] - w[i]
-            if diff > 0.0:
-                g[i + 1] += 1.0
-                g[i] -= 1.0
-            elif diff < 0.0:
-                g[i + 1] -= 1.0
-                g[i] += 1.0
-        w_new = simplex_project(w - (step_scale / k) * g)
-        for i in range(n):
-            if w_new[i] > 1.0 - 1e-12:
-                w_new[i] = 1.0 - 1e-12
-        v = tv_value(w_new)
-        if v < min_seen:
-            min_seen = v
-        if v < best_v:
-            best_v = v
-            best[:] = w_new
-        moved = 0.0
-        for i in range(n):
-            delta = abs(w_new[i] - w[i])
-            if delta > moved:
-                moved = delta
-        w = w_new
-        if moved < step_tol:
+        if live.size == 0:
             break
-    return best, best_v, iters, min_seen
+        total += live.size
+        s = np.sign(w[:, 1:] - w[:, :-1])
+        g = np.zeros_like(w)
+        g[:, 0] += 1.0
+        g[:, -1] += 1.0
+        g[:, 1:] += s
+        g[:, :-1] -= s
+        w_new = np.minimum(simplex_project(w - (step_scale / k) * g), top)
+        v = tv_value(w_new)
+        min_seen[live] = np.minimum(min_seen[live], v)
+        better = v < best_v[live]
+        best_v[live[better]] = v[better]
+        best[live[better]] = w_new[better]
+        going = ~(np.max(np.abs(w_new - w), axis=1) < step_tol)
+        w = w_new[going]
+        live = live[going]
+    return best, best_v, total, min_seen

@@ -30,7 +30,7 @@ from .ergodic import (
     yosida_split,
 )
 from .errors import NotACoboundaryError
-from .schedules import Schedule, ScheduleFamily, tv_functional
+from .schedules import Schedule, ScheduleFamily
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,29 +222,33 @@ def schedule_bound_rhs(
     m, m_prime = _rate_constants(norm_x, norm_p, norm_y, abs_t)
 
     scale = abs_t * norm_y
-    tv_term, c_series, total = _schedule_series_terms(s.weights, scale, int(i_max))
-    return BoundBreakdown(m, m_prime, tv_term, c_series, total)
+    tv_term, c_series, total = _schedule_series_terms(
+        s.weights[None, :], scale, int(i_max)
+    )
+    return BoundBreakdown(
+        m, m_prime, float(tv_term[0]), float(c_series[0]), float(total[0])
+    )
 
 
 def _schedule_series_terms(
     a: np.ndarray, scale: float, i_max: int
-) -> tuple[float, float, float]:
-    """(tv_term, c_series_sum, total_rhs) for weight row a at
-    scale = |t| * ||Y||.  Schedule-independent data is baked into scale,
-    so optimizers can call this in a tight loop."""
-    n = a.shape[0]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row (tv_term, c_series_sum, total_rhs) for an (m, n) stack of
+    weight rows at scale = |t| * ||Y||.  Schedule-independent data is
+    baked into scale, so optimizers can score many rows in one call.
+
+    Raises ValueError when any row's per-step norms void the tail majorant.
+    """
+    m, n = a.shape
     if scale == 0.0:
-        return 0.0, 0.0, 0.0
-    tv = float(a[0] + np.abs(np.diff(a)).sum() + a[-1])
-    tv_term = math.expm1(scale * tv)
-    diffs = np.abs(np.diff(a))
-    prefix = np.concatenate([[0.0], np.cumsum(diffs)])
-    lead = np.empty(n - 1)
-    lead[0] = 2.0 * a[0]
-    if n > 2:
-        steps = np.arange(2, n)
-        lead[1:] = a[0] + prefix[steps - 1] + a[steps - 1]
-    follow = 2.0 * a[1:]
+        return np.zeros(m), np.zeros(m), np.zeros(m)
+    diffs = np.abs(np.diff(a, axis=1))
+    tv = a[:, 0] + diffs.sum(axis=1) + a[:, -1]
+    tv_term = np.expm1(scale * tv)
+    lead = np.empty((m, n - 1))
+    lead[:, 0] = 2.0 * a[:, 0]
+    lead[:, 1:] = a[:, :1] + np.cumsum(diffs[:, :-1], axis=1) + a[:, 1:-1]
+    follow = 2.0 * a[:, 1:]
     worst = float((lead + follow).max()) * scale
     if worst >= i_max + 2:
         raise ValueError(
@@ -252,12 +256,9 @@ def _schedule_series_terms(
             "raise i_max" % (worst, i_max + 2)
         )
     series = matrixcore._defect_series_batch(lead * scale, follow * scale, i_max)
+    c_series = series[:, -1]
     if n > 2:
-        c_series = math.exp(2.0 * scale) * float(series[:-1].sum()) + float(
-            series[-1]
-        )
-    else:
-        c_series = float(series[-1])
+        c_series = math.exp(2.0 * scale) * series[:, :-1].sum(axis=1) + c_series
     return tv_term, c_series, c_series + tv_term
 
 

@@ -5,14 +5,14 @@ minimize_tv searches for the row minimizing the total-variation functional
 run asserts the 2/n lower bound on all visited points).  minimize_bound_rhs
 does the same for the per-schedule error bound of a concrete pulse system.
 Both use projected subgradient descent with diminishing steps from a
-deterministic barycenter start plus seeded random restarts, and certify
-the result against an exhaustive simplex-lattice search when the lattice
-is small enough.
+deterministic barycenter start plus seeded random restarts, all run in
+lockstep on one (R, n) array, and certify the result against an
+exhaustive simplex-lattice search when the lattice is small enough.
+Objectives score an (m, n) stack of rows in one call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +43,7 @@ class OptimizerConfig:
             raise ValueError("restarts must be >= 0 and max_iters >= 1")
         if not (0 < self.grid_resolution <= 0.5):
             raise ValueError("grid_resolution must be in (0, 0.5]")
+        _lattice_steps(self.grid_resolution)
         if not (math.isfinite(self.step_tol) and self.step_tol >= 0):
             raise ValueError("step_tol must be finite and nonnegative")
 
@@ -76,11 +77,12 @@ def _clip_row(w: np.ndarray) -> np.ndarray:
 
 def _canonical_orientation(w, value, objective, tie_tol):
     """Break orientation ties deterministically: when the reversed row is
-    as good (within tie_tol), keep the lexicographically smaller one."""
+    as good (within tie_tol), keep the lexicographically smaller one.
+    objective scores a stack of rows."""
     rev = w[::-1].copy()
     if np.array_equal(rev, w):
         return w, value
-    rev_value = objective(rev)
+    rev_value = float(objective(rev[None, :])[0])
     if rev_value < value - tie_tol:
         return rev, rev_value
     if abs(rev_value - value) <= tie_tol:
@@ -90,14 +92,8 @@ def _canonical_orientation(w, value, objective, tie_tol):
     return w, value
 
 
-def simplex_lattice(n: int, resolution: float):
-    """Yield every weight row on the simplex lattice with the given spacing.
-
-    The spacing must divide 1; the lattice has binom(R + n - 1, n - 1)
-    points for R = 1/resolution and is refused above LATTICE_LIMIT.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("n must be an integer >= 2")
+def _lattice_steps(resolution: float) -> int:
+    """1/resolution as an integer, refusing spacings that do not divide 1."""
     resolution = float(resolution)
     if not math.isfinite(resolution) or resolution <= 0.0:
         raise ValueError(
@@ -110,53 +106,89 @@ def simplex_lattice(n: int, resolution: float):
             "resolution must divide 1 (got %r); try 0.05, 0.02 or 0.01"
             % (resolution,)
         )
+    return steps
+
+
+def _lattice_chunks(n: int, resolution: float):
+    """Yield the simplex lattice as (m, n) arrays of weight rows, one chunk
+    per leading count, with rows in lexicographic order throughout.
+
+    Each chunk holds the compositions of the remaining count built column
+    by column: every partial row with r left repeats r + 1 times, once
+    per next count 0..r.  Chunking, and keeping the integer counts as
+    separate columns, holds memory near one float copy of the largest
+    chunk.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError("n must be an integer >= 2")
+    steps = _lattice_steps(resolution)
     size = math.comb(steps + n - 1, n - 1)
     if size > LATTICE_LIMIT:
         raise TooLargeInstanceError(size, LATTICE_LIMIT)
-    for bars in itertools.combinations(range(steps + n - 1), n - 1):
-        prev = -1
-        counts = np.empty(n, dtype=np.float64)
-        for i, b in enumerate(bars):
-            counts[i] = b - prev - 1
-            prev = b
-        counts[n - 1] = steps + n - 2 - prev
-        yield counts / steps
+    for lead in range(steps + 1):
+        cols = [np.array([lead], dtype=np.int32)]
+        left = np.array([steps - lead], dtype=np.int32)
+        for _ in range(n - 2):
+            reps = left + 1
+            first = np.repeat(np.cumsum(reps, dtype=np.int32) - reps, reps)
+            nxt = np.arange(first.shape[0], dtype=np.int32) - first
+            cols = [np.repeat(c, reps) for c in cols] + [nxt]
+            left = np.repeat(left, reps) - nxt
+        cols.append(left)
+        rows = np.empty((left.shape[0], n))
+        for j, c in enumerate(cols):
+            np.divide(c, steps, out=rows[:, j])
+        yield rows
+
+
+def simplex_lattice(n: int, resolution: float):
+    """Yield every weight row on the simplex lattice with the given spacing,
+    in lexicographic order.
+
+    The spacing must divide 1; the lattice has binom(R + n - 1, n - 1)
+    points for R = 1/resolution and is refused above LATTICE_LIMIT.
+    """
+    for chunk in _lattice_chunks(n, resolution):
+        yield from chunk
 
 
 def brute_force_simplex_grid(n: int, resolution: float, objective):
-    """Exhaustive lattice minimization of objective over the simplex.
+    """Exhaustive lattice minimization of a scalar objective over the simplex.
 
     Returns (weights, value); ties go to the lexicographically smallest
     row so the result is deterministic.
     """
     best_w = None
     best_v = math.inf
+    # rows arrive in lexicographic order, so a strict < keeps the
+    # smallest of tied rows
     for w in simplex_lattice(n, resolution):
         v = float(objective(w))
-        if v < best_v or (
-            v == best_v and best_w is not None and _lex_less(w, best_w)
-        ):
+        if v < best_v:
             best_v = v
             best_w = w.copy()
     return best_w, best_v
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return False
-
-
 def _certify(n, resolution, objective, value) -> bool:
     """Grid certification: no lattice point beats the reported value by
-    more than a lattice-scaled slack."""
+    more than a lattice-scaled slack.  objective scores a stack of rows."""
     try:
-        _w, grid_v = brute_force_simplex_grid(n, resolution, objective)
+        grid_v = min(
+            float(objective(rows).min()) for rows in _lattice_chunks(n, resolution)
+        )
     except TooLargeInstanceError:
         return False
     slack = 4.0 * resolution * max(1.0, abs(value))
     return grid_v >= value - slack
+
+
+def _starts(n: int, cfg: OptimizerConfig) -> np.ndarray:
+    """The barycenter followed by cfg.restarts seeded Dirichlet rows."""
+    rng = np.random.default_rng(cfg.seed)
+    starts = [np.full(n, 1.0 / n)]
+    starts += [rng.dirichlet(np.ones(n)) for _ in range(cfg.restarts)]
+    return np.stack(starts)
 
 
 def minimize_tv(n: int, config: OptimizerConfig | None = None) -> OptimizationResult:
@@ -171,40 +203,68 @@ def minimize_tv(n: int, config: OptimizerConfig | None = None) -> OptimizationRe
         raise ValueError("n must be an integer >= 2")
     cfg = config or OptimizerConfig()
     n = int(n)
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.full(n, 1.0 / n)]
-    starts += [rng.dirichlet(np.ones(n)) for _ in range(cfg.restarts)]
-
-    best_w = None
-    best_v = math.inf
-    total_iters = 0
+    rows, values, total_iters, seen = tv_descent(
+        _starts(n, cfg), STEP_SCALE, cfg.max_iters, cfg.step_tol
+    )
     floor = 2.0 / n
-    for w0 in starts:
-        w, v, iters, seen = tv_descent(
-            np.ascontiguousarray(w0, dtype=np.float64),
-            STEP_SCALE,
-            cfg.max_iters,
-            cfg.step_tol,
-        )
-        total_iters += int(iters)
-        assert seen >= floor - 1e-9, (
-            "descent produced a value below the 2/n floor: %r < %r" % (seen, floor)
-        )
-        if v < best_v:
-            best_v = float(v)
-            best_w = w
+    assert seen.min() >= floor - 1e-9, (
+        "descent produced a value below the 2/n floor: %r < %r" % (seen.min(), floor)
+    )
+    best = int(np.argmin(values))
     best_w, best_v = _canonical_orientation(
-        best_w, best_v, lambda w: float(tv_value(w)), max(cfg.step_tol, 1e-15)
+        rows[best], float(values[best]), tv_value, max(cfg.step_tol, 1e-15)
     )
-    certified = _certify(
-        n, cfg.grid_resolution, lambda w: float(tv_value(w)), best_v
-    )
+    certified = _certify(n, cfg.grid_resolution, tv_value, best_v)
     return OptimizationResult(
         minimizer=Schedule(n, _clip_row(best_w)),
         value=best_v,
         iterations_used=total_iters,
         certified_by_grid=certified,
     )
+
+
+def _descend_fd(objective, starts, max_iters, step_tol):
+    """Projected descent along central finite-difference gradients, run in
+    lockstep on every row of starts.
+
+    Each iteration scores all live rows shifted by +-h along every axis in
+    one objective call and the stepped rows in another.  A row stops when
+    its gradient vanishes or its step moves less than step_tol.  Returns
+    (best_row, best_value, total_iterations); ties go to the earliest
+    start, then the earliest iterate.
+    """
+    m, n = starts.shape
+    h = 1e-7
+    w = _clip_row(simplex_project(starts))
+    best = w.copy()
+    best_v = objective(w)
+    live = np.arange(m)
+    shifts = h * np.eye(n)
+    total = 0
+    for k in range(1, max_iters + 1):
+        if live.size == 0:
+            break
+        total += live.size
+        bumped = np.concatenate(
+            [w[:, None, :] + shifts, w[:, None, :] - shifts]
+        ).reshape(-1, n)
+        plus, minus = objective(bumped).reshape(2, live.size, n)
+        grad = (plus - minus) / (2 * h)
+        # row-wise dot products round as np.linalg.norm does on one row
+        norm = np.sqrt(grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
+        moving = norm != 0.0
+        w, grad, norm, live = w[moving], grad[moving], norm[moving], live[moving]
+        step = STEP_SCALE / (k * norm)
+        w_new = _clip_row(simplex_project(w - step[:, None] * grad))
+        v_new = objective(w_new)
+        better = v_new < best_v[live]
+        best_v[live[better]] = v_new[better]
+        best[live[better]] = w_new[better]
+        going = ~(np.max(np.abs(w_new - w), axis=1) < step_tol)
+        w = w_new[going]
+        live = live[going]
+    i = int(np.argmin(best_v))
+    return best[i], float(best_v[i]), total
 
 
 def minimize_bound_rhs(
@@ -235,42 +295,14 @@ def minimize_bound_rhs(
         )
     scale = abs(sys.t) * matrixcore.op_norm(solve_coboundary(spec, sys.generator))
 
-    def objective(w: np.ndarray) -> float:
-        row = _clip_row(np.asarray(w, dtype=np.float64))
-        return _schedule_series_terms(row / row.sum(), scale, int(i_max))[2]
+    def objective(w: np.ndarray) -> np.ndarray:
+        rows = _clip_row(np.asarray(w, dtype=np.float64))
+        rows = rows / rows.sum(axis=1, keepdims=True)
+        return _schedule_series_terms(rows, scale, int(i_max))[2]
 
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.full(n, 1.0 / n)]
-    starts += [rng.dirichlet(np.ones(n)) for _ in range(cfg.restarts)]
-
-    best_w = None
-    best_v = math.inf
-    total_iters = 0
-    h = 1e-7
-    for w0 in starts:
-        w = _clip_row(simplex_project(np.ascontiguousarray(w0, dtype=np.float64)))
-        v = objective(w)
-        if v < best_v:
-            best_v, best_w = v, w.copy()
-        grad = np.empty(n)
-        for k in range(1, cfg.max_iters + 1):
-            total_iters += 1
-            for i in range(n):
-                bump = np.zeros(n)
-                bump[i] = h
-                grad[i] = (objective(w + bump) - objective(w - bump)) / (2 * h)
-            norm = float(np.linalg.norm(grad))
-            if norm == 0.0:
-                break
-            step = STEP_SCALE / (k * norm)
-            w_new = _clip_row(simplex_project(w - step * grad))
-            v_new = objective(w_new)
-            if v_new < best_v:
-                best_v, best_w = v_new, w_new.copy()
-            moved = float(np.max(np.abs(w_new - w)))
-            w = w_new
-            if moved < cfg.step_tol:
-                break
+    best_w, best_v, total_iters = _descend_fd(
+        objective, _starts(n, cfg), cfg.max_iters, cfg.step_tol
+    )
     best_w, best_v = _canonical_orientation(
         best_w, best_v, objective, max(cfg.step_tol, 1e-15)
     )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ergopulse import cli
 from ergopulse.cli import main
 from ergopulse.matrixcore import matrix_to_json_dict
 from ergopulse.schedules import load_schedule, tv_functional, uhrig_family
@@ -412,6 +413,31 @@ def test_optimize_rejects_bad_n(tmp_path, capsys):
     )
     assert code == 2
     assert "n must be" in err
+
+
+def test_optimize_rejects_resolution_that_does_not_divide_one(
+    tmp_path, capsys, monkeypatch
+):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("the descent ran before the resolution was checked")
+
+    monkeypatch.setattr(cli, "minimize_tv", no_descent)
+    out = tmp_path / "x.json"
+    code, _, err = _run(
+        capsys,
+        "optimize",
+        "--mode",
+        "tv",
+        "--n",
+        "4",
+        "--resolution",
+        "0.03",
+        "--out",
+        str(out),
+    )
+    assert code == 2
+    assert "resolution must divide 1" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- probe

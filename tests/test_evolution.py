@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ergopulse.cli import PRESETS
@@ -11,6 +13,7 @@ from ergopulse.errors import NotACoboundaryError
 from ergopulse.evolution import (
     BoundBreakdown,
     PulseSystem,
+    _schedule_series_terms,
     control_error,
     convergence_sweep,
     defect_coefficient,
@@ -30,6 +33,8 @@ from ergopulse.schedules import (
     uhrig_family,
 )
 from ergopulse.ergodic import commutant_project, spectrum
+
+import oracles
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SZ = np.diag([1.0 + 0.0j, -1.0])
@@ -294,6 +299,47 @@ def test_schedule_bound_tail_guard():
         schedule_bound_rhs(sys, equidistant(2), i_max=40)
     # a longer explicit series restores validity
     assert schedule_bound_rhs(sys, equidistant(2), i_max=60).total_rhs > 0
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    rows=st.integers(1, 6),
+    n=st.integers(2, 9),
+    scale=st.floats(0.0, 3.0),
+    i_max=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_schedule_series_terms_rows_match_scalar_oracle(rows, n, scale, i_max, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.dirichlet(np.full(n, 0.5), size=rows)
+    a[0, rng.integers(n)] = 0.0  # vanishing weights zero out defect terms
+    want = []
+    for row in a:
+        try:
+            want.append(oracles.schedule_series_terms(row, scale, i_max))
+        except ValueError as exc:
+            assert "tail majorant" in str(exc)
+            want.append(None)
+    if any(w is None for w in want):
+        # one crossing row voids the whole stack
+        with pytest.raises(ValueError, match="tail majorant"):
+            _schedule_series_terms(a, scale, i_max)
+        return
+    got = _schedule_series_terms(a, scale, i_max)
+    for k in range(3):
+        assert got[k].shape == (rows,)
+        assert_allclose(got[k], [w[k] for w in want], rtol=1e-13, atol=0)
+
+
+def test_schedule_series_terms_any_crossing_row_raises():
+    # At i_max = 2 the majorant needs per-step norms below 4; the even
+    # row peaks at 4/3 * scale and the spike row at 2 * scale.
+    even, spike = np.full(3, 1.0 / 3.0), np.array([0.0, 1.0, 0.0])
+    assert _schedule_series_terms(even[None, :], 2.5, 2)[2][0] > 0
+    with pytest.raises(ValueError, match="tail majorant"):
+        oracles.schedule_series_terms(spike, 2.5, 2)
+    with pytest.raises(ValueError, match="tail majorant"):
+        _schedule_series_terms(np.stack([even, spike, even]), 2.5, 2)
 
 
 def test_schedule_bound_validation():

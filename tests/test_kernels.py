@@ -3,7 +3,8 @@ must agree, and both must agree with plain restatements of the math.
 
 When ERGOPULSE_NO_NUMBA selects the numpy lane, python_lane() returns the
 kernel itself, so the parity tests degenerate to consistency checks and
-the cross-lane comparison moves into a subprocess.
+the cross-lane comparison moves into a subprocess.  The batched optimizer
+kernels are checked row by row against the scalar loops in oracles.py.
 """
 
 import json
@@ -14,6 +15,9 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from ergopulse._kernels import (
@@ -30,6 +34,8 @@ from ergopulse._kernels import (
 )
 from ergopulse.matrixcore import random_unitary
 
+import oracles
+
 
 def _random_complex(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -40,15 +46,17 @@ def test_backend_reports_active_lane():
 
 
 def test_python_lane_unwraps_jitted_kernels():
-    plain = python_lane(tv_value)
+    plain = python_lane(chain_product)
     if NUMBA_ENABLED:
-        assert plain is tv_value.py_func
-        assert plain is not tv_value
+        assert plain is chain_product.py_func
+        assert plain is not chain_product
     else:
-        assert plain is tv_value
-    row = np.array([0.2, 0.5, 0.3])
-    assert plain(row) == pytest.approx(1.0, abs=1e-15)
-    assert plain(row) == pytest.approx(tv_value(row), abs=0)
+        assert plain is chain_product
+    u = np.diag([1.0, 1.0j])
+    factors = np.stack([np.eye(2, dtype=np.complex128)])
+    idx = np.zeros(3, dtype=np.int64)
+    assert_allclose(plain(u, factors, idx), np.diag([1.0, -1.0j]), atol=1e-15)
+    assert np.array_equal(plain(u, factors, idx), chain_product(u, factors, idx))
 
 
 # ------------------------------------------------------- lane agreement
@@ -84,7 +92,7 @@ def test_expm_pade13_lanes_agree():
 
 
 def test_tv_descent_lanes_agree():
-    w0 = np.ascontiguousarray([0.7, 0.1, 0.2])
+    w0 = np.ascontiguousarray([[0.7, 0.1, 0.2]])
     jit = tv_descent(w0.copy(), 0.25, 300, 1e-12)
     py = python_lane(tv_descent)(w0.copy(), 0.25, 300, 1e-12)
     assert_allclose(jit[0], py[0], atol=1e-13)
@@ -208,8 +216,8 @@ def test_tv_value_matches_direct_formula():
 
 
 def test_tv_descent_reaches_uniform_floor():
-    w0 = np.ascontiguousarray([0.9, 0.05, 0.05])
-    best, best_v, iters, min_seen = tv_descent(w0, 0.25, 2000, 1e-12)
+    w0 = np.ascontiguousarray([[0.9, 0.05, 0.05]])
+    (best,), (best_v,), iters, (min_seen,) = tv_descent(w0, 0.25, 2000, 1e-12)
     # a lone subgradient start stalls near the floor, not on it; the
     # barycenter start in minimize_tv is what pins the exact optimum
     assert best_v == pytest.approx(2.0 / 3.0, abs=1e-4)
@@ -219,7 +227,63 @@ def test_tv_descent_reaches_uniform_floor():
 
 
 def test_tv_descent_stationary_at_uniform():
-    w0 = np.full(4, 0.25)
-    best, best_v, iters, _ = tv_descent(w0, 0.25, 50, 1e-12)
-    assert_allclose(best, w0, atol=1e-12)
+    w0 = np.full((1, 4), 0.25)
+    (best,), (best_v,), iters, _ = tv_descent(w0, 0.25, 50, 1e-12)
+    assert_allclose(best, w0[0], atol=1e-12)
     assert best_v == pytest.approx(0.5, abs=1e-15)
+
+
+# ------------------------------------------- batched kernels vs oracles
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    v=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(2, 8)),
+        # magnitudes near 1e17 make every threshold test fail (theta = 0)
+        elements=st.floats(-1e18, 1e18, allow_nan=False, allow_infinity=False),
+    )
+)
+@example(v=np.array([[1e17, 1e17], [0.3, 0.9]]))
+def test_simplex_project_rows_match_scalar_oracle(v):
+    got = simplex_project(v)
+    want = np.stack([oracles.simplex_project(row.copy()) for row in v])
+    assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 6),
+    rows=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    max_iters=st.integers(0, 200),
+    step_tol=st.sampled_from([1e-12, 1e-4, 1e-3, 1e-2]),
+)
+def test_tv_descent_lockstep_matches_per_start_oracle(
+    n, rows, seed, max_iters, step_tol
+):
+    # Rows stop on their own step_tol test at different iterations, so
+    # the lockstep bookkeeping must track each one exactly as a lone run.
+    rng = np.random.default_rng(seed)
+    w0 = rng.dirichlet(np.ones(n), size=rows)
+    w0[0] = rng.normal(scale=2.0, size=n)  # an off-simplex start
+    best, best_v, total, min_seen = tv_descent(w0, 0.25, max_iters, step_tol)
+    assert type(total) is int
+    want_total = 0
+    for i in range(rows):
+        o_best, o_v, o_iters, o_seen = oracles.tv_descent(
+            w0[i].copy(), 0.25, max_iters, step_tol
+        )
+        assert np.array_equal(best[i], o_best)
+        assert best_v[i] == o_v
+        assert min_seen[i] == o_seen
+        assert tv_descent(w0[i : i + 1], 0.25, max_iters, step_tol)[2] == o_iters
+        want_total += o_iters
+    assert total == want_total
+
+
+def test_tv_value_rows_match_scalar_oracle():
+    rng = np.random.default_rng(2)
+    w = rng.dirichlet(np.ones(7), size=40)
+    assert np.array_equal(tv_value(w), [oracles.tv_value(row) for row in w])

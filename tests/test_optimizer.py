@@ -9,17 +9,22 @@ from numpy.testing import assert_allclose
 
 from ergopulse.cli import PRESETS
 from ergopulse.errors import TooLargeInstanceError
-from ergopulse.evolution import schedule_bound_rhs
+from ergopulse.evolution import _schedule_series_terms, schedule_bound_rhs
 from ergopulse.optimizer import (
     LATTICE_LIMIT,
     OptimizationResult,
     OptimizerConfig,
+    _descend_fd,
+    _lattice_chunks,
+    _starts,
     brute_force_simplex_grid,
     minimize_bound_rhs,
     minimize_tv,
     simplex_lattice,
 )
 from ergopulse.schedules import Schedule, equidistant, tv_functional
+
+import oracles
 
 LIGHT = OptimizerConfig(restarts=10, max_iters=500)
 
@@ -82,6 +87,20 @@ def test_simplex_lattice_rejects_bad_resolution():
             list(simplex_lattice(3, bad))
     with pytest.raises(ValueError):
         list(simplex_lattice(1, 0.5))
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(2, 6), steps=st.sampled_from([2, 4, 5, 8, 10, 20, 25, 50]))
+def test_chunked_lattice_matches_itertools_oracle(n, steps):
+    if math.comb(steps + n - 1, n - 1) > 30_000:
+        return
+    want = np.array(list(oracles.simplex_lattice(n, steps)))
+    chunks = list(_lattice_chunks(n, 1.0 / steps))
+    # one chunk per leading count, rows in the oracle's order
+    assert len(chunks) == steps + 1
+    assert all(np.all(c[:, 0] == k / steps) for k, c in enumerate(chunks))
+    assert np.array_equal(np.concatenate(chunks), want)
+    assert np.array_equal(np.array(list(simplex_lattice(n, 1.0 / steps))), want)
 
 
 def test_simplex_lattice_refuses_huge_instances():
@@ -160,6 +179,13 @@ def test_minimize_tv_deterministic():
     b = minimize_tv(5, LIGHT)
     assert np.array_equal(a.minimizer.weights, b.minimizer.weights)
     assert a.value == b.value
+
+
+def test_config_rejects_resolution_that_does_not_divide_one():
+    # refused up front, before any descent runs
+    with pytest.raises(ValueError, match="resolution must divide 1"):
+        OptimizerConfig(grid_resolution=0.03)
+    assert OptimizerConfig(grid_resolution=0.04).grid_resolution == 0.04
 
 
 def test_minimize_tv_validation():
@@ -246,6 +272,39 @@ def test_minimize_bound_rhs_beats_or_ties_lopsided_rows(seeded=3):
     for _ in range(10):
         row = Schedule(3, rng.dirichlet(np.ones(3)))
         assert res.value <= schedule_bound_rhs(sys, row).total_rhs + 1e-9
+
+
+@pytest.mark.parametrize(
+    "n, scale", [(2, 1.0), (3, 0.7), (3, 1.4), (4, 0.8), (3, 0.0)]
+)
+def test_lockstep_fd_descent_matches_per_start_oracle(n, scale):
+    # the bound objective of minimize_bound_rhs at scale = |t| ||Y||
+    def objective(w):
+        rows = np.minimum(np.asarray(w, dtype=np.float64), 1.0 - 1e-12)
+        return _schedule_series_terms(rows / rows.sum(axis=1, keepdims=True), scale, 40)[2]
+
+    starts = _starts(n, OptimizerConfig(restarts=5, seed=n))
+    # step_tol 1e-2 stops rows at different iterations; scale 0 gives a
+    # flat objective whose zero gradient stops every row at once
+    for max_iters, step_tol in ((60, 1e-12), (60, 1e-2)):
+        got_w, got_v, got_iters = _descend_fd(objective, starts, max_iters, step_tol)
+        want_w, want_v, want_iters = oracles.fd_descent(
+            lambda w: objective(w[None, :])[0], starts, max_iters, step_tol
+        )
+        assert np.array_equal(got_w, want_w)
+        assert got_v == want_v
+        assert got_iters == want_iters
+
+
+def test_minimize_bound_rhs_cli_defaults_keep_known_optimum():
+    # optimize --mode bound --system qubit-z-x --n 3 at CLI defaults
+    res = minimize_bound_rhs(
+        PRESETS["qubit-z-x"](1.0), 3, OptimizerConfig(restarts=12, max_iters=250)
+    )
+    assert abs(res.value - 2.3301980797406134) <= 1e-9
+    assert res.iterations_used == 3250
+    assert not res.near_uniform
+    assert res.certified_by_grid
 
 
 def test_minimize_bound_rhs_refuses_commutant_generator():
