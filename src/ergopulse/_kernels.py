@@ -1,52 +1,15 @@
-"""Hot numerical loops, jitted with numba when available.
+"""Hot numerical loops in plain numpy.
 
-Setting ``ERGOPULSE_NO_NUMBA=1`` in the environment (or a failed numba
-import) selects the pure-numpy lane.  The same function bodies run in
-either lane, so both produce identical results up to floating-point
-roundoff; only the compilation differs.  The optimizer kernels
-(simplex_project, tv_value, tv_descent) work on stacks of rows with
-whole-array numpy operations and are not jitted in either lane.
+conj_weighted_sum and chain_product step through their terms one matrix
+product at a time; expm_pade13 is the scaling-and-squaring exponential
+behind matrixcore.expm.  The optimizer kernels (simplex_project,
+tv_value, tv_descent) work on stacks of rows with whole-array
+operations.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def _numba_disabled() -> bool:
-    flag = os.environ.get("ERGOPULSE_NO_NUMBA", "")
-    return flag.strip().lower() in {"1", "true", "yes", "on"}
-
-
-try:
-    if _numba_disabled():
-        raise ImportError("numba disabled via ERGOPULSE_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):  # no-op stand-in with the same call shapes
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def backend() -> str:
-    """Name of the active kernel lane, either "numba" or "numpy"."""
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-def python_lane(fn):
-    """The uncompiled version of a kernel (the kernel itself on the numpy lane)."""
-    return getattr(fn, "py_func", fn)
 
 
 # Polar-correct the running unitary power this often; drift over 1e5
@@ -54,7 +17,6 @@ def python_lane(fn):
 RENORM_EVERY = 1024
 
 
-@njit(cache=True)
 def conj_weighted_sum(u, x, w):
     """sum of w[k-1] * u^k x (u^k)* over k = 1..len(w).
 
@@ -78,7 +40,6 @@ def conj_weighted_sum(u, x, w):
     return acc
 
 
-@njit(cache=True)
 def chain_product(u, factors, idx):
     """Left-to-right product u.factors[idx[0]].u.factors[idx[1]]...."""
     d = u.shape[0]
@@ -111,20 +72,13 @@ _PADE13 = np.array(
 _THETA13 = 5.371920351148152
 
 
-@njit(cache=True)
 def expm_pade13(a):
     """Matrix exponential by scaling and squaring around the degree-13
     diagonal rational approximant."""
     d = a.shape[0]
     b = _PADE13
     eye = np.eye(d, dtype=np.complex128)
-    norm1 = 0.0
-    for j in range(d):
-        col = 0.0
-        for i in range(d):
-            col += abs(a[i, j])
-        if col > norm1:
-            norm1 = col
+    norm1 = np.abs(a).sum(axis=0).max()
     squarings = 0
     if norm1 > _THETA13:
         squarings = int(np.ceil(np.log2(norm1 / _THETA13)))
@@ -137,7 +91,7 @@ def expm_pade13(a):
     odd = np.dot(m, odd)
     even = np.dot(m6, b[12] * m6 + b[10] * m4 + b[8] * m2)
     even = even + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * eye
-    r = np.ascontiguousarray(np.linalg.solve(even - odd, even + odd))
+    r = np.linalg.solve(even - odd, even + odd)
     for _ in range(squarings):
         r = np.dot(r, r)
     return r

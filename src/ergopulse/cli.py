@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._kernels import backend
 from .errors import DomainError
 from .evolution import (
     PulseSystem,
@@ -168,9 +167,8 @@ def cmd_sweep(args) -> int:
         )
     slope = "n/a" if report.fitted_slope is None else repr(report.fitted_slope)
     print(
-        "sweep: backend=%s family=%s N=%d..%d slope=%s final_error=%s -> %s"
+        "sweep: family=%s N=%d..%d slope=%s final_error=%s -> %s"
         % (
-            backend(),
             family.name,
             counts[0],
             counts[-1],

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from os import PathLike
 
 import numpy as np
@@ -27,7 +28,6 @@ from .ergodic import (
     commutant_project,
     solve_coboundary,
     spectrum,
-    yosida_split,
 )
 from .errors import NotACoboundaryError
 from .schedules import Schedule, ScheduleFamily
@@ -37,7 +37,11 @@ from .schedules import Schedule, ScheduleFamily
 class PulseSystem:
     """Pulse unitary u, generator X, and evolution time t.
 
-    For Hamiltonian control pass X = -i H; t may be complex.
+    For Hamiltonian control pass X = -i H; t may be complex.  u and X are
+    stored as read-only copies, and everything derived from (u, X, t) --
+    the spectrum of u, the commutant part P(X), the potential Y of
+    X - P(X), their norms and the limit factor e^{P(X) t} -- is computed
+    once, on first use, and cached on the instance.
     """
 
     u: np.ndarray
@@ -45,8 +49,8 @@ class PulseSystem:
     t: complex = 1.0
 
     def __post_init__(self):
-        u = matrixcore.as_operator(self.u, "u")
-        x = matrixcore.as_operator(self.generator, "generator")
+        u = matrixcore.as_operator(self.u, "u").copy()
+        x = matrixcore.as_operator(self.generator, "generator").copy()
         if u.shape != x.shape:
             raise ValueError("u and generator must share a dimension")
         if not matrixcore.is_unitary(u):
@@ -57,6 +61,9 @@ class PulseSystem:
         t = complex(self.t)
         if not (math.isfinite(t.real) and math.isfinite(t.imag)):
             raise ValueError("t must be finite")
+        # the cached quantities below assume u and X never change
+        u.setflags(write=False)
+        x.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "generator", x)
         object.__setattr__(self, "t", t)
@@ -64,6 +71,51 @@ class PulseSystem:
     @property
     def dim(self) -> int:
         return self.u.shape[0]
+
+    @cached_property
+    def spec(self) -> UnitarySpectrum:
+        """Clustered spectrum of u."""
+        return spectrum(self.u)
+
+    @cached_property
+    def fixed_part(self) -> np.ndarray:
+        """P(X), the projection of the generator onto the commutant of u."""
+        return commutant_project(self.spec, self.generator)
+
+    @cached_property
+    def potential(self) -> np.ndarray:
+        """The potential Y with Y - u Y u* = X - P(X), as in yosida_split."""
+        return solve_coboundary(self.spec, self.generator - self.fixed_part)
+
+    @cached_property
+    def generator_norm(self) -> float:
+        return matrixcore.op_norm(self.generator)
+
+    @cached_property
+    def fixed_norm(self) -> float:
+        return matrixcore.op_norm(self.fixed_part)
+
+    @cached_property
+    def potential_norm(self) -> float:
+        return matrixcore.op_norm(self.potential)
+
+    @cached_property
+    def limit_factor(self) -> np.ndarray:
+        """e^{P(X) t}, the factor in front of u^n in the limit object."""
+        return matrixcore.expm(self.fixed_part * self.t)
+
+    @property
+    def is_coboundary(self) -> bool:
+        """Whether P(X) vanishes, so that X = Y - u Y u*."""
+        return self.fixed_norm < COBOUNDARY_TOL
+
+    def _require_coboundary(self) -> None:
+        if not self.is_coboundary:
+            raise NotACoboundaryError(
+                self.fixed_norm,
+                hint="split the generator with yosida_split and bound the "
+                "commutant part separately",
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,18 +166,14 @@ def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
     factors = np.stack(
         [matrixcore.expm(v * sys.t * sys.generator) for v in values]
     )
-    return chain_product(sys.u, factors, np.ascontiguousarray(idx, dtype=np.int64))
+    return chain_product(sys.u, factors, idx)
 
 
 def limit_evolution(sys: PulseSystem, n: int) -> np.ndarray:
     """The n-pulse limit object e^{P(X) t} u^n."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
-    spec = spectrum(sys.u)
-    projected = commutant_project(spec, sys.generator)
-    return matrixcore.expm(projected * sys.t) @ np.linalg.matrix_power(
-        sys.u, int(n)
-    )
+    return sys.limit_factor @ np.linalg.matrix_power(sys.u, int(n))
 
 
 def control_error(sys: PulseSystem, s: Schedule) -> float:
@@ -134,9 +182,9 @@ def control_error(sys: PulseSystem, s: Schedule) -> float:
     return matrixcore.op_norm(pulse_product(sys, s) - limit_evolution(sys, s.n))
 
 
-def _rate_constants(
-    norm_x: float, norm_x0: float, norm_y: float, abs_t: float
-) -> tuple[float, float]:
+def _rate_constants(sys: PulseSystem) -> tuple[float, float]:
+    norm_x, norm_x0, norm_y = sys.generator_norm, sys.fixed_norm, sys.potential_norm
+    abs_t = abs(sys.t)
     m = 4.0 * abs_t**2 * math.exp(2.0 * abs_t * norm_y) * norm_y**2
     m += 2.0 * norm_y * abs_t
     m_prime = math.exp(norm_x * abs_t) * (
@@ -149,12 +197,7 @@ def equidistant_bound_constants(sys: PulseSystem) -> BoundBreakdown:
     """Rate constants for equidistant rows: the measured error is bounded
     by m_prime_const / N, and by m_const / N when the generator has no
     commutant component."""
-    spec = spectrum(sys.u)
-    split = yosida_split(spec, sys.generator)
-    norm_x = matrixcore.op_norm(sys.generator)
-    norm_x0 = matrixcore.op_norm(split.fixed_part)
-    norm_y = matrixcore.op_norm(split.potential)
-    m, m_prime = _rate_constants(norm_x, norm_x0, norm_y, abs(sys.t))
+    m, m_prime = _rate_constants(sys)
     return BoundBreakdown(
         m_const=m,
         m_prime_const=m_prime,
@@ -176,14 +219,9 @@ def defect_coefficient(s: Schedule, order: int, step: int) -> float:
         raise ValueError("order must be an integer >= 2")
     if not isinstance(step, (int, np.integer)) or not 1 <= step <= s.n - 1:
         raise ValueError(f"step must be in [1, {s.n - 1}], got {step}")
-    a = s.weights
     order = int(order)
-    step = int(step)
-    if step == 1:
-        lead, follow = 2.0 * a[0], 2.0 * a[1]
-    else:
-        prefix = float(a[0] + np.abs(np.diff(a[:step])).sum() + a[step - 1])
-        lead, follow = prefix, 2.0 * a[step]
+    _diffs, leads, follows = _step_norms(s.weights[None, :])
+    lead, follow = float(leads[0, step - 1]), float(follows[0, step - 1])
     total = 0.0
     for j in range(1, order):
         total += (math.comb(order, j) - 1) * lead**j * follow ** (order - j)
@@ -206,28 +244,31 @@ def schedule_bound_rhs(
         raise ValueError("s must be a Schedule")
     if not isinstance(i_max, (int, np.integer)) or i_max < 2:
         raise ValueError("i_max must be an integer >= 2")
-    spec = spectrum(sys.u)
-    projected = commutant_project(spec, sys.generator)
-    norm_p = matrixcore.op_norm(projected)
-    if norm_p >= COBOUNDARY_TOL:
-        raise NotACoboundaryError(
-            norm_p,
-            hint="split the generator with yosida_split and bound the "
-            "commutant part separately",
-        )
-    potential = solve_coboundary(spec, sys.generator)
-    norm_y = matrixcore.op_norm(potential)
-    abs_t = abs(sys.t)
-    norm_x = matrixcore.op_norm(sys.generator)
-    m, m_prime = _rate_constants(norm_x, norm_p, norm_y, abs_t)
-
-    scale = abs_t * norm_y
+    sys._require_coboundary()
+    m, m_prime = _rate_constants(sys)
+    scale = abs(sys.t) * sys.potential_norm
     tv_term, c_series, total = _schedule_series_terms(
         s.weights[None, :], scale, int(i_max)
     )
     return BoundBreakdown(
         m, m_prime, float(tv_term[0]), float(c_series[0]), float(total[0])
     )
+
+
+def _step_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|a_{k+1} - a_k|, lead, follow) for an (m, n) stack of weight rows.
+
+    lead and follow are the per-step norms, in units of |t| ||Y||, of the
+    single-step defects between partial products k and k+1: 2 a_1 and
+    2 a_2 for the first step, then the running total-variation prefix
+    a_1 + sum_{j<k} |a_{j+1} - a_j| + a_k and 2 a_{k+1}.
+    """
+    m, n = a.shape
+    diffs = np.abs(np.diff(a, axis=1))
+    lead = np.empty((m, n - 1))
+    lead[:, 0] = 2.0 * a[:, 0]
+    lead[:, 1:] = a[:, :1] + np.cumsum(diffs[:, :-1], axis=1) + a[:, 1:-1]
+    return diffs, lead, 2.0 * a[:, 1:]
 
 
 def _schedule_series_terms(
@@ -242,13 +283,9 @@ def _schedule_series_terms(
     m, n = a.shape
     if scale == 0.0:
         return np.zeros(m), np.zeros(m), np.zeros(m)
-    diffs = np.abs(np.diff(a, axis=1))
+    diffs, lead, follow = _step_norms(a)
     tv = a[:, 0] + diffs.sum(axis=1) + a[:, -1]
     tv_term = np.expm1(scale * tv)
-    lead = np.empty((m, n - 1))
-    lead[:, 0] = 2.0 * a[:, 0]
-    lead[:, 1:] = a[:, :1] + np.cumsum(diffs[:, :-1], axis=1) + a[:, 1:-1]
-    follow = 2.0 * a[:, 1:]
     worst = float((lead + follow).max()) * scale
     if worst >= i_max + 2:
         raise ValueError(
@@ -281,14 +318,9 @@ def convergence_sweep(
     if ns[0] < 2:
         raise ValueError("pulse counts must be >= 2")
 
-    spec = spectrum(sys.u)
-    projected = commutant_project(spec, sys.generator)
-    limit_factor = matrixcore.expm(projected * sys.t)
-    is_coboundary = matrixcore.op_norm(projected) < COBOUNDARY_TOL
-
     errors = []
     bounds: list[BoundBreakdown] | None
-    if is_coboundary:
+    if sys.is_coboundary:
         route = "schedule"
         bounds = []
     elif family.kind == "equidistant":
@@ -301,9 +333,7 @@ def convergence_sweep(
 
     for n in ns:
         row = family(n)
-        prod = pulse_product(sys, row)
-        limit = limit_factor @ np.linalg.matrix_power(sys.u, n)
-        errors.append(matrixcore.op_norm(prod - limit))
+        errors.append(control_error(sys, row))
         if route == "schedule":
             bounds.append(schedule_bound_rhs(sys, row, i_max))
         elif route == "constants":

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matrixcore
 from ._kernels import simplex_project, tv_descent, tv_value
-from .ergodic import COBOUNDARY_TOL, commutant_project, solve_coboundary, spectrum
-from .errors import NotACoboundaryError, TooLargeInstanceError
+from .errors import TooLargeInstanceError
 from .evolution import PulseSystem, _schedule_series_terms
 from .schedules import Schedule
 
@@ -283,17 +281,8 @@ def minimize_bound_rhs(
         raise ValueError("n must be an integer >= 2")
     cfg = config or OptimizerConfig()
     n = int(n)
-
-    spec = spectrum(sys.u)
-    projected = commutant_project(spec, sys.generator)
-    norm_p = matrixcore.op_norm(projected)
-    if norm_p >= COBOUNDARY_TOL:
-        raise NotACoboundaryError(
-            norm_p,
-            hint="the per-schedule bound needs a coboundary generator; "
-            "split it with yosida_split first",
-        )
-    scale = abs(sys.t) * matrixcore.op_norm(solve_coboundary(spec, sys.generator))
+    sys._require_coboundary()
+    scale = abs(sys.t) * sys.potential_norm
 
     def objective(w: np.ndarray) -> np.ndarray:
         rows = _clip_row(np.asarray(w, dtype=np.float64))

@@ -1,8 +1,11 @@
-"""Scalar loop versions of the batched optimizer code, kept as test oracles.
+"""Earlier versions of ergopulse code, kept as test oracles.
 
-Each function is the one-row (or one-start) loop that the batched code in
-ergopulse replaced.  Tests compare the batched code against them row by
-row, so these bodies must not be vectorized.
+Most functions are the one-row (or one-start) loops that the batched
+code in ergopulse replaced; tests compare the batched code against them
+row by row, so these bodies must not be vectorized.  The bound and limit
+oracles at the end derive the spectrum, commutant part and potential of
+a system afresh on every call, as the code did before PulseSystem
+cached them.
 """
 
 import itertools
@@ -11,6 +14,14 @@ import math
 import numpy as np
 
 from ergopulse import matrixcore
+from ergopulse.ergodic import (
+    COBOUNDARY_TOL,
+    commutant_project,
+    solve_coboundary,
+    spectrum,
+    yosida_split,
+)
+from ergopulse.errors import NotACoboundaryError
 from ergopulse.optimizer import STEP_SCALE
 
 
@@ -171,3 +182,80 @@ def simplex_lattice(n, steps):
             prev = b
         counts[n - 1] = steps + n - 2 - prev
         yield counts / steps
+
+
+def expm_pade13(a):
+    """Scaling and squaring around the degree-13 Pade approximant, with
+    the 1-norm taken by a double loop over the entries."""
+    d = a.shape[0]
+    b = [
+        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0,
+        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+        960960.0, 16380.0, 182.0, 1.0,
+    ]
+    eye = np.eye(d, dtype=np.complex128)
+    norm1 = 0.0
+    for j in range(d):
+        col = 0.0
+        for i in range(d):
+            col += abs(a[i, j])
+        if col > norm1:
+            norm1 = col
+    squarings = 0
+    if norm1 > 5.371920351148152:
+        squarings = int(np.ceil(np.log2(norm1 / 5.371920351148152)))
+    m = a / (2.0**squarings)
+    m2 = np.dot(m, m)
+    m4 = np.dot(m2, m2)
+    m6 = np.dot(m2, m4)
+    odd = np.dot(m6, b[13] * m6 + b[11] * m4 + b[9] * m2)
+    odd = odd + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * eye
+    odd = np.dot(m, odd)
+    even = np.dot(m6, b[12] * m6 + b[10] * m4 + b[8] * m2)
+    even = even + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * eye
+    r = np.linalg.solve(even - odd, even + odd)
+    for _ in range(squarings):
+        r = np.dot(r, r)
+    return r
+
+
+def _rate_constants(norm_x, norm_x0, norm_y, abs_t):
+    m = 4.0 * abs_t**2 * math.exp(2.0 * abs_t * norm_y) * norm_y**2
+    m += 2.0 * norm_y * abs_t
+    m_prime = math.exp(norm_x * abs_t) * (
+        m + 2.0 * abs_t**2 * norm_y * (2.0 * norm_y + 3.0 * norm_x0)
+    )
+    return m, m_prime
+
+
+def limit_evolution(sys, n):
+    """e^{P(X) t} u^n, with P(X) projected afresh."""
+    projected = commutant_project(spectrum(sys.u), sys.generator)
+    return matrixcore.expm(projected * sys.t) @ np.linalg.matrix_power(sys.u, n)
+
+
+def equidistant_bound_constants(sys):
+    """(m_const, m_prime_const) from a fresh yosida_split of the generator."""
+    split = yosida_split(spectrum(sys.u), sys.generator)
+    return _rate_constants(
+        matrixcore.op_norm(sys.generator),
+        matrixcore.op_norm(split.fixed_part),
+        matrixcore.op_norm(split.potential),
+        abs(sys.t),
+    )
+
+
+def schedule_bound_rhs(sys, s, i_max=40):
+    """(m_const, m_prime_const, tv_term, c_series_sum, total_rhs), with the
+    potential solved from the generator itself."""
+    spec = spectrum(sys.u)
+    norm_p = matrixcore.op_norm(commutant_project(spec, sys.generator))
+    if norm_p >= COBOUNDARY_TOL:
+        raise NotACoboundaryError(norm_p)
+    norm_y = matrixcore.op_norm(solve_coboundary(spec, sys.generator))
+    abs_t = abs(sys.t)
+    m, m_prime = _rate_constants(
+        matrixcore.op_norm(sys.generator), norm_p, norm_y, abs_t
+    )
+    return (m, m_prime) + schedule_series_terms(s.weights, abs_t * norm_y, i_max)

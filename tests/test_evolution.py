@@ -1,6 +1,9 @@
 import csv
 import math
 
+import ergopulse.ergodic
+import ergopulse.evolution
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -71,6 +74,79 @@ def test_pulse_system_validation():
     assert sys.dim == 2
     with pytest.raises(AttributeError):
         sys.t = 1.0
+
+
+def test_pulse_system_stores_read_only_copies():
+    u = np.diag([1.0 + 0j, 1.0j])
+    sys = PulseSystem(u=u, generator=-1j * SX)
+    with pytest.raises(ValueError, match="read-only"):
+        sys.u[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        sys.generator[0, 1] = 0.0
+    u[0, 0] = -1.0  # the caller's array stays writable and detached
+    assert sys.u[0, 0] == 1.0
+
+
+def test_pulse_system_derives_spectrum_once(monkeypatch):
+    calls = []
+    real = ergopulse.ergodic.spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (ergopulse.ergodic, ergopulse.evolution):
+        monkeypatch.setattr(module, "spectrum", counting)
+    rng = np.random.default_rng(41)
+    sys = _coboundary_system(rng, 3, seed=41, t=0.6)
+    report = convergence_sweep(sys, uhrig_family(), [4, 8, 16, 32, 64])
+    assert report.bound_route == "schedule"
+    equidistant_bound_constants(sys)
+    limit_evolution(sys, 8)
+    schedule_bound_rhs(sys, equidistant(8))
+    assert len(calls) == 1
+
+
+def _degenerate_unitary(rng, dim):
+    phases = rng.uniform(0.0, 2 * np.pi, size=dim)
+    phases[1] = phases[0]
+    q = random_unitary(dim, seed=int(rng.integers(2**31)))
+    return (q * np.exp(1j * phases)) @ q.conj().T
+
+
+@pytest.mark.parametrize("coboundary", [True, False])
+@pytest.mark.parametrize("t", [0.7, 0.5 - 0.4j])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_cached_derivation_matches_per_call_oracle(coboundary, t, degenerate):
+    rng = np.random.default_rng([int(coboundary), int(degenerate), int(t.imag != 0)])
+    for _ in range(4):
+        dim = int(rng.integers(3, 6))
+        if degenerate:
+            u = _degenerate_unitary(rng, dim)
+        else:
+            u = random_unitary(dim, 0.2, seed=int(rng.integers(2**31)))
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        if coboundary:
+            x = x - commutant_project(spectrum(u), x)
+        sys = PulseSystem(u=u, generator=x / op_norm(x), t=t)
+        assert len(sys.spec.clusters) == dim - int(degenerate)
+
+        n = int(rng.integers(2, 40))
+        want = oracles.limit_evolution(sys, n)
+        assert_allclose(limit_evolution(sys, n), want, rtol=0, atol=1e-13)
+        b = equidistant_bound_constants(sys)
+        want = oracles.equidistant_bound_constants(sys)
+        assert_allclose((b.m_const, b.m_prime_const), want, rtol=1e-13)
+        s = Schedule(n, rng.dirichlet(np.ones(n)))
+        if coboundary:
+            b = schedule_bound_rhs(sys, s)
+            got = (b.m_const, b.m_prime_const, b.tv_term, b.c_series_sum, b.total_rhs)
+            assert_allclose(got, oracles.schedule_bound_rhs(sys, s), rtol=1e-13)
+        else:
+            with pytest.raises(NotACoboundaryError):
+                oracles.schedule_bound_rhs(sys, s)
+            with pytest.raises(NotACoboundaryError, match="yosida_split"):
+                schedule_bound_rhs(sys, s)
 
 
 # ------------------------------------------------------------ pulse_product

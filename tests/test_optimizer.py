@@ -314,8 +314,11 @@ def test_minimize_bound_rhs_refuses_commutant_generator():
     sys = PulseSystem(
         u=np.diag([1.0, -1.0]), generator=np.diag([1.0j, -1.0j]), t=1.0
     )
-    with pytest.raises(NotACoboundaryError):
+    with pytest.raises(NotACoboundaryError, match="yosida_split") as refused:
         minimize_bound_rhs(sys, 3)
+    with pytest.raises(NotACoboundaryError) as bound_refused:
+        schedule_bound_rhs(sys, Schedule(3, [0.2, 0.3, 0.5]))
+    assert str(refused.value) == str(bound_refused.value)
 
 
 def test_optimizer_result_minimizer_is_valid_schedule():
