@@ -1,42 +1,88 @@
-"""Hot numerical loops in plain numpy.
+"""Hot numerical kernels in plain numpy.
 
-conj_weighted_sum and chain_product step through their terms one matrix
-product at a time; expm_pade13 is the scaling-and-squaring exponential
-behind matrixcore.expm.  The optimizer kernels (simplex_project,
-tv_value, tv_descent) work on stacks of rows with whole-array
-operations.
+conj_weighted_sum evaluates a weighted conjugation orbit as a blocked
+sqrt(N) sum: with B = ceil(sqrt(N)) and U = u^B, every term index is
+k = qB + r with 1 <= r <= B, so
+
+    sum_k w_k u^k x u^-k = sum_q U^q (sum_r w_{qB+r} u^r x u^-r) U^-q.
+
+The B small conjugates u^r x u^-r are one stacked matmul, the inner
+sums of all full blocks are one (Q-1 x B) @ (B x d^2) product over the
+weights (the last block takes only the weights it has), and only the
+Q = ceil(N / B) outer terms are a Python loop.  Running powers are
+polar-corrected, on the schedule stated at RENORM_EVERY, so that none
+drifts off the unitary group over long orbits.
+
+chain_product steps through its factors one matrix product at a time;
+expm_pade13 is the scaling-and-squaring exponential behind
+matrixcore.expm.  The optimizer kernels (simplex_project, tv_value,
+tv_descent) work on stacks of rows with whole-array operations.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
-# Polar-correct the running unitary power this often; drift over 1e5
-# multiplications is otherwise visible in the last few digits.
+# Re-unitarize a running power of u after at most this many
+# multiplications by u; drift over 1e5 multiplications is otherwise
+# visible in the last few digits.  conj_weighted_sum corrects the small
+# powers u^r every RENORM_EVERY steps and the block powers U^q = u^(qB)
+# every max(1, RENORM_EVERY // B) blocks.
 RENORM_EVERY = 1024
 
 
-def conj_weighted_sum(u, x, w):
-    """sum of w[k-1] * u^k x (u^k)* over k = 1..len(w).
+def _polar(p):
+    """Nearest unitary to p: the polar factor left @ right of its SVD."""
+    left, _sig, right = np.linalg.svd(p)
+    return np.dot(left, right)
 
-    The running power and its adjoint are tracked incrementally instead of
-    recomputing u^k, and the power is re-unitarized (polar correction via
-    SVD) every RENORM_EVERY steps.
+
+def conj_weighted_sum(u, x, w):
+    """sum of w[k-1] * u^k x (u^k)* over k = 1..len(w), for real weights w.
+
+    Blocked sqrt(N) evaluation (see the module docstring).  Besides w
+    itself it holds O(sqrt(N) d^2) memory, never an (N, d, d) stack.
     """
     d = u.shape[0]
-    uh = np.ascontiguousarray(np.conj(u).T)
-    p = np.eye(d, dtype=np.complex128)
-    q = np.eye(d, dtype=np.complex128)
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for k in range(w.shape[0]):
-        p = np.dot(u, p)
-        q = np.dot(q, uh)
-        if (k + 1) % RENORM_EVERY == 0:
-            left, _sig, right = np.linalg.svd(p)
-            p = np.ascontiguousarray(np.dot(left, right))
-            q = np.ascontiguousarray(np.conj(p).T)
-        acc += w[k] * np.dot(np.dot(p, x), q)
+    n = w.shape[0]
+    b = math.isqrt(n - 1) + 1
+    q_count = -(-n // b)
+
+    powers = np.empty((b, d, d), dtype=np.complex128)
+    powers[0] = u
+    for r in range(1, b):
+        np.dot(u, powers[r - 1], out=powers[r])
+        if (r + 1) % RENORM_EVERY == 0:
+            powers[r] = _polar(powers[r])
+    adjoints = np.conj(powers).transpose(0, 2, 1)
+    conjugates = np.matmul(np.matmul(powers, x), adjoints)
+
+    # complex128 viewed as interleaved float64 pairs, so the real weights
+    # multiply real and imaginary parts in one real product.  The last,
+    # partial block reads its weights in place, so w is never copied into
+    # a padded array.  einsum rather than matmul: a BLAS gemm of this
+    # shape touches about 1 MB of the BLAS packing buffer, which then
+    # stays resident for the life of the process.
+    flat = conjugates.reshape(b, d * d).view(np.float64)
+    full = (q_count - 1) * b
+    inner = np.empty((q_count, 2 * d * d))
+    np.einsum("qr,rk->qk", w[:full].reshape(q_count - 1, b), flat, out=inner[:-1])
+    np.einsum("r,rk->k", w[full:], flat[: n - full], out=inner[-1])
+    inner = inner.view(np.complex128).reshape(q_count, d, d)
+
+    block = powers[b - 1]
+    every = max(1, RENORM_EVERY // b)
+    acc = inner[0].copy()
+    p = block
+    for q in range(1, q_count):
+        acc += np.dot(np.dot(p, inner[q]), np.conj(p).T)
+        if q + 1 < q_count:
+            p = np.dot(p, block)
+            if (q + 1) % every == 0:
+                p = _polar(p)
     return acc
 
 

@@ -137,7 +137,7 @@ def cesaro_mean(u, x, n: int) -> np.ndarray:
         raise ValueError("u and x must share a dimension")
     if not matrixcore.is_unitary(uu):
         raise ValueError("u is not unitary")
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
     return conj_weighted_sum(uu, xx, np.full(int(n), 1.0 / n))
 

@@ -171,7 +171,7 @@ def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
 
 def limit_evolution(sys: PulseSystem, n: int) -> np.ndarray:
     """The n-pulse limit object e^{P(X) t} u^n."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
     return sys.limit_factor @ np.linalg.matrix_power(sys.u, int(n))
 

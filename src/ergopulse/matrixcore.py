@@ -26,7 +26,13 @@ NORMALITY_TOL = 1e-12
 
 
 def as_operator(m, name: str = "matrix") -> np.ndarray:
-    """Validate a square complex matrix and return a C-contiguous copy."""
+    """Validate a square complex matrix and return it as a C-contiguous
+    complex128 array.
+
+    An input that already is one is returned as it is, not copied, so the
+    result may share memory with the caller's array; callers that keep or
+    freeze it take their own copy (PulseSystem does).
+    """
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")

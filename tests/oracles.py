@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from ergopulse import matrixcore
+from ergopulse._kernels import RENORM_EVERY
 from ergopulse.ergodic import (
     COBOUNDARY_TOL,
     commutant_project,
@@ -182,6 +183,29 @@ def simplex_lattice(n, steps):
             prev = b
         counts[n - 1] = steps + n - 2 - prev
         yield counts / steps
+
+
+def conj_weighted_sum(u, x, w):
+    """sum of w[k-1] * u^k x (u^k)* over k = 1..len(w), one term at a time.
+
+    The running power and its adjoint are tracked incrementally instead of
+    recomputing u^k, and the power is re-unitarized (polar correction via
+    SVD) every RENORM_EVERY steps.
+    """
+    d = u.shape[0]
+    uh = np.ascontiguousarray(np.conj(u).T)
+    p = np.eye(d, dtype=np.complex128)
+    q = np.eye(d, dtype=np.complex128)
+    acc = np.zeros((d, d), dtype=np.complex128)
+    for k in range(w.shape[0]):
+        p = np.dot(u, p)
+        q = np.dot(q, uh)
+        if (k + 1) % RENORM_EVERY == 0:
+            left, _sig, right = np.linalg.svd(p)
+            p = np.ascontiguousarray(np.dot(left, right))
+            q = np.ascontiguousarray(np.conj(p).T)
+        acc += w[k] * np.dot(np.dot(p, x), q)
+    return acc
 
 
 def expm_pade13(a):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ergopulse._kernels import RENORM_EVERY
 from ergopulse.ergodic import (
     cesaro_mean,
     commutant_project,
@@ -197,7 +198,7 @@ def test_cesaro_mean_matches_matrix_power_oracle():
     assert op_norm(cesaro_mean(u, x, n) - want) <= 1e-12
 
 
-def test_cesaro_mean_long_run_stays_accurate():
+def test_cesaro_mean_long_run_stays_accurate(polar_calls):
     # crosses the kernel's periodic re-unitarization twice
     rng = np.random.default_rng(56)
     u = random_unitary(3, 0.3, seed=4)
@@ -205,6 +206,41 @@ def test_cesaro_mean_long_run_stays_accurate():
     n = 2500
     want = sum(_conj_power_oracle(u, x, k) for k in range(1, n + 1)) / n
     assert op_norm(cesaro_mean(u, x, n) - want) <= 1e-10
+    assert len(polar_calls) == 2
+
+
+def test_long_means_do_not_drift_from_eigenbasis_closed_form(polar_calls):
+    # N > RENORM_EVERY^2, so both the small powers u^r and the block
+    # powers u^(qB) pass through the polar correction
+    n = 2**20 + 3
+    assert n > RENORM_EVERY**2
+    rng = np.random.default_rng(58)
+    u = random_unitary(3, 0.3, seed=11)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    spec = spectrum(u)
+    basis = spec.basis
+    y = basis.conj().T @ x @ basis
+    phi = spec.col_phases[:, None] - spec.col_phases[None, :]
+    z = np.exp(1j * phi)
+    # (1/n) sum_k z^k = z (1 - z^n) / (n (1 - z)), and 1 where z = 1
+    off = ~np.eye(3, dtype=bool)
+    cesaro_mix = np.ones((3, 3), dtype=np.complex128)
+    cesaro_mix[off] = (
+        z[off] * (1 - np.exp(1j * n * phi[off])) / (n * (1 - z[off]))
+    )
+    s = pathological(n)
+    k = np.arange(1, n + 1)
+    weighted_mix = np.array(
+        [[np.sum(s.weights * np.exp(1j * k * p)) for p in row] for row in phi]
+    )
+    for got, mix in (
+        (cesaro_mean(u, x, n), cesaro_mix),
+        (weighted_cesaro_mean(u, x, s), weighted_mix),
+    ):
+        want = basis @ (mix * y) @ basis.conj().T
+        assert op_norm(got - want) <= 1e-10 * op_norm(x)
+    # B = 1025 and Q = 1024 blocks: u^1024 once, then U^2..U^1023
+    assert len(polar_calls) == 2 * (1 + 1022)
 
 
 def test_cesaro_mean_converges_to_commutant_projection():
@@ -226,6 +262,11 @@ def test_cesaro_mean_validation():
         cesaro_mean(2 * np.eye(2), np.eye(2), 5)
     with pytest.raises(ValueError):
         cesaro_mean(np.eye(2), np.eye(2), 0)
+
+
+def test_cesaro_mean_rejects_bool_pulse_count():
+    with pytest.raises(ValueError, match="positive integer"):
+        cesaro_mean(np.eye(2), np.eye(2), True)
 
 
 # ----------------------------------------------------- weighted_cesaro_mean

@@ -214,6 +214,12 @@ def test_limit_evolution_validates_n():
         limit_evolution(sys, 0)
 
 
+def test_limit_evolution_rejects_bool_pulse_count():
+    sys = PulseSystem(u=np.eye(2), generator=SX)
+    with pytest.raises(ValueError, match="positive integer"):
+        limit_evolution(sys, True)
+
+
 # -------------------------------------------------------------- convergence
 
 

@@ -1,6 +1,7 @@
 """Kernel tests: each kernel must agree with a plain restatement of its
-math.  The batched optimizer kernels are checked row by row against the
-scalar loops in oracles.py.
+math.  The blocked conj_weighted_sum is checked against the per-term
+loop, and the batched optimizer kernels row by row against the scalar
+loops, in oracles.py.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from ergopulse._kernels import (
     tv_descent,
     tv_value,
 )
-from ergopulse.matrixcore import random_unitary
+from ergopulse.matrixcore import op_norm, random_unitary
 
 import oracles
 
@@ -45,13 +46,15 @@ def test_conj_weighted_sum_matches_plain_loop():
     assert_allclose(conj_weighted_sum(u, x, w), want, atol=1e-12)
 
 
-def test_conj_weighted_sum_renormalization_path_stays_accurate():
+def test_conj_weighted_sum_renormalization_path_stays_accurate(polar_calls):
     # enough terms to cross the polar-correction threshold twice
     n = 2 * RENORM_EVERY + 500
     u = random_unitary(2, seed=33)
     x = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.5]])
     w = np.full(n, 1.0 / n)
     got = conj_weighted_sum(u, x, w)
+    # 51 small powers, 50 blocks: U^20 and U^40 are re-unitarized
+    assert len(polar_calls) == 2
     phases, vecs = np.linalg.eig(u)
     # diagonalize: sum_k w_k u^k x u^-k has closed form in the eigenbasis
     y = vecs.conj().T @ x @ vecs
@@ -65,6 +68,50 @@ def test_conj_weighted_sum_renormalization_path_stays_accurate():
     )
     want = vecs @ (mix * y) @ vecs.conj().T
     assert_allclose(got, want, atol=1e-10)
+
+
+def _degenerate_unitary(kind, d, rng):
+    if kind == "identity":
+        return np.eye(d, dtype=np.complex128)
+    if kind == "roots":
+        m = int(rng.integers(1, 13))
+        return np.diag(np.exp(2j * np.pi * rng.integers(0, m, size=d) / m))
+    v = random_unitary(d, seed=int(rng.integers(2**31)))
+    if kind == "repeated":
+        phases = rng.choice(rng.uniform(0, 2 * np.pi, size=2), size=d)
+        return (v * np.exp(1j * phases)) @ v.conj().T
+    return v
+
+
+_SQUARES = sorted({k * k + e for k in range(1, 51) for e in (-1, 0, 1)} - {0})
+_PRIMES = [2, 3, 5, 7, 11, 13, 31, 97, 101, 127, 257, 1021, 1031, 2029, 2477]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    d=st.integers(1, 8),
+    n=st.one_of(
+        st.integers(1, 2500), st.sampled_from(_SQUARES), st.sampled_from(_PRIMES)
+    ),
+    kind=st.sampled_from(["haar", "identity", "repeated", "roots"]),
+    zero_runs=st.integers(0, 3),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=2, n=4, kind="roots", zero_runs=0, scale=1.0, seed=0)
+@example(d=8, n=2500, kind="haar", zero_runs=2, scale=1e3, seed=1)
+@example(d=1, n=1, kind="haar", zero_runs=0, scale=1.0, seed=2)
+def test_conj_weighted_sum_matches_loop_oracle(d, n, kind, zero_runs, scale, seed):
+    rng = np.random.default_rng(seed)
+    u = _degenerate_unitary(kind, d, rng)
+    x = scale * _random_complex(rng, d)
+    w = rng.dirichlet(np.ones(n))
+    for _ in range(zero_runs):
+        start = int(rng.integers(n))
+        w[start : start + int(rng.integers(1, n + 1))] = 0.0
+    got = conj_weighted_sum(u, x, w)
+    want = oracles.conj_weighted_sum(u, x, w)
+    assert op_norm(got - want) <= 1e-12 * max(1.0, op_norm(x))
 
 
 def test_chain_product_matches_plain_loop():

@@ -27,6 +27,21 @@ def _random_complex(rng, dim, scale=1.0):
     return scale * m
 
 
+# ------------------------------------------------------------- as_operator
+
+
+def test_as_operator_returns_clean_input_itself():
+    # no copy on this hot path: a complex128 C-contiguous array comes back
+    # as the same object, anything else as a fresh normalized array
+    a = np.eye(2, dtype=np.complex128)
+    assert matrixcore.as_operator(a) is a
+    for other in (np.eye(2), np.asfortranarray([[1.0, 2j], [3.0, 4.0]])):
+        out = matrixcore.as_operator(other)
+        assert not np.shares_memory(out, other)
+        assert out.dtype == np.complex128 and out.flags.c_contiguous
+        assert np.array_equal(out, other)
+
+
 # ---------------------------------------------------------------- op_norm
 
 
