@@ -13,10 +13,10 @@ Q = ceil(N / B) outer terms are a Python loop.  Running powers are
 polar-corrected, on the schedule stated at RENORM_EVERY, so that none
 drifts off the unitary group over long orbits.
 
-chain_product steps through its factors one matrix product at a time;
-expm_pade13 is the scaling-and-squaring exponential behind
-matrixcore.expm.  The optimizer kernels (simplex_project, tv_value,
-tv_descent) work on stacks of rows with whole-array operations.
+chain_product steps through its factors one matrix product at a time.
+The optimizer kernels (simplex_project, tv_value, tv_descent) work on
+stacks of rows with whole-array operations.  Matrix exponentials are not
+a kernel here: matrixcore.expm is scipy.linalg.expm.
 """
 
 from __future__ import annotations
@@ -94,53 +94,6 @@ def chain_product(u, factors, idx):
         out = np.dot(out, u)
         out = np.dot(out, factors[idx[k]])
     return out
-
-
-# Degree-13 diagonal Pade coefficients and the matching 1-norm threshold.
-_PADE13 = np.array(
-    [
-        64764752532480000.0,
-        32382376266240000.0,
-        7771770303897600.0,
-        1187353796428800.0,
-        129060195264000.0,
-        10559470521600.0,
-        670442572800.0,
-        33522128640.0,
-        1323241920.0,
-        40840800.0,
-        960960.0,
-        16380.0,
-        182.0,
-        1.0,
-    ]
-)
-_THETA13 = 5.371920351148152
-
-
-def expm_pade13(a):
-    """Matrix exponential by scaling and squaring around the degree-13
-    diagonal rational approximant."""
-    d = a.shape[0]
-    b = _PADE13
-    eye = np.eye(d, dtype=np.complex128)
-    norm1 = np.abs(a).sum(axis=0).max()
-    squarings = 0
-    if norm1 > _THETA13:
-        squarings = int(np.ceil(np.log2(norm1 / _THETA13)))
-    m = a / (2.0**squarings)
-    m2 = np.dot(m, m)
-    m4 = np.dot(m2, m2)
-    m6 = np.dot(m2, m4)
-    odd = np.dot(m6, b[13] * m6 + b[11] * m4 + b[9] * m2)
-    odd = odd + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * eye
-    odd = np.dot(m, odd)
-    even = np.dot(m6, b[12] * m6 + b[10] * m4 + b[8] * m2)
-    even = even + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * eye
-    r = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        r = np.dot(r, r)
-    return r
 
 
 def simplex_project(v):

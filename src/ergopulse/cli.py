@@ -159,7 +159,6 @@ def cmd_sweep(args) -> int:
                     "family": args.family,
                     "t": [t.real, t.imag],
                     "i_max": args.imax,
-                    "seed": args.seed,
                 },
                 "report": report_to_json_dict(report),
             },
@@ -299,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--imax", type=int, default=40)
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.set_defaults(func=cmd_sweep)
 
     schedule = sub.add_parser("schedule", help="write one schedule row as JSON")

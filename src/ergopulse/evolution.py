@@ -215,9 +215,13 @@ def defect_coefficient(s: Schedule, order: int, step: int) -> float:
     a_1^j a_2^(order-j); later steps replace 2 a_1 by the running
     total-variation prefix a_1 + sum_{k<step} |a_{k+1} - a_k| + a_step.
     """
-    if not isinstance(order, (int, np.integer)) or order < 2:
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 2:
         raise ValueError("order must be an integer >= 2")
-    if not isinstance(step, (int, np.integer)) or not 1 <= step <= s.n - 1:
+    if (
+        isinstance(step, bool)
+        or not isinstance(step, (int, np.integer))
+        or not 1 <= step <= s.n - 1
+    ):
         raise ValueError(f"step must be in [1, {s.n - 1}], got {step}")
     order = int(order)
     _diffs, leads, follows = _step_norms(s.weights[None, :])

@@ -23,6 +23,8 @@ from .errors import InvalidDensityError
 
 WEIGHT_SUM_TOL = 1e-12
 DENSITY_NORMALIZATION_TOL = 1e-6
+# Gauss-Legendre nodes per panel in from_density.
+QUAD_POINTS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,21 +85,17 @@ def equidistant(n: int) -> Schedule:
     return Schedule(int(n), np.full(int(n), 1.0 / n))
 
 
-def from_density(
-    f: Callable[[np.ndarray], np.ndarray], n: int, quad_points: int = 64
-) -> Schedule:
+def from_density(f: Callable[[np.ndarray], np.ndarray], n: int) -> Schedule:
     """Weights as panel integrals of a probability density on [0, 1].
 
-    Each of the n equal panels is integrated with quad_points-node
+    Each of the n equal panels is integrated with QUAD_POINTS-node
     Gauss-Legendre quadrature.  The density must be nonnegative at every
     sampled node and integrate to 1 within DENSITY_NORMALIZATION_TOL; the
     row is then renormalized so the weights sum to 1 exactly.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError("from_density needs n >= 2")
-    if not isinstance(quad_points, (int, np.integer)) or quad_points < 2:
-        raise ValueError("quad_points must be an integer >= 2")
-    nodes, quad_w = np.polynomial.legendre.leggauss(int(quad_points))
+    nodes, quad_w = np.polynomial.legendre.leggauss(QUAD_POINTS)
     edges = np.linspace(0.0, 1.0, int(n) + 1)
     half = np.diff(edges) / 2.0
     centers = (edges[:-1] + edges[1:]) / 2.0
@@ -181,13 +179,9 @@ def equidistant_family() -> ScheduleFamily:
 
 
 def density_family(
-    f: Callable[[np.ndarray], np.ndarray],
-    name: str = "density",
-    quad_points: int = 64,
+    f: Callable[[np.ndarray], np.ndarray], name: str = "density"
 ) -> ScheduleFamily:
-    return ScheduleFamily(
-        name, "density", lambda n: from_density(f, n, quad_points)
-    )
+    return ScheduleFamily(name, "density", lambda n: from_density(f, n))
 
 
 def uhrig_family() -> ScheduleFamily:

@@ -5,7 +5,10 @@ code in ergopulse replaced; tests compare the batched code against them
 row by row, so these bodies must not be vectorized.  The bound and limit
 oracles at the end derive the spectrum, commutant part and potential of
 a system afresh on every call, as the code did before PulseSystem
-cached them.
+cached them.  expm_pade13 and pulse_product_taylor are independent
+references for matrixcore.expm and pulse_product: the former is the
+hand-written Pade-13 kernel that matrixcore.expm used before it became
+scipy.linalg.expm, the latter builds every factor from its Taylor sum.
 """
 
 import itertools
@@ -242,6 +245,26 @@ def expm_pade13(a):
     for _ in range(squarings):
         r = np.dot(r, r)
     return r
+
+
+def pulse_product_taylor(sys, s, terms=12):
+    """u e^{a_1 X t} u e^{a_2 X t} ... with every factor the Taylor sum
+    of (a_k X t)^j / j! over j < terms, multiplied one step at a time.
+
+    Only meant for weights small enough that the dropped orders sit far
+    below roundoff.
+    """
+    d = sys.dim
+    acc = np.eye(d, dtype=np.complex128)
+    for a in s.weights:
+        m = a * sys.t * sys.generator
+        term = np.eye(d, dtype=np.complex128)
+        factor = term.copy()
+        for j in range(1, terms):
+            term = term @ m / j
+            factor = factor + term
+        acc = acc @ sys.u @ factor
+    return acc
 
 
 def _rate_constants(norm_x, norm_x0, norm_y, abs_t):

@@ -231,8 +231,6 @@ def test_criterion_10_sweep_output_is_deterministic(tmp_path, capsys):
         "16,64,256",
         "--t",
         "0.8",
-        "--seed",
-        "3",
     ]
     for fmt in ("csv", "json"):
         first = tmp_path / ("first." + fmt)

@@ -151,14 +151,34 @@ def test_sweep_runs_are_byte_identical(tmp_path, capsys):
         "0.5,0.25",
         "--format",
         "json",
-        "--seed",
-        "7",
     ]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_rejects_seed_flag(tmp_path, capsys):
+    # a sweep draws no random numbers, so it takes no seed
+    out = tmp_path / "x.json"
+    code, _, err = _run(
+        capsys,
+        "sweep",
+        "--system",
+        "qubit-z-x",
+        "--n",
+        "4,8",
+        "--format",
+        "json",
+        "--seed",
+        "7",
+        "--out",
+        str(out),
+    )
+    assert code == 2
+    assert "--seed" in err
+    assert not out.exists()
 
 
 def test_sweep_json_payload_structure(tmp_path, capsys):

@@ -170,6 +170,17 @@ def test_pulse_product_matches_plain_loop_oracle():
         assert op_norm(pulse_product(sys, s) - _product_oracle(sys, s)) <= 1e-12
 
 
+def test_pulse_product_small_weights_match_taylor_oracle():
+    # pathological(4096) alternates weights 1/N^2 ~ 6e-8 with ~2/N on a
+    # non-normal generator; every small factor must keep its X t / N^2 term
+    sys = _coboundary_system(np.random.default_rng(41), 3, seed=41)
+    x = sys.generator
+    assert op_norm(x @ x.conj().T - x.conj().T @ x) > 0.1
+    s = pathological_family()(4096)
+    want = oracles.pulse_product_taylor(sys, s)
+    assert op_norm(pulse_product(sys, s) - want) <= 1e-11
+
+
 def test_pulse_product_respects_weight_order():
     sys = PulseSystem(u=np.diag([1.0, 1.0j]), generator=-1j * SX, t=1.0)
     s_tilted = Schedule(2, [0.9, 0.1])
@@ -325,6 +336,14 @@ def test_defect_coefficient_validation():
         defect_coefficient(s, 2, 0)
     with pytest.raises(ValueError):
         defect_coefficient(s, 2, 4)
+
+
+def test_defect_coefficient_rejects_bool_step_and_order():
+    s = equidistant(4)
+    with pytest.raises(ValueError, match="step"):
+        defect_coefficient(s, 2, True)
+    with pytest.raises(ValueError, match="order"):
+        defect_coefficient(s, True, 1)
 
 
 # -------------------------------------------------------- schedule_bound_rhs

@@ -6,7 +6,6 @@ loops, in oracles.py.
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -16,7 +15,6 @@ from ergopulse._kernels import (
     RENORM_EVERY,
     chain_product,
     conj_weighted_sum,
-    expm_pade13,
     simplex_project,
     tv_descent,
     tv_value,
@@ -122,30 +120,6 @@ def test_chain_product_matches_plain_loop():
     for i in idx:
         want = want @ u @ factors[i]
     assert_allclose(chain_product(u, factors, idx), want, atol=1e-13)
-
-
-def test_expm_pade13_matches_scipy():
-    rng = np.random.default_rng(3)
-    for scale in (0.1, 1.0, 20.0):  # the large norm forces squaring steps
-        a = scale * _random_complex(rng, 4)
-        want = scipy.linalg.expm(a)
-        got = expm_pade13(a)
-        assert_allclose(got, want, atol=1e-9 * np.exp(min(scale, 30.0)))
-
-
-def test_expm_pade13_matches_loop_norm_oracle():
-    # the 1-norm only sets the squaring count, so the vectorized norm must
-    # leave every output bit as the loop version had it
-    rng = np.random.default_rng(13)
-    for d in range(2, 9):
-        for scale in (0.05, 0.5, 2.0, 8.0, 40.0):
-            a = scale * _random_complex(rng, d)
-            assert np.array_equal(expm_pade13(a), oracles.expm_pade13(a))
-
-
-def test_expm_pade13_zero_matrix_is_identity():
-    z = np.zeros((3, 3), dtype=np.complex128)
-    assert_allclose(expm_pade13(z), np.eye(3), atol=0)
 
 
 def test_simplex_project_known_points():

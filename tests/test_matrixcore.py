@@ -21,6 +21,8 @@ from ergopulse.matrixcore import (
     save_matrix,
 )
 
+import oracles
+
 
 def _random_complex(rng, dim, scale=1.0):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -113,6 +115,33 @@ def test_expm_matches_scipy_oracle():
             m = _random_complex(rng, dim, scale)
             ref = scipy.linalg.expm(m)
             assert op_norm(expm(m) - ref) <= 1e-12 * math.exp(op_norm(m))
+
+
+def test_expm_matches_pade13_oracle():
+    # an independent degree-13 Pade implementation, at d = 2..8 and norms
+    # large enough to need many squarings
+    rng = np.random.default_rng(13)
+    for dim in range(2, 9):
+        for scale in (0.05, 0.5, 2.0, 8.0, 40.0):
+            m = _random_complex(rng, dim, scale)
+            err = op_norm(expm(m) - oracles.expm_pade13(m))
+            assert err <= 1e-12 * math.exp(op_norm(m))
+
+
+def test_expm_small_non_normal_matches_taylor():
+    # a small non-normal matrix keeps its off-diagonal first-order term:
+    # the four-term Taylor sum leaves out less than eps^4 / 24
+    for eps in (1e-5, 1e-7, 1e-9):
+        rng = np.random.default_rng(31)
+        for dim in range(2, 9):
+            a = _random_complex(rng, dim)
+            a /= op_norm(a)
+            assert op_norm(a @ a.conj().T - a.conj().T @ a) > 0.1
+            m = eps * a
+            taylor = np.eye(dim) + m + m @ m / 2.0 + m @ m @ m / 6.0
+            assert op_norm(expm(m) - taylor) <= 1e-15
+        nil = np.array([[0.0, eps], [0.0, 0.0]])
+        assert op_norm(expm(nil) - (np.eye(2) + nil)) <= 1e-15
 
 
 def test_expm_skew_hermitian_gives_unitary():
