@@ -23,8 +23,6 @@ from .errors import InvalidDensityError
 
 WEIGHT_SUM_TOL = 1e-12
 DENSITY_NORMALIZATION_TOL = 1e-6
-# Gauss-Legendre nodes per panel in from_density.
-QUAD_POINTS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,53 +73,58 @@ class ScheduleFamily:
         return s
 
 
+def _row_length(n, name: str) -> int:
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"{name} needs integer n >= 2: a single weight is invalid")
+    return int(n)
+
+
 def equidistant(n: int) -> Schedule:
     """All weights equal to 1/n."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(
-            "equidistant needs n >= 2: a single weight would have to be 1, "
-            "which is not a valid schedule entry"
-        )
-    return Schedule(int(n), np.full(int(n), 1.0 / n))
+    n = _row_length(n, "equidistant")
+    return Schedule(n, np.full(n, 1.0 / n))
 
 
-def from_density(f: Callable[[np.ndarray], np.ndarray], n: int) -> Schedule:
-    """Weights as panel integrals of a probability density on [0, 1].
+def uhrig(n: int) -> Schedule:
+    """Panel integrals of the Uhrig density (pi/2) sin(pi x) in closed form:
+    a_i = sin(pi/2n) sin(pi m_i/2n) with m_i = min(2i-1, 2(n-i)+1).  The min
+    keeps the sine argument at most pi/2, so the right end has no
+    cancellation and the row is an exact palindrome."""
+    n = _row_length(n, "uhrig")
+    i = np.arange(1, n + 1)
+    m = np.minimum(2 * i - 1, 2 * (n - i) + 1)
+    half = math.pi / (2 * n)
+    return Schedule(n, math.sin(half) * np.sin(m * half))
 
-    Each of the n equal panels is integrated with QUAD_POINTS-node
-    Gauss-Legendre quadrature.  The density must be nonnegative at every
-    sampled node and integrate to 1 within DENSITY_NORMALIZATION_TOL; the
-    row is then renormalized so the weights sum to 1 exactly.
+
+def from_cdf(cdf: Callable[[np.ndarray], np.ndarray], n: int) -> Schedule:
+    """Weights as the increments of a CDF over n equal panels of [0, 1].
+
+    cdf is called once, on the array of the n+1 panel edges.  The increments
+    must be finite, at least -1e-12 and sum to 1 within
+    DENSITY_NORMALIZATION_TOL; the row is then renormalized to sum to 1.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("from_density needs n >= 2")
-    nodes, quad_w = np.polynomial.legendre.leggauss(QUAD_POINTS)
-    edges = np.linspace(0.0, 1.0, int(n) + 1)
-    half = np.diff(edges) / 2.0
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    xs = centers[:, None] + half[:, None] * nodes[None, :]
-    flat = xs.reshape(-1)
-    try:
-        vals = np.asarray(f(flat), dtype=np.float64)
-        if vals.shape != flat.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(x)) for x in flat], dtype=np.float64)
+    n = _row_length(n, "from_cdf")
+    edges = np.linspace(0.0, 1.0, n + 1)
+    vals = np.asarray(cdf(edges), dtype=np.float64)
+    if vals.shape != edges.shape:
+        raise ValueError("cdf must return one value per panel edge")
     if not np.isfinite(vals).all():
-        raise InvalidDensityError("density produced non-finite samples")
-    if vals.min() < -1e-12:
-        bad = flat[int(np.argmin(vals))]
+        raise InvalidDensityError("cdf produced non-finite values")
+    panels = np.diff(vals)
+    k = int(np.argmin(panels))
+    if panels[k] < -1e-12:
         raise InvalidDensityError(
-            "density is negative at x=%.12g (value %.6g)" % (bad, vals.min())
+            "density is negative on [%.12g, %.12g] (cdf increment %.6g)"
+            % (edges[k], edges[k + 1], panels[k])
         )
-    panels = (vals.reshape(int(n), -1) * quad_w[None, :]).sum(axis=1) * half
     total = float(panels.sum())
     if abs(total - 1.0) > DENSITY_NORMALIZATION_TOL:
         raise InvalidDensityError(
             "density integrates to %.12g, not 1 within %g"
             % (total, DENSITY_NORMALIZATION_TOL)
         )
-    return Schedule(int(n), np.clip(panels / total, 0.0, None))
+    return Schedule(n, np.clip(panels / total, 0.0, None))
 
 
 def pathological(n: int) -> Schedule:
@@ -131,9 +134,7 @@ def pathological(n: int) -> Schedule:
     Sums to 1 for every n >= 2 but its total variation tends to 2, so it
     deliberately fails the uniformity the density families enjoy.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("pathological needs n >= 2")
-    n = int(n)
+    n = _row_length(n, "pathological")
     big = (2.0 * n - 1.0) / (n * n)
     small = 1.0 / (n * n)
     weights = np.empty(n)
@@ -146,9 +147,7 @@ def pathological(n: int) -> Schedule:
 
 def pathological_row_exact(n: int) -> list[Fraction]:
     """The pathological row in exact rationals."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("pathological needs n >= 2")
-    n = int(n)
+    n = _row_length(n, "pathological")
     big = Fraction(2 * n - 1, n * n)
     small = Fraction(1, n * n)
     row = [big if i % 2 == 0 else small for i in range(n)]
@@ -178,15 +177,15 @@ def equidistant_family() -> ScheduleFamily:
     return ScheduleFamily("uniform", "equidistant", equidistant)
 
 
-def density_family(
-    f: Callable[[np.ndarray], np.ndarray], name: str = "density"
+def cdf_family(
+    cdf: Callable[[np.ndarray], np.ndarray], name: str = "density"
 ) -> ScheduleFamily:
-    return ScheduleFamily(name, "density", lambda n: from_density(f, n))
+    return ScheduleFamily(name, "density", lambda n: from_cdf(cdf, n))
 
 
 def uhrig_family() -> ScheduleFamily:
     """Density family with f(x) = (pi/2) sin(pi x)."""
-    return density_family(lambda x: 0.5 * np.pi * np.sin(np.pi * x), name="uhrig")
+    return ScheduleFamily("uhrig", "density", uhrig)
 
 
 def pathological_family() -> ScheduleFamily:
@@ -194,7 +193,9 @@ def pathological_family() -> ScheduleFamily:
 
 
 def table_density_family(xs, ys, name: str = "table") -> ScheduleFamily:
-    """Density family from samples, linearly interpolated on [0, 1]."""
+    """Density family from samples, linearly interpolated on [0, 1]; rows
+    are exact panel integrals of the interpolant, whose CDF is the trapezoid
+    sum up to the last knot plus one quadratic term."""
     xa = np.asarray(xs, dtype=np.float64)
     ya = np.asarray(ys, dtype=np.float64)
     if xa.ndim != 1 or xa.shape != ya.shape or xa.shape[0] < 2:
@@ -207,7 +208,15 @@ def table_density_family(xs, ys, name: str = "table") -> ScheduleFamily:
         raise ValueError("sample xs must span [0, 1] exactly")
     if (ya < 0).any():
         raise InvalidDensityError("table density has negative samples")
-    return density_family(lambda x: np.interp(x, xa, ya), name=name)
+    slope = np.diff(ya) / np.diff(xa)
+    at_knot = np.concatenate(([0.0], np.cumsum(np.diff(xa) * (ya[:-1] + ya[1:]) / 2)))
+
+    def cdf(x):
+        j = np.searchsorted(xa[1:-1], x, side="right")
+        h = x - xa[j]
+        return at_knot[j] + h * (ya[j] + 0.5 * slope[j] * h)
+
+    return cdf_family(cdf, name=name)
 
 
 def family_by_name(name: str) -> ScheduleFamily:
@@ -243,12 +252,6 @@ class UniformityReport:
     verdict: str
 
 
-def _padded_diffs(weights: np.ndarray) -> np.ndarray:
-    """|a_{i+1} - a_i| for i = 1..N with a_{N+1} = 0."""
-    padded = np.append(weights, 0.0)
-    return np.abs(np.diff(padded))
-
-
 def cohen_uniformity_probe(
     family: ScheduleFamily, n_max: int, k_grid=(1, 2, 4, 8)
 ) -> UniformityReport:
@@ -267,23 +270,17 @@ def cohen_uniformity_probe(
         raise ValueError("n_max must be an integer >= 4")
     if n_max < ks[-1]:
         raise ValueError("n_max must be at least max(k_grid)")
-    grid = []
-    n = 4
-    while n < n_max:
-        grid.append(n)
-        n *= 2
+    grid = [4 << k for k in range(int(n_max).bit_length()) if 4 << k < n_max]
     grid.append(int(n_max))
 
     tail_sup = {k: 0.0 for k in ks}
     tv_seq = []
     for n in grid:
         row = family(n)
-        diffs = _padded_diffs(row.weights)
+        diffs = np.abs(np.diff(np.append(row.weights, 0.0)))
         suffix = np.concatenate([np.cumsum(diffs[::-1])[::-1], [0.0]])
         for k in ks:
-            tail = float(suffix[k - 1]) if k <= n else 0.0
-            if tail > tail_sup[k]:
-                tail_sup[k] = tail
+            tail_sup[k] = max(tail_sup[k], float(suffix[k - 1]) if k <= n else 0.0)
         tv_seq.append((n, tv_functional(row)))
 
     final_tv = tv_seq[-1][1]

@@ -46,7 +46,7 @@ SZ = np.diag([1.0 + 0.0j, -1.0])
 def _product_oracle(sys, s):
     acc = np.eye(sys.dim, dtype=np.complex128)
     for a in s.weights:
-        acc = acc @ sys.u @ scipy.linalg.expm(a * sys.t * sys.generator)
+        acc = acc @ sys.u @ oracles.expm_pade13(a * sys.t * sys.generator)
     return acc
 
 

@@ -16,7 +16,7 @@ from ergopulse.schedules import (
     equidistant,
     equidistant_family,
     family_by_name,
-    from_density,
+    from_cdf,
     load_schedule,
     pathological,
     pathological_family,
@@ -27,6 +27,7 @@ from ergopulse.schedules import (
     schedule_to_json_dict,
     table_density_family,
     tv_functional,
+    uhrig,
     uhrig_family,
 )
 
@@ -80,7 +81,7 @@ def test_equidistant_needs_two_weights():
 
 
 def test_uniform_density_reproduces_equidistant():
-    s = from_density(lambda x: np.ones_like(x), 6)
+    s = from_cdf(lambda x: x, 6)
     assert_allclose(s.weights, np.full(6, 1.0 / 6.0), atol=1e-15)
 
 
@@ -101,36 +102,146 @@ def test_uhrig_tv_frozen_value():
     )
 
 
-def test_scalar_density_fallback_matches_vectorized():
-    vec = from_density(lambda x: 0.5 * np.pi * np.sin(np.pi * x), 5)
-    scal = from_density(lambda x: 0.5 * math.pi * math.sin(math.pi * x), 5)
-    assert_allclose(scal.weights, vec.weights, atol=1e-15)
+# uhrig(n)[i-1] = (cos(pi (i-1)/n) - cos(pi i/n)) / 2 to 40 digits (mpmath,
+# 50-digit working precision), at i = 1, 2, n//2, n-1, n
+UHRIG_REFERENCE = {
+    16: {
+        1: "0.009607359798384775436908881932880481513033",
+        2: "0.02845287394597184649899952336872537507576",
+        8: "0.09754516100806413392414243423851112046385",
+        15: "0.02845287394597184649899952336872537507576",
+        16: "0.009607359798384775436908881932880481513033",
+    },
+    4096: {
+        1: "1.470685588904198858911306171614418680503e-7",
+        2: "4.412055901546156012537836198290339979882e-7",
+        2048: "3.834951593713522634692841789742883215705e-4",
+        4095: "4.412055901546156012537836198290339979882e-7",
+        4096: "1.470685588904198858911306171614418680503e-7",
+    },
+    100_001: {
+        1: "2.467351752787617179423356747385026700619e-10",
+        2: "7.402055255927721669476419538262529677024e-10",
+        50_000: "1.570780618148978597598262323336574533109e-5",
+        100_000: "7.402055255927721669476419538262529677024e-10",
+        100_001: "2.467351752787617179423356747385026700619e-10",
+    },
+}
+
+
+@pytest.mark.parametrize("n", sorted(UHRIG_REFERENCE))
+def test_uhrig_matches_40_digit_reference(n):
+    w = uhrig(n).weights
+    for i, ref in UHRIG_REFERENCE[n].items():
+        exact = Fraction(ref)
+        assert abs(Fraction(float(w[i - 1])) - exact) <= Fraction(1, 10**15) * exact
+    assert np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 1.0) <= 2.3e-16
+
+
+def test_uhrig_family_is_the_closed_form():
+    fam = uhrig_family()
+    assert fam.kind == "density"
+    assert np.array_equal(fam(1000).weights, uhrig(1000).weights)
+
+
+@pytest.mark.parametrize("n", [True, False, 1, 0, -4, 2.0, 2.5, "4", None])
+def test_uhrig_rejects_bad_n(n):
+    with pytest.raises(ValueError, match="integer n >= 2"):
+        uhrig(n)
 
 
 def test_density_must_be_nonnegative():
-    with pytest.raises(InvalidDensityError, match="negative at x="):
-        from_density(lambda x: np.cos(2 * np.pi * x), 8)
+    # the density cos(2 pi x) dips below zero on (1/4, 3/4)
+    with pytest.raises(InvalidDensityError, match="negative on"):
+        from_cdf(lambda x: np.sin(2 * np.pi * x) / (2 * np.pi), 8)
 
 
 def test_density_must_be_normalized():
     with pytest.raises(InvalidDensityError, match="integrates to"):
-        from_density(lambda x: 2.0 * np.ones_like(x), 4)
+        from_cdf(lambda x: 2.0 * x, 4)
 
 
 def test_density_must_be_finite():
     with pytest.raises(InvalidDensityError, match="non-finite"):
-        from_density(lambda x: np.where(x > 0.5, np.inf, 1.0), 4)
+        from_cdf(lambda x: np.where(x > 0.5, np.inf, x), 4)
 
 
 def test_density_near_normalized_is_renormalized_exactly():
-    s = from_density(lambda x: (1.0 + 5e-7) * np.ones_like(x), 4)
+    s = from_cdf(lambda x: (1.0 + 5e-7) * x, 4)
     assert abs(s.weights.sum() - 1.0) <= 1e-13
+
+
+def test_from_cdf_rejects_bad_n_and_shapes():
+    for n in (True, 1, 3.0):
+        with pytest.raises(ValueError, match="integer n >= 2"):
+            from_cdf(lambda x: x, n)
+    with pytest.raises(ValueError, match="one value per panel edge"):
+        from_cdf(lambda x: 0.5, 4)
+    with pytest.raises(ValueError, match="one value per panel edge"):
+        from_cdf(lambda x: x[:-1], 4)
+
+
+def test_from_cdf_calls_cdf_once_on_the_edges():
+    seen = []
+    from_cdf(lambda x: seen.append(x.copy()) or x, 5)
+    assert len(seen) == 1
+    assert_allclose(seen[0], np.arange(6) / 5, atol=1e-16)
 
 
 def test_table_density_uniform():
     fam = table_density_family([0.0, 1.0], [1.0, 1.0])
     assert_allclose(fam(5).weights, np.full(5, 0.2), atol=1e-15)
     assert fam.kind == "density"
+
+
+def _interp_panel_exact(xs, ys, a, b):
+    """Integral over [a, b] of the piecewise-linear interpolant, in rationals."""
+    xs = [Fraction(v) for v in xs]
+    ys = [Fraction(v) for v in ys]
+    total = Fraction(0)
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        lo, hi = max(a, x0), min(b, x1)
+        if lo < hi:
+            f_lo = y0 + (y1 - y0) * (lo - x0) / (x1 - x0)
+            f_hi = y0 + (y1 - y0) * (hi - x0) / (x1 - x0)
+            total += (hi - lo) * (f_lo + f_hi) / 2
+    return total
+
+
+@pytest.mark.parametrize(
+    "xs,ys,n",
+    [
+        ([0.0, 0.3, 0.55, 1.0], [0.5, 1.5, 1.0, 0.7222222222222222], 7),
+        ([0.0, 0.1, 0.45, 0.8, 1.0], [0.0, 2.0, 0.2, 1.4, 0.95], 9),
+        ([0.0, 0.5, 1.0], [2.0, 0.0, 2.0], 5),
+    ],
+)
+def test_table_rows_are_exact_panel_integrals(xs, ys, n):
+    # panels straddling a knot are where a quadrature rule is not exact
+    fam = table_density_family(xs, ys)
+    total = _interp_panel_exact(xs, ys, Fraction(0), Fraction(1))
+    want = [
+        _interp_panel_exact(xs, ys, Fraction(i, n), Fraction(i + 1, n)) / total
+        for i in range(n)
+    ]
+    assert_allclose(fam(n).weights, [float(v) for v in want], rtol=0, atol=1e-15)
+
+
+def test_row_construction_memory_stays_small():
+    import tracemalloc
+
+    table = table_density_family(
+        [0.0, 0.3, 0.55, 1.0], [0.5, 1.5, 1.0, 0.7222222222222222]
+    )
+    tracemalloc.start()
+    try:
+        uhrig_family()(100_000)
+        table(100_000)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_table_density_validation():
