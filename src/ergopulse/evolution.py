@@ -159,13 +159,18 @@ class ConvergenceReport:
 
 def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
     """The interleaved product u e^{a_1 X t} u e^{a_2 X t} ... u e^{a_n X t},
-    multiplied left to right."""
+    multiplied left to right.
+
+    The factors of the distinct weights are one stacked matrixcore.expm
+    call, and kernels.chain_product multiplies them out as a blocked
+    pairwise tree."""
     if not isinstance(s, Schedule):
         raise ValueError("s must be a Schedule")
-    values, idx = np.unique(s.weights, return_inverse=True)
-    factors = np.stack(
-        [matrixcore.expm(v * sys.t * sys.generator) for v in values]
-    )
+    # searchsorted rather than return_inverse: np.unique's inverse holds
+    # several N-length temporaries at once
+    values = np.unique(s.weights)
+    idx = np.searchsorted(values, s.weights)
+    factors = matrixcore.expm((values * sys.t)[:, None, None] * sys.generator)
     return chain_product(sys.u, factors, idx)
 
 
@@ -246,8 +251,7 @@ def schedule_bound_rhs(
     """
     if not isinstance(s, Schedule):
         raise ValueError("s must be a Schedule")
-    if not isinstance(i_max, (int, np.integer)) or i_max < 2:
-        raise ValueError("i_max must be an integer >= 2")
+    _check_i_max(i_max)
     sys._require_coboundary()
     m, m_prime = _rate_constants(sys)
     scale = abs(sys.t) * sys.potential_norm
@@ -257,6 +261,11 @@ def schedule_bound_rhs(
     return BoundBreakdown(
         m, m_prime, float(tv_term[0]), float(c_series[0]), float(total[0])
     )
+
+
+def _check_i_max(i_max) -> None:
+    if not isinstance(i_max, (int, np.integer)) or i_max < 2:
+        raise ValueError("i_max must be an integer >= 2")
 
 
 def _step_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -321,6 +330,7 @@ def convergence_sweep(
         raise ValueError("pulse counts must be strictly increasing")
     if ns[0] < 2:
         raise ValueError("pulse counts must be >= 2")
+    _check_i_max(i_max)
 
     errors = []
     bounds: list[BoundBreakdown] | None

@@ -4,8 +4,9 @@ seeded random unitaries with controlled eigenphase gaps, and a small JSON
 interchange format for matrices.
 
 Everything operates on square complex128 arrays of dimension at most
-MAX_DIM.  Public entry points validate and normalize their inputs with
-as_operator, so downstream code can assume clean, C-contiguous data.
+MAX_DIM (expm also takes a stack of them).  Public entry points validate
+and normalize their inputs with as_operator, so downstream code can
+assume clean, C-contiguous data.
 """
 
 from __future__ import annotations
@@ -22,20 +23,22 @@ MAX_DIM = 64
 UNITARITY_TOL = 1e-10
 
 
-def as_operator(m, name: str = "matrix") -> np.ndarray:
+def as_operator(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Validate a square complex matrix and return it as a C-contiguous
-    complex128 array.
+    complex128 array.  With stack=True, validate a (k, d, d) stack of
+    square matrices instead.
 
     An input that already is one is returned as it is, not copied, so the
     result may share memory with the caller's array; callers that keep or
     freeze it take their own copy (PulseSystem does).
     """
     arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if not 1 <= arr.shape[0] <= MAX_DIM:
+    if arr.ndim != 2 + stack or arr.shape[-1] != arr.shape[-2]:
+        kind = "a stack of square matrices" if stack else "square"
+        raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
+    if not 1 <= arr.shape[-1] <= MAX_DIM:
         raise ValueError(
-            f"{name} dimension must be in [1, {MAX_DIM}], got {arr.shape[0]}"
+            f"{name} dimension must be in [1, {MAX_DIM}], got {arr.shape[-1]}"
         )
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -60,15 +63,19 @@ def is_unitary(m, tol: float = UNITARITY_TOL) -> bool:
 
 
 def expm(m) -> np.ndarray:
-    """Matrix exponential e^m, by scipy.linalg.expm.
+    """Matrix exponential e^m, by scipy.linalg.expm; given a (k, d, d)
+    stack, the exponential of every matrix in it, in one call.
 
     One route for every input, normal or not and at any scale: scaling
     and squaring around a Pade approximant whose degree and scaling are
     chosen from 1-norm estimates (Al-Mohy & Higham, SIMAX 31(3), 2009).
     No normality test picks a method, so a small non-normal matrix keeps
-    its off-diagonal first-order term.
+    its off-diagonal first-order term.  scipy runs that algorithm on each
+    matrix of a stack in turn, so a stacked result equals the per-matrix
+    calls byte for byte.
     """
-    return scipy.linalg.expm(as_operator(m))
+    arr = np.asarray(m)
+    return scipy.linalg.expm(as_operator(arr, stack=arr.ndim == 3))
 
 
 @functools.lru_cache(maxsize=8)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._kernels import simplex_project, tv_descent, tv_value
 from .errors import TooLargeInstanceError
-from .evolution import PulseSystem, _schedule_series_terms
+from .evolution import PulseSystem, _check_i_max, _schedule_series_terms
 from .schedules import Schedule
 
 LATTICE_LIMIT = 500_000
@@ -279,6 +279,7 @@ def minimize_bound_rhs(
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError("n must be an integer >= 2")
+    _check_i_max(i_max)
     cfg = config or OptimizerConfig()
     n = int(n)
     sys._require_coboundary()

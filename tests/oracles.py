@@ -5,10 +5,12 @@ code in ergopulse replaced; tests compare the batched code against them
 row by row, so these bodies must not be vectorized.  The bound and limit
 oracles at the end derive the spectrum, commutant part and potential of
 a system afresh on every call, as the code did before PulseSystem
-cached them.  expm_pade13 and pulse_product_taylor are independent
-references for matrixcore.expm and pulse_product: the former is the
-hand-written Pade-13 kernel that matrixcore.expm used before it became
-scipy.linalg.expm, the latter builds every factor from its Taylor sum.
+cached them.  chain_product is the per-pulse loop that the blocked
+pairwise tree in ergopulse._kernels replaced.  expm_pade13 and
+pulse_product_taylor are independent references for matrixcore.expm and
+pulse_product: the former is the hand-written Pade-13 kernel that
+matrixcore.expm used before it became scipy.linalg.expm, the latter
+builds every factor from its Taylor sum.
 """
 
 import itertools
@@ -209,6 +211,17 @@ def conj_weighted_sum(u, x, w):
             q = np.ascontiguousarray(np.conj(p).T)
         acc += w[k] * np.dot(np.dot(p, x), q)
     return acc
+
+
+def chain_product(u, factors, idx):
+    """Left-to-right product u.factors[idx[0]].u.factors[idx[1]]...., one
+    matrix product at a time."""
+    d = u.shape[0]
+    out = np.eye(d, dtype=np.complex128)
+    for k in range(idx.shape[0]):
+        out = np.dot(out, u)
+        out = np.dot(out, factors[idx[k]])
+    return out
 
 
 def expm_pade13(a):

@@ -181,6 +181,41 @@ def test_sweep_rejects_seed_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_bad_imax_on_every_bound_route(tmp_path, capsys):
+    # qubit-z-x takes the schedule route; a commuting generator is no
+    # coboundary, so it takes the constants route (uniform) or none (uhrig)
+    commuting = _write_system(
+        tmp_path / "commuting.json",
+        np.diag([1.0, 1.0j]),
+        hamiltonian=np.diag([1.0, -1.0]),
+    )
+    for system, family in [
+        ("qubit-z-x", "uhrig"),
+        (commuting, "uniform"),
+        (commuting, "uhrig"),
+    ]:
+        out = tmp_path / "x.json"
+        code, _, err = _run(
+            capsys,
+            "sweep",
+            "--system",
+            system,
+            "--family",
+            family,
+            "--n",
+            "4,8,16",
+            "--imax",
+            "-3",
+            "--format",
+            "json",
+            "--out",
+            str(out),
+        )
+        assert code == 2, (system, family)
+        assert "i_max must be an integer >= 2" in err
+        assert not out.exists()
+
+
 def test_sweep_json_payload_structure(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     code, _, _ = _run(

@@ -201,6 +201,25 @@ def test_pulse_product_unitary_for_skew_hermitian_generator():
     assert is_unitary(pulse_product(sys, uhrig_family()(8)), tol=1e-12)
 
 
+def test_pulse_product_never_builds_a_pulse_stack():
+    import tracemalloc
+
+    # a uniform d = 8 row at N = 65,536 has one distinct weight, so the
+    # work arrays are the row's index and a block of the chain; an
+    # (N, d, d) complex stack alone would be 67 MB
+    rng = np.random.default_rng(65)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    sys = PulseSystem(u=random_unitary(8, seed=65), generator=-1j * (g + g.conj().T))
+    row = equidistant(65_536)
+    tracemalloc.start()
+    try:
+        pulse_product(sys, row)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 # ---------------------------------------------------------- limit_evolution
 
 
@@ -503,6 +522,12 @@ def test_sweep_validation():
         convergence_sweep(sys, fam, (1, 2, 4))
     with pytest.raises(ValueError, match="family"):
         convergence_sweep(sys, equidistant, (4, 8, 16))
+    # i_max is checked on every bound route: schedule, constants and none
+    general = PulseSystem(u=np.diag([1.0, 1.0j]), generator=SZ)
+    for system, family in [(sys, fam), (general, fam), (general, uhrig_family())]:
+        for i_max in (-3, 1, 2.5):
+            with pytest.raises(ValueError, match="i_max must be an integer >= 2"):
+                convergence_sweep(system, family, (4, 8, 16), i_max=i_max)
 
 
 # ------------------------------------------------------------------ reports

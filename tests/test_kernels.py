@@ -1,8 +1,11 @@
 """Kernel tests: each kernel must agree with a plain restatement of its
 math.  The blocked conj_weighted_sum is checked against the per-term
-loop, and the batched optimizer kernels row by row against the scalar
-loops, in oracles.py.
+loop, the pairwise chain_product against the per-pulse loop, and the
+batched optimizer kernels row by row against the scalar loops, in
+oracles.py.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from ergopulse._kernels import (
+    CHAIN_BLOCK,
     RENORM_EVERY,
     chain_product,
     conj_weighted_sum,
@@ -19,7 +23,7 @@ from ergopulse._kernels import (
     tv_descent,
     tv_value,
 )
-from ergopulse.matrixcore import op_norm, random_unitary
+from ergopulse.matrixcore import expm, op_norm, random_unitary
 
 import oracles
 
@@ -113,13 +117,31 @@ def test_conj_weighted_sum_matches_loop_oracle(d, n, kind, zero_runs, scale, see
 
 
 def test_chain_product_matches_plain_loop():
-    u = random_unitary(2, seed=8)
-    factors = np.stack([random_unitary(2, seed=s) for s in (14, 15)])
-    idx = np.array([0, 1, 1, 0, 1])
-    want = np.eye(2, dtype=complex)
-    for i in idx:
-        want = want @ u @ factors[i]
-    assert_allclose(chain_product(u, factors, idx), want, atol=1e-13)
+    # Lengths around the block edges (one pulse short of, at, and past one
+    # and two blocks) and a long row; factors e^{a x} with a ~ 1/n, as in
+    # pulse_product, from a non-normal x.
+    eps = np.finfo(np.float64).eps
+    lengths = [2, 3, CHAIN_BLOCK - 1, CHAIN_BLOCK, CHAIN_BLOCK + 1]
+    lengths += [2 * CHAIN_BLOCK + 3, 4097]
+    for d, n in itertools.product([1, 2, 5, 8], lengths):
+        rng = np.random.default_rng([d, n])
+        u = random_unitary(d, seed=int(rng.integers(2**31)))
+        x = _random_complex(rng, d)
+        factors = np.stack(
+            [expm(a * x) for a in rng.uniform(0.0, 2.0 / n, size=5)]
+        )
+        # the rounding error of an n-fold product grows with n and with
+        # the product of the factor norms
+        log_norms = np.log([op_norm(f) for f in factors])
+        for kind, idx in [
+            ("all-equal", np.zeros(n, dtype=np.intp)),
+            ("alternating", np.arange(n) % 2),
+            ("random", rng.integers(0, 5, size=n)),
+        ]:
+            got = chain_product(u, factors, idx)
+            want = oracles.chain_product(u, factors, idx)
+            tol = 4.0 * n * eps * np.exp(log_norms[idx].sum())
+            assert op_norm(got - want) <= tol, (d, n, kind)
 
 
 def test_simplex_project_known_points():

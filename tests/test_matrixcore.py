@@ -163,6 +163,49 @@ def test_expm_commuting_sum_factorizes():
     assert_allclose(expm(d1 + d2), expm(d1) @ expm(d2), atol=1e-13)
 
 
+def test_expm_stack_equals_per_matrix_calls_bytewise():
+    # pulse_product exponentiates every distinct weight in one stacked
+    # call; each slice must be exactly what a lone call returns
+    rng = np.random.default_rng(41)
+    weights = np.concatenate([[0.0, 1e-9, 1e-7], rng.uniform(0.0, 2.0, 5), [40.0]])
+    for dim in (1, 2, 3, 8):
+        g = _random_complex(rng, dim)
+        normal = -1j * (g + g.conj().T)
+        non_normal = _random_complex(rng, dim)
+        for x in (normal, non_normal):
+            for t in (1.0, 0.7 - 0.4j):
+                stack = (weights * t)[:, None, None] * x
+                got = expm(stack)
+                assert got.shape == stack.shape
+                for k in range(stack.shape[0]):
+                    assert np.array_equal(got[k], expm(stack[k]))
+    # tiny nilpotent and triangular factors, mixed with diagonal ones,
+    # take scipy's triangular and diagonal branches inside one stack
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    stack = np.stack(
+        [1e-7 * nil, 1e-7 * nil.T, np.diag([0.3j, -0.2]), [[0.5, 30.0], [0.0, -0.2j]]]
+    )
+    got = expm(stack)
+    assert got[0][0, 1] == 1e-7 and got[1][1, 0] == 1e-7
+    for k in range(stack.shape[0]):
+        assert np.array_equal(got[k], expm(stack[k]))
+
+
+def test_expm_rejects_bad_stacks():
+    big = matrixcore.MAX_DIM + 1
+    bad_nan = np.zeros((3, 2, 2))
+    bad_nan[2, 0, 1] = np.inf
+    for bad, match in [
+        (np.zeros((3, 2, 3)), "square"),
+        (np.zeros((1, 2, 2, 2)), "square"),
+        (bad_nan, "non-finite"),
+        (np.zeros((2, big, big)), "dimension"),
+        (np.zeros((2, 0, 0)), "dimension"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            expm(bad)
+
+
 # ----------------------------------------------- exp_product_defect_bound
 
 

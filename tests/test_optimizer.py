@@ -212,6 +212,13 @@ def test_minimize_tv_agrees_with_grid_within_lattice_slack():
 BOUND_CFG = OptimizerConfig(restarts=8, max_iters=400, grid_resolution=0.05)
 
 
+def test_minimize_bound_rhs_checks_i_max_like_schedule_bound_rhs():
+    sys = PRESETS["qubit-z-x"](1.0)
+    for i_max in (-3, 1, 2.5):
+        with pytest.raises(ValueError, match="i_max must be an integer >= 2"):
+            minimize_bound_rhs(sys, 2, BOUND_CFG, i_max=i_max)
+
+
 def test_minimize_bound_rhs_two_weights_finds_even_split():
     # With two weights only the unprefactored final defect term and the
     # total-variation term remain, and the even split minimizes both.
