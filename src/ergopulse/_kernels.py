@@ -19,9 +19,10 @@ u F_{idx[k]} are gathered and reduced pairwise, (m0 m1)(m2 m3)..., one
 stacked matmul per tree level, and the block results are multiplied
 into the running product left to right.  The factor order never
 changes; only the rounding follows a tree instead of a chain.
-The optimizer kernels (simplex_project, tv_value, tv_descent) work on
-stacks of rows with whole-array operations.  Matrix exponentials are not
-a kernel here: matrixcore.expm is scipy.linalg.expm.
+simplex_project and tv_value, the optimizer kernels, work on stacks of
+rows with whole-array operations; tv_value is the package's one
+total-variation sum.  Matrix exponentials are not a kernel here:
+matrixcore.expm is scipy.linalg.expm.
 """
 
 from __future__ import annotations
@@ -140,49 +141,12 @@ def simplex_project(v):
 def tv_value(w):
     """w_1 + sum_i |w_{i+1} - w_i| + w_n for every row of an (..., n) array.
 
-    The differences are added one column at a time, left to right, so a
-    row's value does not depend on the rows stacked with it.
+    In a C-ordered stack each row's differences are summed as that row
+    alone would be, so a stacked call returns the per-row values bit for
+    bit.
     """
-    v = w[..., 0] + w[..., -1]
-    for i in range(w.shape[-1] - 1):
-        v = v + np.abs(w[..., i + 1] - w[..., i])
-    return v
-
-
-def tv_descent(w0, step_scale, max_iters, step_tol):
-    """Projected subgradient descent for tv_value with step_scale/k steps,
-    run in lockstep on every row of the (R, n) start stack w0.
-
-    Uses sign(0) = 0 for the kink subgradient and clips weights into
-    [0, 1 - 1e-12] so every iterate is a valid schedule row.  A row stops
-    on its own once an iterate moves less than step_tol in sup norm.
-    Returns (best_rows, best_values, total_iterations, smallest_values_seen),
-    where total_iterations sums the iterations of all rows.
-    """
-    top = 1.0 - 1e-12
-    w = np.minimum(simplex_project(np.asarray(w0, dtype=np.float64)), top)
-    best = w.copy()
-    best_v = tv_value(w)
-    min_seen = best_v.copy()
-    live = np.arange(w.shape[0])
-    total = 0
-    for k in range(1, max_iters + 1):
-        if live.size == 0:
-            break
-        total += live.size
-        s = np.sign(w[:, 1:] - w[:, :-1])
-        g = np.zeros_like(w)
-        g[:, 0] += 1.0
-        g[:, -1] += 1.0
-        g[:, 1:] += s
-        g[:, :-1] -= s
-        w_new = np.minimum(simplex_project(w - (step_scale / k) * g), top)
-        v = tv_value(w_new)
-        min_seen[live] = np.minimum(min_seen[live], v)
-        better = v < best_v[live]
-        best_v[live[better]] = v[better]
-        best[live[better]] = w_new[better]
-        going = ~(np.max(np.abs(w_new - w), axis=1) < step_tol)
-        w = w_new[going]
-        live = live[going]
-    return best, best_v, total, min_seen
+    # abs in place: lattice certification scores chunks of tens of
+    # thousands of rows, where a second (m, n - 1) temporary shows in
+    # peak memory
+    steps = np.diff(w, axis=-1)
+    return w[..., 0] + np.abs(steps, out=steps).sum(axis=-1) + w[..., -1]

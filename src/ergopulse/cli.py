@@ -196,15 +196,9 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    restarts = args.restarts
-    max_iters = args.max_iters
-    if restarts is None:
-        restarts = 100 if args.mode == "tv" else 12
-    if max_iters is None:
-        max_iters = 2000 if args.mode == "tv" else 250
     cfg = OptimizerConfig(
-        restarts=restarts,
-        max_iters=max_iters,
+        restarts=args.restarts,
+        max_iters=args.max_iters,
         grid_resolution=args.resolution,
         seed=args.seed,
     )
@@ -317,10 +311,28 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--system", default=None, help="needed for --mode bound")
     optimize.add_argument("--t", default="1")
     optimize.add_argument("--imax", type=int, default=40)
-    optimize.add_argument("--restarts", type=int, default=None)
-    optimize.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    optimize.add_argument("--resolution", type=float, default=0.02)
-    optimize.add_argument("--seed", type=int, default=0)
+    optimize.add_argument(
+        "--restarts",
+        type=int,
+        default=OptimizerConfig.restarts,
+        help="random starts besides the barycenter (bound mode)",
+    )
+    optimize.add_argument(
+        "--max-iters",
+        dest="max_iters",
+        type=int,
+        default=OptimizerConfig.max_iters,
+        help="descent iterations per start (bound mode)",
+    )
+    optimize.add_argument(
+        "--resolution", type=float, default=OptimizerConfig.grid_resolution
+    )
+    optimize.add_argument(
+        "--seed",
+        type=int,
+        default=OptimizerConfig.seed,
+        help="seed of the random starts (bound mode)",
+    )
     optimize.add_argument("--out", required=True)
     optimize.set_defaults(func=cmd_optimize)
 

@@ -21,7 +21,7 @@ from os import PathLike
 import numpy as np
 
 from . import matrixcore
-from ._kernels import chain_product
+from ._kernels import chain_product, tv_value
 from .ergodic import (
     COBOUNDARY_TOL,
     UnitarySpectrum,
@@ -229,7 +229,7 @@ def defect_coefficient(s: Schedule, order: int, step: int) -> float:
     ):
         raise ValueError(f"step must be in [1, {s.n - 1}], got {step}")
     order = int(order)
-    _diffs, leads, follows = _step_norms(s.weights[None, :])
+    leads, follows = _step_norms(s.weights[None, :])
     lead, follow = float(leads[0, step - 1]), float(follows[0, step - 1])
     total = 0.0
     for j in range(1, order):
@@ -268,8 +268,8 @@ def _check_i_max(i_max) -> None:
         raise ValueError("i_max must be an integer >= 2")
 
 
-def _step_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(|a_{k+1} - a_k|, lead, follow) for an (m, n) stack of weight rows.
+def _step_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lead, follow) for an (m, n) stack of weight rows.
 
     lead and follow are the per-step norms, in units of |t| ||Y||, of the
     single-step defects between partial products k and k+1: 2 a_1 and
@@ -281,7 +281,7 @@ def _step_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lead = np.empty((m, n - 1))
     lead[:, 0] = 2.0 * a[:, 0]
     lead[:, 1:] = a[:, :1] + np.cumsum(diffs[:, :-1], axis=1) + a[:, 1:-1]
-    return diffs, lead, 2.0 * a[:, 1:]
+    return lead, 2.0 * a[:, 1:]
 
 
 def _schedule_series_terms(
@@ -296,9 +296,8 @@ def _schedule_series_terms(
     m, n = a.shape
     if scale == 0.0:
         return np.zeros(m), np.zeros(m), np.zeros(m)
-    diffs, lead, follow = _step_norms(a)
-    tv = a[:, 0] + diffs.sum(axis=1) + a[:, -1]
-    tv_term = np.expm1(scale * tv)
+    lead, follow = _step_norms(a)
+    tv_term = np.expm1(scale * tv_value(a))
     worst = float((lead + follow).max()) * scale
     if worst >= i_max + 2:
         raise ValueError(

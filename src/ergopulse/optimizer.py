@@ -1,14 +1,13 @@
 """Schedule optimization over the probability simplex.
 
-minimize_tv searches for the row minimizing the total-variation functional
-(the equal-weights row, with value 2/n, is the unique minimizer; every
-run asserts the 2/n lower bound on all visited points).  minimize_bound_rhs
-does the same for the per-schedule error bound of a concrete pulse system.
-Both use projected subgradient descent with diminishing steps from a
-deterministic barycenter start plus seeded random restarts, all run in
-lockstep on one (R, n) array, and certify the result against an
-exhaustive simplex-lattice search when the lattice is small enough.
-Objectives score an (m, n) stack of rows in one call.
+minimize_tv returns the minimizer of the total-variation functional in
+closed form: the equal-weights row, with value 2/n.  minimize_bound_rhs
+minimizes the per-schedule error bound of a concrete pulse system by
+projected descent with diminishing steps from a deterministic barycenter
+start plus seeded random restarts, all run in lockstep on one (R, n)
+array.  Both certify the result against an exhaustive simplex-lattice
+search when the lattice is small enough.  Objectives score an (m, n)
+stack of rows in one call.
 """
 
 from __future__ import annotations
@@ -18,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import simplex_project, tv_descent, tv_value
+from ._kernels import simplex_project, tv_value
 from .errors import TooLargeInstanceError
 from .evolution import PulseSystem, _check_i_max, _schedule_series_terms
-from .schedules import Schedule
+from .schedules import Schedule, equidistant
 
 LATTICE_LIMIT = 500_000
 STEP_SCALE = 0.25
@@ -30,15 +29,29 @@ UNIFORM_PROXIMITY_TOL = 1e-4
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    restarts: int = 100
-    max_iters: int = 2000
+    """Settings of both minimizers.
+
+    restarts, max_iters, step_tol and seed drive the descent of
+    minimize_bound_rhs: the barycenter start plus restarts random rows
+    drawn from seed, each stopped after max_iters iterations or once a
+    step moves less than step_tol.  minimize_tv is a closed form and
+    reads only grid_resolution, the lattice spacing that both
+    minimizers certify against.
+    """
+
+    restarts: int = 12
+    max_iters: int = 250
     step_tol: float = 1e-12
     grid_resolution: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0 or self.max_iters < 1:
-            raise ValueError("restarts must be >= 0 and max_iters >= 1")
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError("%s must be an integer (got %r)" % (name, value))
+        if self.restarts < 0 or self.max_iters < 1 or self.seed < 0:
+            raise ValueError("restarts and seed must be >= 0 and max_iters >= 1")
         if not (0 < self.grid_resolution <= 0.5):
             raise ValueError("grid_resolution must be in (0, 0.5]")
         _lattice_steps(self.grid_resolution)
@@ -192,32 +205,22 @@ def _starts(n: int, cfg: OptimizerConfig) -> np.ndarray:
 def minimize_tv(n: int, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Minimize the total-variation functional over valid n-weight rows.
 
-    Projected subgradient descent with STEP_SCALE/k steps, started from
-    the barycenter and config.restarts seeded random points.  Every
-    visited value is checked against the 2/n lower bound; a violation
-    would be a bug in the descent, not a property of the data.
+    The minimizer is the equal row, in closed form.  With a_0 = a_{n+1} = 0,
+    TV(a) = sum_{i=0..n} |a_{i+1} - a_i| is the length of a path from 0 up
+    to max a_i and back, so TV(a) >= 2 max a_i >= 2/n, and equality needs
+    every a_i = 1/n.  Only config.grid_resolution is read, for the lattice
+    certification.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError("n must be an integer >= 2")
     cfg = config or OptimizerConfig()
-    n = int(n)
-    rows, values, total_iters, seen = tv_descent(
-        _starts(n, cfg), STEP_SCALE, cfg.max_iters, cfg.step_tol
-    )
-    floor = 2.0 / n
-    assert seen.min() >= floor - 1e-9, (
-        "descent produced a value below the 2/n floor: %r < %r" % (seen.min(), floor)
-    )
-    best = int(np.argmin(values))
-    best_w, best_v = _canonical_orientation(
-        rows[best], float(values[best]), tv_value, max(cfg.step_tol, 1e-15)
-    )
-    certified = _certify(n, cfg.grid_resolution, tv_value, best_v)
+    row = equidistant(int(n))
+    value = float(tv_value(row.weights))
     return OptimizationResult(
-        minimizer=Schedule(n, _clip_row(best_w)),
-        value=best_v,
-        iterations_used=total_iters,
-        certified_by_grid=certified,
+        minimizer=row,
+        value=value,
+        iterations_used=0,
+        certified_by_grid=_certify(row.n, cfg.grid_resolution, tv_value, value),
     )
 
 

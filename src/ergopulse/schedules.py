@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._kernels import tv_value
 from .errors import InvalidDensityError
 
 WEIGHT_SUM_TOL = 1e-12
@@ -169,8 +170,7 @@ def tv_functional(s: Schedule) -> float:
     """a_1 + sum |a_{i+1} - a_i| + a_n."""
     if not isinstance(s, Schedule):
         raise ValueError("tv_functional expects a Schedule")
-    w = s.weights
-    return float(w[0] + np.abs(np.diff(w)).sum() + w[-1])
+    return float(tv_value(s.weights))
 
 
 def equidistant_family() -> ScheduleFamily:

@@ -10,7 +10,9 @@ pairwise tree in ergopulse._kernels replaced.  expm_pade13 and
 pulse_product_taylor are independent references for matrixcore.expm and
 pulse_product: the former is the hand-written Pade-13 kernel that
 matrixcore.expm used before it became scipy.linalg.expm, the latter
-builds every factor from its Taylor sum.
+builds every factor from its Taylor sum.  tv_value adds one difference
+at a time, so it rounds unlike the pairwise sum of
+ergopulse._kernels.tv_value and is compared within a tolerance.
 """
 
 import itertools
@@ -55,56 +57,6 @@ def tv_value(w):
     for i in range(w.shape[0] - 1):
         v += abs(w[i + 1] - w[i])
     return v
-
-
-def tv_descent(w0, step_scale, max_iters, step_tol):
-    """Projected subgradient descent for tv_value from one start.
-
-    Returns (best_point, best_value, iterations, smallest_value_seen).
-    """
-    n = w0.shape[0]
-    w = simplex_project(w0.copy())
-    for i in range(n):
-        if w[i] > 1.0 - 1e-12:
-            w[i] = 1.0 - 1e-12
-    best = w.copy()
-    best_v = tv_value(w)
-    min_seen = best_v
-    iters = 0
-    g = np.empty(n, dtype=np.float64)
-    for k in range(1, max_iters + 1):
-        iters = k
-        for i in range(n):
-            g[i] = 0.0
-        g[0] += 1.0
-        g[n - 1] += 1.0
-        for i in range(n - 1):
-            diff = w[i + 1] - w[i]
-            if diff > 0.0:
-                g[i + 1] += 1.0
-                g[i] -= 1.0
-            elif diff < 0.0:
-                g[i + 1] -= 1.0
-                g[i] += 1.0
-        w_new = simplex_project(w - (step_scale / k) * g)
-        for i in range(n):
-            if w_new[i] > 1.0 - 1e-12:
-                w_new[i] = 1.0 - 1e-12
-        v = tv_value(w_new)
-        if v < min_seen:
-            min_seen = v
-        if v < best_v:
-            best_v = v
-            best[:] = w_new
-        moved = 0.0
-        for i in range(n):
-            delta = abs(w_new[i] - w[i])
-            if delta > moved:
-                moved = delta
-        w = w_new
-        if moved < step_tol:
-            break
-    return best, best_v, iters, min_seen
 
 
 def fd_descent(objective, starts, max_iters, step_tol):

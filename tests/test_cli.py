@@ -354,6 +354,29 @@ def test_optimize_tv_writes_uniform_result(tmp_path, capsys):
     assert "near_uniform=True" in stdout
 
 
+@pytest.mark.parametrize(
+    "flags", [["--restarts", "10"], ["--restarts", "1", "--max-iters", "50"]]
+)
+def test_optimize_tv_ignores_descent_flags(tmp_path, capsys, flags):
+    # the descent flags set the bound minimizer; the TV minimizer is a
+    # closed form, and runs that pass them write the same result
+    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+    argv = ["optimize", "--mode", "tv", "--n", "4", "--out"]
+    assert _run(capsys, *argv, str(plain))[0] == 0
+    assert _run(capsys, *argv, str(flagged), *flags)[0] == 0
+    assert flagged.read_bytes() == plain.read_bytes()
+    assert json.loads(plain.read_text())["iterations_used"] == 0
+
+
+def test_optimize_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    argv = ["optimize", "--mode", "tv", "--n", "3", "--seed", "-1", "--out", str(out)]
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert "seed" in err
+    assert not out.exists()
+
+
 def test_optimize_bound_reports_uniform_proximity(tmp_path, capsys):
     out = tmp_path / "bound.json"
     code, stdout, _ = _run(

@@ -2,10 +2,11 @@
 math.  The blocked conj_weighted_sum is checked against the per-term
 loop, the pairwise chain_product against the per-pulse loop, and the
 batched optimizer kernels row by row against the scalar loops, in
-oracles.py.
+oracles.py, and tv_value also against exact rational sums.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from ergopulse._kernels import (
     chain_product,
     conj_weighted_sum,
     simplex_project,
-    tv_descent,
     tv_value,
 )
 from ergopulse.matrixcore import expm, op_norm, random_unitary
+from ergopulse.schedules import pathological, pathological_tv_exact
 
 import oracles
 
@@ -173,24 +174,6 @@ def test_tv_value_matches_direct_formula():
         assert tv_value(w) == pytest.approx(want, abs=1e-15)
 
 
-def test_tv_descent_reaches_uniform_floor():
-    w0 = np.ascontiguousarray([[0.9, 0.05, 0.05]])
-    (best,), (best_v,), iters, (min_seen,) = tv_descent(w0, 0.25, 2000, 1e-12)
-    # a lone subgradient start stalls near the floor, not on it; the
-    # barycenter start in minimize_tv is what pins the exact optimum
-    assert best_v == pytest.approx(2.0 / 3.0, abs=1e-4)
-    assert_allclose(best, np.full(3, 1 / 3), atol=1e-3)
-    assert min_seen >= 2.0 / 3.0 - 1e-12
-    assert 1 <= iters <= 2000
-
-
-def test_tv_descent_stationary_at_uniform():
-    w0 = np.full((1, 4), 0.25)
-    (best,), (best_v,), iters, _ = tv_descent(w0, 0.25, 50, 1e-12)
-    assert_allclose(best, w0[0], atol=1e-12)
-    assert best_v == pytest.approx(0.5, abs=1e-15)
-
-
 # ------------------------------------------- batched kernels vs oracles
 
 
@@ -210,38 +193,33 @@ def test_simplex_project_rows_match_scalar_oracle(v):
     assert np.array_equal(got, want)
 
 
-@settings(deadline=None, max_examples=60)
-@given(
-    n=st.integers(2, 6),
-    rows=st.integers(1, 5),
-    seed=st.integers(0, 2**32 - 1),
-    max_iters=st.integers(0, 200),
-    step_tol=st.sampled_from([1e-12, 1e-4, 1e-3, 1e-2]),
-)
-def test_tv_descent_lockstep_matches_per_start_oracle(
-    n, rows, seed, max_iters, step_tol
-):
-    # Rows stop on their own step_tol test at different iterations, so
-    # the lockstep bookkeeping must track each one exactly as a lone run.
-    rng = np.random.default_rng(seed)
-    w0 = rng.dirichlet(np.ones(n), size=rows)
-    w0[0] = rng.normal(scale=2.0, size=n)  # an off-simplex start
-    best, best_v, total, min_seen = tv_descent(w0, 0.25, max_iters, step_tol)
-    assert type(total) is int
-    want_total = 0
-    for i in range(rows):
-        o_best, o_v, o_iters, o_seen = oracles.tv_descent(
-            w0[i].copy(), 0.25, max_iters, step_tol
-        )
-        assert np.array_equal(best[i], o_best)
-        assert best_v[i] == o_v
-        assert min_seen[i] == o_seen
-        assert tv_descent(w0[i : i + 1], 0.25, max_iters, step_tol)[2] == o_iters
-        want_total += o_iters
-    assert total == want_total
-
-
-def test_tv_value_rows_match_scalar_oracle():
+def test_tv_value_stacked_rows_match_single_rows_and_exact_sums():
+    # A stacked call sums each row as that row alone would be summed, and
+    # every sum is within n eps of the exact rational sum of its row.
     rng = np.random.default_rng(2)
-    w = rng.dirichlet(np.ones(7), size=40)
-    assert np.array_equal(tv_value(w), [oracles.tv_value(row) for row in w])
+    eps = np.finfo(float).eps
+    shapes = [(n, m) for n in range(2, 40) for m in (1, 2, 7, 64, 513)]
+    shapes += [(100, 513), (257, 513), (1000, 64), (4096, 16), (100_000, 3)]
+    for n, m in shapes:
+        w = rng.dirichlet(np.ones(n), size=m)
+        got = tv_value(w)
+        assert np.array_equal(got, [tv_value(row) for row in w]), (n, m)
+        assert_allclose(got, [oracles.tv_value(row) for row in w], rtol=n * eps)
+    for n in (2, 3, 7, 64, 1001, 4096):
+        # the float row rounds the exact rationals, each within eps/2
+        got = float(tv_value(pathological(n).weights))
+        exact = pathological_tv_exact(n)
+        assert abs(Fraction(got) - exact) <= n * eps * exact, n
+    for n in (2, 5, 40, 1000):
+        for _ in range(5):
+            k = rng.integers(0, 1000, size=n)
+            k[0] += 1
+            total = int(k.sum())
+            w = k / total
+            exact = (
+                Fraction(int(k[0]), total)
+                + sum(Fraction(abs(int(b) - int(a)), total) for a, b in zip(k, k[1:]))
+                + Fraction(int(k[-1]), total)
+            )
+            got = float(tv_value(w))
+            assert abs(Fraction(got) - exact) <= n * eps * exact, n

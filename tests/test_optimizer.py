@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ergopulse._kernels import tv_value
 from ergopulse.cli import PRESETS
 from ergopulse.errors import TooLargeInstanceError
 from ergopulse.evolution import _schedule_series_terms, schedule_bound_rhs
@@ -159,7 +160,7 @@ def test_minimize_tv_finds_uniform_row():
         res = minimize_tv(n, LIGHT)
         assert_allclose(res.minimizer.weights, np.full(n, 1.0 / n), atol=1e-6)
         assert res.value == pytest.approx(2.0 / n, abs=1e-9)
-        assert res.iterations_used > 0
+        assert res.iterations_used == 0
 
 
 def test_minimize_tv_certifies_small_instances():
@@ -172,6 +173,19 @@ def test_minimize_tv_barycenter_start_is_already_optimal():
     res = minimize_tv(4, OptimizerConfig(restarts=0, max_iters=50))
     assert np.array_equal(res.minimizer.weights, np.full(4, 0.25))
     assert res.value == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_minimize_tv_is_the_closed_form_for_every_config(n):
+    # the descent settings belong to the bound minimizer; none moves the
+    # TV minimizer off the equal row
+    row = equidistant(n).weights
+    for restarts, seed, max_iters in iter_product((0, 100), (0, 7), (1, 2000)):
+        cfg = OptimizerConfig(restarts=restarts, max_iters=max_iters, seed=seed)
+        res = minimize_tv(n, cfg)
+        assert np.array_equal(res.minimizer.weights, row)
+        assert res.value == tv_value(row)
+        assert res.iterations_used == 0
 
 
 def test_minimize_tv_deterministic():
@@ -197,6 +211,29 @@ def test_minimize_tv_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError):
         OptimizerConfig(grid_resolution=-0.1)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("restarts", 2.5),
+        ("restarts", True),
+        ("max_iters", 10.0),
+        ("max_iters", True),
+        ("seed", 1.5),
+        ("seed", False),
+        ("seed", -1),
+    ],
+)
+def test_config_rejects_non_integer_and_negative_settings(field, bad):
+    # refused up front, not deep in the start sampler
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: bad})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = OptimizerConfig(restarts=np.int64(3), max_iters=np.int32(5), seed=np.int64(7))
+    assert (cfg.restarts, cfg.max_iters, cfg.seed) == (3, 5, 7)
 
 
 def test_minimize_tv_agrees_with_grid_within_lattice_slack():
