@@ -141,10 +141,11 @@ def simplex_project(v):
 def tv_value(w):
     """w_1 + sum_i |w_{i+1} - w_i| + w_n for every row of an (..., n) array.
 
-    In a C-ordered stack each row's differences are summed as that row
-    alone would be, so a stacked call returns the per-row values bit for
-    bit.
+    The stack is made C-ordered first (no copy when it already is), so
+    each row's differences are summed as that row alone would be and a
+    stacked call returns the per-row values bit for bit.
     """
+    w = np.ascontiguousarray(w)
     # abs in place: lattice certification scores chunks of tens of
     # thousands of rows, where a second (m, n - 1) temporary shows in
     # peak memory

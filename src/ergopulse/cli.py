@@ -148,7 +148,7 @@ def cmd_sweep(args) -> int:
     system = _load_system(args.system, t)
     family = _load_family(args.family)
     counts = _parse_pulse_counts(args.n)
-    report = convergence_sweep(system, family, counts, i_max=args.imax)
+    report = convergence_sweep(system, family, counts)
     if args.format == "csv":
         write_report_csv(report, args.out)
     else:
@@ -158,7 +158,6 @@ def cmd_sweep(args) -> int:
                     "system": args.system,
                     "family": args.family,
                     "t": [t.real, t.imag],
-                    "i_max": args.imax,
                 },
                 "report": report_to_json_dict(report),
             },
@@ -208,7 +207,7 @@ def cmd_optimize(args) -> int:
         if not args.system:
             raise ValueError("--mode bound needs --system")
         system = _load_system(args.system, _parse_time(args.t))
-        result = minimize_bound_rhs(system, args.n, cfg, i_max=args.imax)
+        result = minimize_bound_rhs(system, args.n, cfg)
     _write_json(
         {
             "mode": args.mode,
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pulse counts: comma list or start:stop:geometric[:ratio]",
     )
     sweep.add_argument("--t", default="1", help="evolution time, re or re,im")
-    sweep.add_argument("--imax", type=int, default=40)
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.set_defaults(func=cmd_sweep)
@@ -310,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--n", required=True, type=int)
     optimize.add_argument("--system", default=None, help="needed for --mode bound")
     optimize.add_argument("--t", default="1")
-    optimize.add_argument("--imax", type=int, default=40)
     optimize.add_argument(
         "--restarts",
         type=int,

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import simplex_project, tv_value
 from .errors import TooLargeInstanceError
-from .evolution import PulseSystem, _check_i_max, _schedule_series_terms
+from .evolution import PulseSystem, _schedule_series_terms
 from .schedules import Schedule, equidistant
 
 LATTICE_LIMIT = 500_000
@@ -272,7 +272,6 @@ def minimize_bound_rhs(
     sys: PulseSystem,
     n: int,
     config: OptimizerConfig | None = None,
-    i_max: int = 40,
 ) -> OptimizationResult:
     """Minimize the per-schedule error bound over valid n-weight rows.
 
@@ -282,16 +281,15 @@ def minimize_bound_rhs(
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError("n must be an integer >= 2")
-    _check_i_max(i_max)
     cfg = config or OptimizerConfig()
     n = int(n)
     sys._require_coboundary()
-    scale = abs(sys.t) * sys.potential_norm
+    scale = abs(sys.t) * sys.potential_norm_upper
 
     def objective(w: np.ndarray) -> np.ndarray:
         rows = _clip_row(np.asarray(w, dtype=np.float64))
         rows = rows / rows.sum(axis=1, keepdims=True)
-        return _schedule_series_terms(rows, scale, int(i_max))[2]
+        return _schedule_series_terms(rows, scale)[2]
 
     best_w, best_v, total_iters = _descend_fd(
         objective, _starts(n, cfg), cfg.max_iters, cfg.step_tol

@@ -132,7 +132,7 @@ def test_criterion_04_schedule_bound_dominates_error():
         n = int(rng.integers(8, 257))
         s = Schedule(n, rng.dirichlet(np.ones(n)))
         err = control_error(system, s)
-        rhs = schedule_bound_rhs(system, s, i_max=40).total_rhs
+        rhs = schedule_bound_rhs(system, s).total_rhs
         assert err <= rhs
         worst = max(worst, err / rhs)
     _pass(4, start, 120, "20 schedules, worst error at %.3f of bound" % worst)

@@ -181,38 +181,16 @@ def test_sweep_rejects_seed_flag(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_rejects_bad_imax_on_every_bound_route(tmp_path, capsys):
-    # qubit-z-x takes the schedule route; a commuting generator is no
-    # coboundary, so it takes the constants route (uniform) or none (uhrig)
-    commuting = _write_system(
-        tmp_path / "commuting.json",
-        np.diag([1.0, 1.0j]),
-        hamiltonian=np.diag([1.0, -1.0]),
-    )
-    for system, family in [
-        ("qubit-z-x", "uhrig"),
-        (commuting, "uniform"),
-        (commuting, "uhrig"),
-    ]:
-        out = tmp_path / "x.json"
-        code, _, err = _run(
-            capsys,
-            "sweep",
-            "--system",
-            system,
-            "--family",
-            family,
-            "--n",
-            "4,8,16",
-            "--imax",
-            "-3",
-            "--format",
-            "json",
-            "--out",
-            str(out),
-        )
-        assert code == 2, (system, family)
-        assert "i_max must be an integer >= 2" in err
+def test_sweep_and_optimize_reject_removed_imax(tmp_path, capsys):
+    # the defect series is a closed form with no truncation order
+    out = tmp_path / "x.json"
+    for argv in (
+        ["sweep", "--system", "qubit-z-x", "--n", "4,8,16", "--format", "json"],
+        ["optimize", "--mode", "bound", "--system", "qubit-z-x", "--n", "2"],
+    ):
+        code, _, err = _run(capsys, *argv, "--imax", "40", "--out", str(out))
+        assert code == 2, argv
+        assert "--imax" in err
         assert not out.exists()
 
 
@@ -232,8 +210,11 @@ def test_sweep_json_payload_structure(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["config"]["system"] == "qubit-z-x"
-    assert payload["config"]["t"] == [1.0, 0.0]
+    assert payload["config"] == {
+        "system": "qubit-z-x",
+        "family": "uniform",
+        "t": [1.0, 0.0],
+    }
     report = payload["report"]
     assert report["n_values"] == [4, 8, 16]
     assert len(report["errors"]) == 3

@@ -3,6 +3,7 @@ import math
 
 import ergopulse.ergodic
 import ergopulse.evolution
+import ergopulse.optimizer
 
 import numpy as np
 import pytest
@@ -413,61 +414,77 @@ def test_schedule_bound_equidistant_rhs_halves():
     assert 0.4 <= r128 / r64 <= 0.65
 
 
-def test_schedule_bound_tail_guard():
+def test_schedule_bound_has_no_radius():
+    # per-step norms of 45, past the radius of the truncated series,
+    # get a finite bound
     sys = PulseSystem(u=SZ, generator=45.0 * SX, t=1.0)
-    with pytest.raises(ValueError, match="tail majorant"):
-        schedule_bound_rhs(sys, equidistant(2), i_max=40)
-    # a longer explicit series restores validity
-    assert schedule_bound_rhs(sys, equidistant(2), i_max=60).total_rhs > 0
+    for s in (equidistant(2), equidistant(5)):
+        b = schedule_bound_rhs(sys, s)
+        assert math.isfinite(b.total_rhs)
+        assert control_error(sys, s) <= b.total_rhs
+
+
+def test_bounds_use_potential_norm_rounded_up():
+    rng = np.random.default_rng(33)
+    for seed in range(4):
+        dim = int(rng.integers(2, 7))
+        sys = _coboundary_system(rng, dim, seed=700 + seed, t=rng.uniform(0.2, 1.2))
+        assert sys.potential_norm_upper > sys.potential_norm
+        assert sys.potential_norm_upper >= op_norm(sys.potential)
+    # every bound reads potential_norm_upper: inflate it and watch them move
+    sys = PRESETS["qubit-z-x"](1.0)
+    sys.__dict__["potential_norm_upper"] = 1.5 * sys.potential_norm
+    scale = abs(sys.t) * sys.potential_norm_upper
+    s = equidistant(2)
+    b = schedule_bound_rhs(sys, s)
+    assert b.total_rhs == _schedule_series_terms(s.weights[None, :], scale)[2][0]
+    norm_y = sys.potential_norm_upper
+    m = 4.0 * math.exp(2.0 * norm_y) * norm_y**2 + 2.0 * norm_y
+    assert b.m_const == m
+    res = ergopulse.optimizer.minimize_bound_rhs(
+        sys, 2, ergopulse.optimizer.OptimizerConfig(restarts=1, max_iters=5)
+    )
+    assert res.value == b.total_rhs
 
 
 @settings(deadline=None, max_examples=150)
 @given(
     rows=st.integers(1, 6),
     n=st.integers(2, 9),
-    scale=st.floats(0.0, 3.0),
-    i_max=st.integers(2, 40),
+    scale=st.floats(0.0, 30.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_schedule_series_terms_rows_match_scalar_oracle(rows, n, scale, i_max, seed):
+def test_schedule_series_terms_rows_match_scalar_oracle(rows, n, scale, seed):
     rng = np.random.default_rng(seed)
     a = rng.dirichlet(np.full(n, 0.5), size=rows)
     a[0, rng.integers(n)] = 0.0  # vanishing weights zero out defect terms
-    want = []
-    for row in a:
-        try:
-            want.append(oracles.schedule_series_terms(row, scale, i_max))
-        except ValueError as exc:
-            assert "tail majorant" in str(exc)
-            want.append(None)
-    if any(w is None for w in want):
-        # one crossing row voids the whole stack
-        with pytest.raises(ValueError, match="tail majorant"):
-            _schedule_series_terms(a, scale, i_max)
-        return
-    got = _schedule_series_terms(a, scale, i_max)
+    want = [oracles.schedule_series_terms(row, scale) for row in a]
+    got = _schedule_series_terms(a, scale)
     for k in range(3):
         assert got[k].shape == (rows,)
         assert_allclose(got[k], [w[k] for w in want], rtol=1e-13, atol=0)
 
 
-def test_schedule_series_terms_any_crossing_row_raises():
-    # At i_max = 2 the majorant needs per-step norms below 4; the even
-    # row peaks at 4/3 * scale and the spike row at 2 * scale.
+def test_schedule_series_terms_overflow_gives_inf():
+    # past scale ~355 the step prefactor e^(2 scale) overflows: rows with
+    # a nonzero defect get +inf, a spike row keeps its zero series, and no
+    # entry is NaN
     even, spike = np.full(3, 1.0 / 3.0), np.array([0.0, 1.0, 0.0])
-    assert _schedule_series_terms(even[None, :], 2.5, 2)[2][0] > 0
-    with pytest.raises(ValueError, match="tail majorant"):
-        oracles.schedule_series_terms(spike, 2.5, 2)
-    with pytest.raises(ValueError, match="tail majorant"):
-        _schedule_series_terms(np.stack([even, spike, even]), 2.5, 2)
+    tv_term, c_series, total = _schedule_series_terms(np.stack([even, spike]), 400.0)
+    assert np.array_equal(c_series, [math.inf, 0.0])
+    assert math.isfinite(tv_term[0]) and tv_term[1] == math.inf  # tv 2/3 and 2
+    assert np.array_equal(total, [math.inf, math.inf])
+    # overflow inside the defect series itself, at any row count
+    for n in (2, 3, 6):
+        got = _schedule_series_terms(np.full((2, n), 1.0 / n), 2000.0)
+        assert not np.isnan(np.concatenate(got)).any()
+        assert np.array_equal(got[2], [math.inf, math.inf])
 
 
 def test_schedule_bound_validation():
     sys = PRESETS["qubit-z-x"](1.0)
     with pytest.raises(ValueError):
         schedule_bound_rhs(sys, [0.5, 0.5])
-    with pytest.raises(ValueError):
-        schedule_bound_rhs(sys, equidistant(4), i_max=1)
 
 
 # --------------------------------------------------------- convergence_sweep
@@ -522,12 +539,6 @@ def test_sweep_validation():
         convergence_sweep(sys, fam, (1, 2, 4))
     with pytest.raises(ValueError, match="family"):
         convergence_sweep(sys, equidistant, (4, 8, 16))
-    # i_max is checked on every bound route: schedule, constants and none
-    general = PulseSystem(u=np.diag([1.0, 1.0j]), generator=SZ)
-    for system, family in [(sys, fam), (general, fam), (general, uhrig_family())]:
-        for i_max in (-3, 1, 2.5):
-            with pytest.raises(ValueError, match="i_max must be an integer >= 2"):
-                convergence_sweep(system, family, (4, 8, 16), i_max=i_max)
 
 
 # ------------------------------------------------------------------ reports

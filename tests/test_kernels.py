@@ -193,6 +193,15 @@ def test_simplex_project_rows_match_scalar_oracle(v):
     assert np.array_equal(got, want)
 
 
+def test_tv_value_fortran_ordered_stacks_match_single_rows():
+    # a column-major stack is summed as its rows alone would be, too
+    rng = np.random.default_rng(3)
+    for n in (9, 10, 17, 64, 257):
+        for m in (2, 7, 64):
+            w = np.asfortranarray(rng.dirichlet(np.ones(n), size=m))
+            assert np.array_equal(tv_value(w), [tv_value(row) for row in w]), (n, m)
+
+
 def test_tv_value_stacked_rows_match_single_rows_and_exact_sums():
     # A stacked call sums each row as that row alone would be summed, and
     # every sum is within n eps of the exact rational sum of its row.

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -241,11 +242,111 @@ def test_defect_bound_dominates_measured_defect():
         assert measured <= exp_product_defect_bound(op_norm(a), op_norm(b))
 
 
-def test_defect_bound_tail_needs_room():
-    with pytest.raises(ValueError, match="i_max"):
-        exp_product_defect_bound(30.0, 30.0, i_max=40)
-    # the same norms pass once the series is long enough
-    assert exp_product_defect_bound(30.0, 30.0, i_max=80) > 0
+def _exact_defect_bracket(a, b):
+    """Fractions lower <= S(a, b) <= upper, 10^-30 apart relatively.
+
+    S = sum_{i>=2} 2/i! [(a+b)^i - a^i - b^i - ab h_{i-2}(a, b)], with
+    h_n = sum_k a^k b^(n-k), has nonnegative terms, each at most
+    2 (a+b)^i/i!: lower is a partial sum, upper adds the geometric
+    majorant of its tail.  Exact in integers: a = A/2^e, b = B/2^e.
+    """
+    fa, fb = Fraction(a), Fraction(b)
+    e = max(fa.denominator, fb.denominator).bit_length() - 1
+    big_a, big_b = int(fa * 2**e), int(fb * 2**e)
+    s = fa + fb
+    pow_a, pow_b, pow_s = big_a, big_b, big_a + big_b
+    h, pow_h = 1, 1  # h_{i-2} and A^(i-2)
+    lower, fact, i = Fraction(0), 1, 1
+    while True:
+        i += 1
+        if i > 2:
+            pow_h *= big_a
+            h = big_b * h + pow_h
+        pow_a, pow_b, pow_s = pow_a * big_a, pow_b * big_b, pow_s * (big_a + big_b)
+        fact *= i
+        term = 2 * (pow_s - pow_a - pow_b - big_a * big_b * h)
+        lower += Fraction(term, fact << (e * i))
+        if i + 2 > 2 * s:
+            tail = 2 * s ** (i + 1) / (fact * (i + 1)) / (1 - s / (i + 2))
+            if tail <= lower * Fraction(1, 10**30):
+                return lower, lower + tail
+
+
+# a = b; a << b; tiny norms; pairs 1e-7 apart, as finite-difference bumps
+# make them; both sides of the branch points 1 of lo, hi and hi - lo; and
+# norms past the old radius a + b >= 42 of the truncated series
+RIGOUR_PAIRS = [
+    (1e-8, 1e-8), (0.3, 0.3), (1.0, 1.0), (2.5, 2.5), (30.0, 30.0),
+    (1e-8, 1.0), (1e-6, 5.0), (1e-3, 40.0), (0.01, 30.0),
+    (1e-8, 2e-8), (3e-8, 1e-8),
+    (0.3, 0.3 + 1e-7), (1.0 - 1e-7, 1.0), (1.0, 1.0 + 1e-7), (2.0, 2.0 - 1e-7),
+    (0.5, 1.0 - 2**-40), (0.5, 1.0), (0.5, 1.0 + 2**-40),
+    (1.0 - 2**-40, 1.5), (1.0 + 2**-40, 1.5),
+    (0.25, 1.25 - 2**-40), (0.5, 1.5), (0.25, 1.25 + 2**-40),
+    (21.0, 21.0), (5.0, 40.0), (25.0, 35.0),
+]
+
+
+def test_defect_series_brackets_exact_sum():
+    # never below the exact series, and above it by at most 2^-46
+    rng = np.random.default_rng(41)
+    pairs = RIGOUR_PAIRS + [tuple(10.0 ** rng.uniform(-8, 1.5, 2)) for _ in range(40)]
+    a, b = (np.array(col) for col in zip(*pairs))
+    got = matrixcore._defect_series_batch(a, b)
+    assert np.array_equal(got, matrixcore._defect_series_batch(b, a))
+    for x, y, value in zip(a, b, got):
+        lower, upper = _exact_defect_bracket(float(x), float(y))
+        assert Fraction(float(value)) >= upper, (x, y)
+        assert Fraction(float(value)) <= lower * (1 + Fraction(1, 2**46)), (x, y)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    a=st.floats(min_value=1e-8, max_value=20.0),
+    b=st.floats(min_value=1e-8, max_value=20.0),
+)
+def test_defect_series_matches_truncated_series_oracle(a, b):
+    # inside the old radius the truncated series plus its tail majorant
+    # sits above the exact sum, and close to it where the tail is small
+    got = float(matrixcore._defect_series_batch(np.array([a]), np.array([b]))[0])
+    want = float(oracles.defect_series_truncated(np.array([a]), np.array([b]), 40)[0])
+    assert got <= want * (1 + 1e-13)
+    if a + b <= 4.0:
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_defect_bound_has_no_radius():
+    # the truncated-series oracle refuses a + b >= i_max + 2; the closed
+    # form bounds any finite norms
+    with pytest.raises(ValueError, match="tail majorant"):
+        oracles.defect_series_truncated(np.array([30.0]), np.array([30.0]), 40)
+    lower, upper = _exact_defect_bracket(30.0, 30.0)
+    assert Fraction(exp_product_defect_bound(30.0, 30.0)) >= upper
+    assert math.isfinite(exp_product_defect_bound(300.0, 300.0))
+
+
+def test_defect_bound_overflow_gives_inf_never_nan():
+    inf = math.inf
+    tiny = 5e-324  # the smallest subnormal
+    for a, b, want in [
+        (800.0, 800.0, inf),
+        (1e-300, 800.0, inf),
+        (400.0, 400.0, inf),
+        (1e200, 1e200, inf),
+        (1e-300, 1e-300, tiny),
+        (tiny, tiny, tiny),
+        (0.0, 800.0, 0.0),
+        (1e308, 0.0, 0.0),
+    ]:
+        assert exp_product_defect_bound(a, b) == want, (a, b)
+        assert exp_product_defect_bound(b, a) == want, (a, b)
+    # subnormal and 1e-300 norms against a normal one: finite, above the
+    # leading term ab, and no larger than the ab e^(a+b) majorant of S
+    for a in (tiny, 1e-310, 1e-300):
+        for b in (1e-3, 1.0, 30.0, 700.0):
+            got = exp_product_defect_bound(a, b)
+            assert math.isfinite(got) and a * b <= got, (a, b)
+            assert got <= a * b * math.exp(a + b) + tiny, (a, b)
 
 
 def test_defect_bound_validates_arguments():
@@ -254,17 +355,7 @@ def test_defect_bound_validates_arguments():
     with pytest.raises(ValueError):
         exp_product_defect_bound(math.nan, 1.0)
     with pytest.raises(ValueError):
-        exp_product_defect_bound(1.0, 1.0, i_max=1)
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    a=st.floats(min_value=0.01, max_value=3.0),
-    b=st.floats(min_value=0.01, max_value=3.0),
-)
-def test_defect_bound_tail_shrinks_with_longer_series(a, b):
-    # more explicit terms can only tighten the majorized tail
-    assert exp_product_defect_bound(a, b, 60) <= exp_product_defect_bound(a, b, 20)
+        exp_product_defect_bound(math.inf, 1.0)
 
 
 # --------------------------------------------------------- random_unitary

@@ -249,13 +249,6 @@ def test_minimize_tv_agrees_with_grid_within_lattice_slack():
 BOUND_CFG = OptimizerConfig(restarts=8, max_iters=400, grid_resolution=0.05)
 
 
-def test_minimize_bound_rhs_checks_i_max_like_schedule_bound_rhs():
-    sys = PRESETS["qubit-z-x"](1.0)
-    for i_max in (-3, 1, 2.5):
-        with pytest.raises(ValueError, match="i_max must be an integer >= 2"):
-            minimize_bound_rhs(sys, 2, BOUND_CFG, i_max=i_max)
-
-
 def test_minimize_bound_rhs_two_weights_finds_even_split():
     # With two weights only the unprefactored final defect term and the
     # total-variation term remain, and the even split minimizes both.
@@ -325,7 +318,7 @@ def test_lockstep_fd_descent_matches_per_start_oracle(n, scale):
     # the bound objective of minimize_bound_rhs at scale = |t| ||Y||
     def objective(w):
         rows = np.minimum(np.asarray(w, dtype=np.float64), 1.0 - 1e-12)
-        return _schedule_series_terms(rows / rows.sum(axis=1, keepdims=True), scale, 40)[2]
+        return _schedule_series_terms(rows / rows.sum(axis=1, keepdims=True), scale)[2]
 
     starts = _starts(n, OptimizerConfig(restarts=5, seed=n))
     # step_tol 1e-2 stops rows at different iterations; scale 0 gives a
