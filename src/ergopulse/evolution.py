@@ -8,13 +8,17 @@ the measured distance between them, and two rigorous upper bounds: a pair
 of constants (m_const, m_prime_const) giving a 1/N rate for equidistant
 rows, and a per-schedule right-hand side built from a defect series plus
 a total-variation term.
+
+Both bounds read the system only through ||X||, ||P(X)|| and ||Y||, each
+derived once per system (one yosida_split) and rounded up by d machine
+epsilons for the error of the SVD.  A bound that overflows is +inf.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from functools import cached_property
 from os import PathLike
 
@@ -25,9 +29,9 @@ from ._kernels import chain_product, tv_value
 from .ergodic import (
     COBOUNDARY_TOL,
     UnitarySpectrum,
-    commutant_project,
-    solve_coboundary,
+    YosidaSplit,
     spectrum,
+    yosida_split,
 )
 from .errors import NotACoboundaryError
 from .schedules import Schedule, ScheduleFamily
@@ -41,7 +45,8 @@ class PulseSystem:
     stored as read-only copies, and everything derived from (u, X, t) --
     the spectrum of u, the commutant part P(X), the potential Y of
     X - P(X), their norms and the limit factor e^{P(X) t} -- is computed
-    once, on first use, and cached on the instance.
+    once, on first use, and cached on the instance.  The norms are
+    rounded up, so the bounds built from them stay upper bounds.
     """
 
     u: np.ndarray
@@ -78,34 +83,36 @@ class PulseSystem:
         return spectrum(self.u)
 
     @cached_property
+    def _split(self) -> YosidaSplit:
+        return yosida_split(self.spec, self.generator)
+
+    @property
     def fixed_part(self) -> np.ndarray:
         """P(X), the projection of the generator onto the commutant of u."""
-        return commutant_project(self.spec, self.generator)
+        return self._split.fixed_part
 
-    @cached_property
+    @property
     def potential(self) -> np.ndarray:
-        """The potential Y with Y - u Y u* = X - P(X), as in yosida_split."""
-        return solve_coboundary(self.spec, self.generator - self.fixed_part)
+        """The potential Y with Y - u Y u* = X - P(X)."""
+        return self._split.potential
+
+    def _norm_upper(self, m: np.ndarray) -> float:
+        """op_norm(m) rounded up by the SVD's relative error, taken as d
+        machine epsilons (the SVD noise level numpy.linalg.matrix_rank
+        assumes), so that no bound reads a norm below the exact one."""
+        return matrixcore.op_norm(m) * (1.0 + self.dim * np.finfo(np.float64).eps)
 
     @cached_property
     def generator_norm(self) -> float:
-        return matrixcore.op_norm(self.generator)
+        return self._norm_upper(self.generator)
 
     @cached_property
     def fixed_norm(self) -> float:
-        return matrixcore.op_norm(self.fixed_part)
+        return self._norm_upper(self.fixed_part)
 
     @cached_property
     def potential_norm(self) -> float:
-        return matrixcore.op_norm(self.potential)
-
-    @cached_property
-    def potential_norm_upper(self) -> float:
-        """potential_norm rounded up by the SVD's relative error, taken as
-        d machine epsilons (the SVD noise level numpy.linalg.matrix_rank
-        assumes), so that the bounds use no ||Y|| below the exact norm of
-        the computed potential."""
-        return self.potential_norm * (1.0 + self.dim * np.finfo(np.float64).eps)
+        return self._norm_upper(self.potential)
 
     @cached_property
     def limit_factor(self) -> np.ndarray:
@@ -195,15 +202,22 @@ def control_error(sys: PulseSystem, s: Schedule) -> float:
     return matrixcore.op_norm(pulse_product(sys, s) - limit_evolution(sys, s.n))
 
 
+def _exp(x: float) -> float:
+    """math.exp, but +inf where it would raise OverflowError (from 709.78)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _rate_constants(sys: PulseSystem) -> tuple[float, float]:
-    norm_x, norm_x0 = sys.generator_norm, sys.fixed_norm
-    norm_y = sys.potential_norm_upper
+    norm_x, norm_x0, norm_y = sys.generator_norm, sys.fixed_norm, sys.potential_norm
     abs_t = abs(sys.t)
-    m = 4.0 * abs_t**2 * math.exp(2.0 * abs_t * norm_y) * norm_y**2
+    m = 4.0 * abs_t**2 * _exp(2.0 * abs_t * norm_y) * norm_y**2
     m += 2.0 * norm_y * abs_t
-    m_prime = math.exp(norm_x * abs_t) * (
-        m + 2.0 * abs_t**2 * norm_y * (2.0 * norm_y + 3.0 * norm_x0)
-    )
+    bracket = m + 2.0 * abs_t**2 * norm_y * (2.0 * norm_y + 3.0 * norm_x0)
+    # a zero bracket (Y = 0) stays 0 when e^{||X|| |t|} overflows
+    m_prime = _exp(norm_x * abs_t) * bracket if bracket > 0.0 else 0.0
     return m, m_prime
 
 
@@ -212,38 +226,7 @@ def equidistant_bound_constants(sys: PulseSystem) -> BoundBreakdown:
     by m_prime_const / N, and by m_const / N when the generator has no
     commutant component."""
     m, m_prime = _rate_constants(sys)
-    return BoundBreakdown(
-        m_const=m,
-        m_prime_const=m_prime,
-        tv_term=math.nan,
-        c_series_sum=math.nan,
-        total_rhs=m_prime,
-    )
-
-
-def defect_coefficient(s: Schedule, order: int, step: int) -> float:
-    """Coefficient of the order-th power of the potential norm in the
-    single-step defect bound between partial products step and step+1.
-
-    For the first step it is 2^order * sum_j (binom(order, j) - 1)
-    a_1^j a_2^(order-j); later steps replace 2 a_1 by the running
-    total-variation prefix a_1 + sum_{k<step} |a_{k+1} - a_k| + a_step.
-    """
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 2:
-        raise ValueError("order must be an integer >= 2")
-    if (
-        isinstance(step, bool)
-        or not isinstance(step, (int, np.integer))
-        or not 1 <= step <= s.n - 1
-    ):
-        raise ValueError(f"step must be in [1, {s.n - 1}], got {step}")
-    order = int(order)
-    leads, follows = _step_norms(s.weights[None, :])
-    lead, follow = float(leads[0, step - 1]), float(follows[0, step - 1])
-    total = 0.0
-    for j in range(1, order):
-        total += (math.comb(order, j) - 1) * lead**j * follow ** (order - j)
-    return total
+    return BoundBreakdown(m, m_prime, math.nan, math.nan, m_prime)
 
 
 def schedule_bound_rhs(sys: PulseSystem, s: Schedule) -> BoundBreakdown:
@@ -254,8 +237,8 @@ def schedule_bound_rhs(sys: PulseSystem, s: Schedule) -> BoundBreakdown:
     the whole series in closed form, rounded outward, with no radius)
     with an exponential prefactor on all but the last step, and adds
     e^{||Y|| tv |t|} - 1 for the final comparison with the limit object.
-    ||Y|| enters rounded up by the SVD's error (potential_norm_upper).
-    Where a term overflows the bound is +inf.  Generators with a
+    The norms enter rounded up by the SVD's error, as PulseSystem keeps
+    them.  Where a term overflows the bound is +inf.  Generators with a
     commutant component are refused: split them with yosida_split and
     bound the pieces separately.
     """
@@ -263,7 +246,7 @@ def schedule_bound_rhs(sys: PulseSystem, s: Schedule) -> BoundBreakdown:
         raise ValueError("s must be a Schedule")
     sys._require_coboundary()
     m, m_prime = _rate_constants(sys)
-    scale = abs(sys.t) * sys.potential_norm_upper
+    scale = abs(sys.t) * sys.potential_norm
     tv_term, c_series, total = _schedule_series_terms(s.weights[None, :], scale)
     return BoundBreakdown(
         m, m_prime, float(tv_term[0]), float(c_series[0]), float(total[0])
@@ -351,13 +334,7 @@ def convergence_sweep(
             bounds.append(schedule_bound_rhs(sys, row))
         elif route == "constants":
             bounds.append(
-                BoundBreakdown(
-                    m_const=constants.m_const,
-                    m_prime_const=constants.m_prime_const,
-                    tv_term=math.nan,
-                    c_series_sum=math.nan,
-                    total_rhs=constants.m_prime_const / n,
-                )
+                replace(constants, total_rhs=constants.m_prime_const / n)
             )
 
     half = len(ns) // 2
@@ -381,20 +358,13 @@ def convergence_sweep(
     )
 
 
-_CSV_COLUMNS = (
-    "N",
-    "error",
-    "slope_window_flag",
-    "m_const",
-    "m_prime_const",
-    "tv_term",
-    "c_series_sum",
-    "total_rhs",
-)
+_BOUND_FIELDS = tuple(f.name for f in fields(BoundBreakdown))
 
 
-def _csv_cell(value: float) -> str:
-    return "" if math.isnan(value) else repr(float(value))
+def _number(value: float) -> float | None:
+    """A bound field as written out: None (a blank CSV cell, JSON null)
+    where the field does not apply."""
+    return None if math.isnan(value) else float(value)
 
 
 def write_report_csv(report: ConvergenceReport, path: str | PathLike) -> None:
@@ -402,29 +372,19 @@ def write_report_csv(report: ConvergenceReport, path: str | PathLike) -> None:
     where no bound applies)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(("N", "error", "slope_window_flag") + _BOUND_FIELDS)
         for i, n in enumerate(report.n_values):
-            b = report.bounds[i] if report.bounds is not None else None
             row = [
                 str(n),
                 repr(float(report.errors[i])),
                 "1" if report.window[i] else "0",
             ]
-            if b is None:
-                row += ["", "", "", "", ""]
+            if report.bounds is None:
+                row += [""] * len(_BOUND_FIELDS)
             else:
-                row += [
-                    _csv_cell(b.m_const),
-                    _csv_cell(b.m_prime_const),
-                    _csv_cell(b.tv_term),
-                    _csv_cell(b.c_series_sum),
-                    _csv_cell(b.total_rhs),
-                ]
+                # csv writes None as a blank cell and a float as its repr
+                row += map(_number, astuple(report.bounds[i]))
             writer.writerow(row)
-
-
-def _json_number(value: float):
-    return None if math.isnan(value) else float(value)
 
 
 def report_to_json_dict(report: ConvergenceReport) -> dict:
@@ -432,13 +392,7 @@ def report_to_json_dict(report: ConvergenceReport) -> dict:
     bounds = None
     if report.bounds is not None:
         bounds = [
-            {
-                "m_const": _json_number(b.m_const),
-                "m_prime_const": _json_number(b.m_prime_const),
-                "tv_term": _json_number(b.tv_term),
-                "c_series_sum": _json_number(b.c_series_sum),
-                "total_rhs": _json_number(b.total_rhs),
-            }
+            dict(zip(_BOUND_FIELDS, map(_number, astuple(b))))
             for b in report.bounds
         ]
     return {

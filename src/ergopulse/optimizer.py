@@ -24,6 +24,7 @@ from .schedules import Schedule, equidistant
 
 LATTICE_LIMIT = 500_000
 STEP_SCALE = 0.25
+STEP_TOL = 1e-12
 UNIFORM_PROXIMITY_TOL = 1e-4
 
 
@@ -31,17 +32,16 @@ UNIFORM_PROXIMITY_TOL = 1e-4
 class OptimizerConfig:
     """Settings of both minimizers.
 
-    restarts, max_iters, step_tol and seed drive the descent of
-    minimize_bound_rhs: the barycenter start plus restarts random rows
-    drawn from seed, each stopped after max_iters iterations or once a
-    step moves less than step_tol.  minimize_tv is a closed form and
-    reads only grid_resolution, the lattice spacing that both
-    minimizers certify against.
+    restarts, max_iters and seed drive the descent of minimize_bound_rhs:
+    the barycenter start plus restarts random rows drawn from seed, each
+    stopped after max_iters iterations or once a step moves less than
+    STEP_TOL.  minimize_tv is a closed form and reads only
+    grid_resolution, the lattice spacing that both minimizers certify
+    against.
     """
 
     restarts: int = 12
     max_iters: int = 250
-    step_tol: float = 1e-12
     grid_resolution: float = 0.02
     seed: int = 0
 
@@ -55,8 +55,6 @@ class OptimizerConfig:
         if not (0 < self.grid_resolution <= 0.5):
             raise ValueError("grid_resolution must be in (0, 0.5]")
         _lattice_steps(self.grid_resolution)
-        if not (math.isfinite(self.step_tol) and self.step_tol >= 0):
-            raise ValueError("step_tol must be finite and nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +282,7 @@ def minimize_bound_rhs(
     cfg = config or OptimizerConfig()
     n = int(n)
     sys._require_coboundary()
-    scale = abs(sys.t) * sys.potential_norm_upper
+    scale = abs(sys.t) * sys.potential_norm
 
     def objective(w: np.ndarray) -> np.ndarray:
         rows = _clip_row(np.asarray(w, dtype=np.float64))
@@ -292,11 +290,9 @@ def minimize_bound_rhs(
         return _schedule_series_terms(rows, scale)[2]
 
     best_w, best_v, total_iters = _descend_fd(
-        objective, _starts(n, cfg), cfg.max_iters, cfg.step_tol
+        objective, _starts(n, cfg), cfg.max_iters, STEP_TOL
     )
-    best_w, best_v = _canonical_orientation(
-        best_w, best_v, objective, max(cfg.step_tol, 1e-15)
-    )
+    best_w, best_v = _canonical_orientation(best_w, best_v, objective, STEP_TOL)
     certified = _certify(n, cfg.grid_resolution, objective, best_v)
     return OptimizationResult(
         minimizer=Schedule(n, _clip_row(best_w)),

@@ -232,6 +232,37 @@ def test_sweep_accepts_system_file_generator_and_hamiltonian(tmp_path, capsys):
     assert out_gen.read_bytes() == out_ham.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "family, hamiltonian, route",
+    [
+        # u = s_z, H = 800 s_x: a coboundary with |t| ||Y|| = 400, so
+        # e^{2 |t| ||Y||} overflows
+        ("uniform", [[0.0, 800.0], [800.0, 0.0]], "schedule"),
+        ("uhrig", [[0.0, 800.0], [800.0, 0.0]], "schedule"),
+        # a commutant part as well: e^{||X|| |t|} overflows too
+        ("uniform", [[800.0, 800.0], [800.0, -800.0]], "constants"),
+    ],
+)
+def test_sweep_overflowing_bounds_are_inf(tmp_path, capsys, family, hamiltonian, route):
+    u, h = np.diag([1.0, -1.0]), np.array(hamiltonian)
+    system = _write_system(tmp_path / "system.json", u, hamiltonian=h)
+    outs = {"csv": tmp_path / "sweep.csv", "json": tmp_path / "sweep.json"}
+    for fmt, out in outs.items():
+        argv = ["sweep", "--system", system, "--family", family, "--n", "4,8,16"]
+        code, _, err = _run(capsys, *argv, "--format", fmt, "--out", str(out))
+        assert code == 0, err
+    with open(outs["csv"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        assert row["m_const"] == row["m_prime_const"] == "inf"
+        assert float(row["error"]) <= float(row["total_rhs"])
+    report = json.loads(outs["json"].read_text())["report"]
+    assert report["bound_route"] == route
+    assert [b["m_prime_const"] for b in report["bounds"]] == [math.inf] * 3
+    if route == "constants":
+        assert [b["total_rhs"] for b in report["bounds"]] == [math.inf] * 3
+
+
 def test_sweep_rejects_unknown_system_and_family(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     code, _, err = _run(

@@ -8,7 +8,7 @@ import ergopulse.optimizer
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -20,7 +20,6 @@ from ergopulse.evolution import (
     _schedule_series_terms,
     control_error,
     convergence_sweep,
-    defect_coefficient,
     equidistant_bound_constants,
     limit_evolution,
     pulse_product,
@@ -308,6 +307,9 @@ def test_equidistant_constants_vanish_for_commutant_generator():
     b = equidistant_bound_constants(sys)
     assert b.m_const == 0.0
     assert b.m_prime_const == 0.0
+    # e^{||X|| |t|} overflows past 709.78, but the zero bracket stays 0
+    b = equidistant_bound_constants(PulseSystem(u=SZ, generator=-800j * SZ))
+    assert (b.m_const, b.m_prime_const) == (0.0, 0.0)
 
 
 def test_equidistant_constants_grow_with_time():
@@ -324,46 +326,6 @@ def test_equidistant_constants_bound_the_error():
     b = equidistant_bound_constants(sys)
     for n in (8, 64, 256):
         assert control_error(sys, equidistant(n)) <= b.m_prime_const / n
-
-
-# ------------------------------------------------------- defect_coefficient
-
-
-def test_defect_coefficient_hand_values():
-    s = Schedule(3, [0.5, 0.3, 0.2])
-    # first step: 2^2 (binom(2,1)-1) a1 a2
-    assert defect_coefficient(s, 2, 1) == pytest.approx(0.6, abs=1e-15)
-    # later step: leading factor is the variation prefix a1+|a2-a1|+a2 = 1
-    assert defect_coefficient(s, 2, 2) == pytest.approx(0.4, abs=1e-15)
-    # third order, first step: 2(1.0)(0.36) + 2(1.0)(0.6) summed as powers
-    assert defect_coefficient(s, 3, 1) == pytest.approx(1.92, abs=1e-14)
-
-
-def test_defect_coefficient_equidistant_second_order():
-    for n in (2, 5, 10):
-        s = equidistant(n)
-        for step in range(1, n):
-            assert defect_coefficient(s, 2, step) == pytest.approx(
-                4.0 / n**2, rel=1e-13
-            )
-
-
-def test_defect_coefficient_validation():
-    s = equidistant(4)
-    with pytest.raises(ValueError):
-        defect_coefficient(s, 1, 1)
-    with pytest.raises(ValueError):
-        defect_coefficient(s, 2, 0)
-    with pytest.raises(ValueError):
-        defect_coefficient(s, 2, 4)
-
-
-def test_defect_coefficient_rejects_bool_step_and_order():
-    s = equidistant(4)
-    with pytest.raises(ValueError, match="step"):
-        defect_coefficient(s, 2, True)
-    with pytest.raises(ValueError, match="order"):
-        defect_coefficient(s, True, 1)
 
 
 # -------------------------------------------------------- schedule_bound_rhs
@@ -424,27 +386,90 @@ def test_schedule_bound_has_no_radius():
         assert control_error(sys, s) <= b.total_rhs
 
 
-def test_bounds_use_potential_norm_rounded_up():
+def test_bounds_use_norms_rounded_up():
     rng = np.random.default_rng(33)
     for seed in range(4):
         dim = int(rng.integers(2, 7))
-        sys = _coboundary_system(rng, dim, seed=700 + seed, t=rng.uniform(0.2, 1.2))
-        assert sys.potential_norm_upper > sys.potential_norm
-        assert sys.potential_norm_upper >= op_norm(sys.potential)
-    # every bound reads potential_norm_upper: inflate it and watch them move
+        u = random_unitary(dim, 0.2, seed=700 + seed)
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        sys = PulseSystem(u=u, generator=x, t=rng.uniform(0.2, 1.2))
+        for norm, m in (
+            (sys.generator_norm, sys.generator),
+            (sys.fixed_norm, sys.fixed_part),
+            (sys.potential_norm, sys.potential),
+        ):
+            assert norm > op_norm(m) > 0.0
+    zero = PulseSystem(u=SZ, generator=np.zeros((2, 2)))
+    assert zero.generator_norm == zero.fixed_norm == zero.potential_norm == 0.0
+    # every bound reads the cached norms: inflate each and watch them move
     sys = PRESETS["qubit-z-x"](1.0)
-    sys.__dict__["potential_norm_upper"] = 1.5 * sys.potential_norm
-    scale = abs(sys.t) * sys.potential_norm_upper
+    m_prime = equidistant_bound_constants(sys).m_prime_const
+    for name in ("generator_norm", "fixed_norm", "potential_norm"):
+        sys = PRESETS["qubit-z-x"](1.0)
+        sys.__dict__[name] = getattr(sys, name) + 0.5
+        assert equidistant_bound_constants(sys).m_prime_const > m_prime
+    scale = abs(sys.t) * sys.potential_norm
     s = equidistant(2)
     b = schedule_bound_rhs(sys, s)
     assert b.total_rhs == _schedule_series_terms(s.weights[None, :], scale)[2][0]
-    norm_y = sys.potential_norm_upper
+    norm_y = sys.potential_norm
     m = 4.0 * math.exp(2.0 * norm_y) * norm_y**2 + 2.0 * norm_y
     assert b.m_const == m
     res = ergopulse.optimizer.minimize_bound_rhs(
         sys, 2, ergopulse.optimizer.OptimizerConfig(restarts=1, max_iters=5)
     )
     assert res.value == b.total_rhs
+
+
+def _spread_unitary(rng, dim, degenerate):
+    """Haar-conjugated unitary with eigenphases at least 0.2 apart, the
+    first one doubled when degenerate."""
+    k = dim - int(degenerate)
+    phases = np.cumsum(0.2 + rng.dirichlet(np.ones(k)) * (2 * np.pi - 0.2 * k))
+    if degenerate:
+        phases = np.append(phases, phases[0])
+    q = random_unitary(dim, seed=int(rng.integers(2**31)))
+    return (q * np.exp(1j * phases)) @ q.conj().T
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    dim=st.integers(2, 5),
+    degenerate=st.booleans(),
+    complex_t=st.booleans(),
+    coboundary=st.booleans(),
+    kind=st.sampled_from(("equidistant", "uhrig", "dirichlet")),
+    n=st.integers(2, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bounds_dominate_measured_error_property(
+    dim, degenerate, complex_t, coboundary, kind, n, seed
+):
+    assume(dim > 2 or not degenerate)  # a doubled phase at d = 2 makes u scalar
+    rng = np.random.default_rng(seed)
+    u = _spread_unitary(rng, dim, degenerate)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x = x - commutant_project(spectrum(u), x)
+    if not coboundary:
+        x = x + commutant_project(spectrum(u), rng.standard_normal((dim, dim)) * 1j)
+    t = rng.uniform(0.1, 1.5)
+    if complex_t:
+        t *= np.exp(1j * rng.uniform(-1.0, 1.0))
+    sys = PulseSystem(u=u, generator=x / op_norm(x), t=t)
+    if kind == "equidistant":
+        row = equidistant(n)
+    elif kind == "uhrig":
+        row = uhrig_family()(n)
+    else:
+        row = Schedule(n, rng.dirichlet(np.ones(n)))
+    err = control_error(sys, row)
+    constants = equidistant_bound_constants(sys)
+    if sys.is_coboundary:
+        assert err <= schedule_bound_rhs(sys, row).total_rhs
+        if kind == "equidistant":
+            assert n * err <= constants.m_const
+    elif kind == "equidistant":
+        assert n * err <= constants.m_prime_const
 
 
 @settings(deadline=None, max_examples=150)
