@@ -1,17 +1,7 @@
 """Hot numerical kernels in plain numpy.
 
-conj_weighted_sum evaluates a weighted conjugation orbit as a blocked
-sqrt(N) sum: with B = ceil(sqrt(N)) and U = u^B, every term index is
-k = qB + r with 1 <= r <= B, so
-
-    sum_k w_k u^k x u^-k = sum_q U^q (sum_r w_{qB+r} u^r x u^-r) U^-q.
-
-The B small conjugates u^r x u^-r are one stacked matmul, the inner
-sums of all full blocks are one (Q-1 x B) @ (B x d^2) product over the
-weights (the last block takes only the weights it has), and only the
-Q = ceil(N / B) outer terms are a Python loop.  Running powers are
-polar-corrected, on the schedule stated at RENORM_EVERY, so that none
-drifts off the unitary group over long orbits.
+conj_weighted_sum sums a weighted conjugation orbit in the eigenbasis of
+u, as a blocked sqrt(N) split on d^2 scalars: no matrix power drifts.
 
 chain_product forms u F_k for the distinct factors in one stacked matmul,
 then walks the index row in blocks of CHAIN_BLOCK: each block's
@@ -30,14 +20,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
-
-# Re-unitarize a running power of u after at most this many
-# multiplications by u; drift over 1e5 multiplications is otherwise
-# visible in the last few digits.  conj_weighted_sum corrects the small
-# powers u^r every RENORM_EVERY steps and the block powers U^q = u^(qB)
-# every max(1, RENORM_EVERY // B) blocks.
-RENORM_EVERY = 1024
 
 # Pulses per block of the pairwise chain product: memory is
 # O(CHAIN_BLOCK d^2) besides the distinct factors, and the Python loop
@@ -46,56 +30,49 @@ RENORM_EVERY = 1024
 CHAIN_BLOCK = 256
 
 
-def _polar(p):
-    """Nearest unitary to p: the polar factor left @ right of its SVD."""
-    left, _sig, right = np.linalg.svd(p)
-    return np.dot(left, right)
-
-
 def conj_weighted_sum(u, x, w):
     """sum of w[k-1] * u^k x (u^k)* over k = 1..len(w), for real weights w.
 
-    Blocked sqrt(N) evaluation (see the module docstring).  Besides w
-    itself it holds O(sqrt(N) d^2) memory, never an (N, d, d) stack.
+    With u = V diag(lam) V* from the complex Schur form, the sum is
+    V (V* x V o G) V*, o the entrywise product, G_ij = sum_k w_k z_ij^k
+    and z_ij = lam_i conj(lam_j).  With B = ceil(sqrt(N)) and k = qB + r
+    (1 <= r <= B), G = sum_q z^(qB) sum_r w_{qB+r} z^r: the inner sums of
+    all full blocks are one (Q-1 x B) @ (B x d^2) product over the
+    weights, and the Q = ceil(N / B) outer terms one entrywise product.
+    Besides w it holds O(sqrt(N) d^2) memory.
+
+    The strictly upper part of the Schur form is dropped and every lam
+    scaled to modulus one, so the result is the exact mean of the
+    unitary V diag(lam/|lam|) V*, which is u to within u's own distance
+    from the unitary group.
     """
     d = u.shape[0]
     n = w.shape[0]
     b = math.isqrt(n - 1) + 1
     q_count = -(-n // b)
 
-    powers = np.empty((b, d, d), dtype=np.complex128)
-    powers[0] = u
-    for r in range(1, b):
-        np.dot(u, powers[r - 1], out=powers[r])
-        if (r + 1) % RENORM_EVERY == 0:
-            powers[r] = _polar(powers[r])
-    adjoints = np.conj(powers).transpose(0, 2, 1)
-    conjugates = np.matmul(np.matmul(powers, x), adjoints)
+    tri, vecs = scipy.linalg.schur(u, output="complex")
+    lam = np.diag(tri) / np.abs(np.diag(tri))
+    z = np.outer(lam, lam.conj()).reshape(d * d)
+    # running products, not exp(i k phase): powers of exact roots of
+    # unity such as 1j stay exact, so periodic orbits cancel exactly
+    powers = np.cumprod(np.broadcast_to(z, (b, d * d)), axis=0)
 
-    # complex128 viewed as interleaved float64 pairs, so the real weights
-    # multiply real and imaginary parts in one real product.  The last,
-    # partial block reads its weights in place, so w is never copied into
-    # a padded array.  einsum rather than matmul: a BLAS gemm of this
-    # shape touches about 1 MB of the BLAS packing buffer, which then
-    # stays resident for the life of the process.
-    flat = conjugates.reshape(b, d * d).view(np.float64)
+    # complex128 viewed as float64 pairs, so the real weights multiply real
+    # and imaginary parts in one real product; the partial last block reads
+    # its weights in place.  einsum, not matmul: a BLAS gemm of this shape
+    # keeps about 1 MB of packing buffer resident for the process's life.
+    flat = powers.view(np.float64)
     full = (q_count - 1) * b
     inner = np.empty((q_count, 2 * d * d))
     np.einsum("qr,rk->qk", w[:full].reshape(q_count - 1, b), flat, out=inner[:-1])
     np.einsum("r,rk->k", w[full:], flat[: n - full], out=inner[-1])
-    inner = inner.view(np.complex128).reshape(q_count, d, d)
+    inner = inner.view(np.complex128)
 
-    block = powers[b - 1]
-    every = max(1, RENORM_EVERY // b)
-    acc = inner[0].copy()
-    p = block
-    for q in range(1, q_count):
-        acc += np.dot(np.dot(p, inner[q]), np.conj(p).T)
-        if q + 1 < q_count:
-            p = np.dot(p, block)
-            if (q + 1) % every == 0:
-                p = _polar(p)
-    return acc
+    steps = np.broadcast_to(powers[-1], (q_count - 1, d * d))
+    mix = inner[0] + (inner[1:] * np.cumprod(steps, axis=0)).sum(axis=0)
+    adj = vecs.conj().T
+    return vecs @ ((adj @ x @ vecs) * mix.reshape(d, d)) @ adj
 
 
 def chain_product(u, factors, idx):

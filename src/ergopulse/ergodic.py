@@ -129,14 +129,20 @@ def commutant_project(spec: UnitarySpectrum, x) -> np.ndarray:
     return out
 
 
-def cesaro_mean(u, x, n: int) -> np.ndarray:
-    """Average of u^k x (u^k)* for k = 1..n."""
+def _mean_operands(u, x) -> tuple[np.ndarray, np.ndarray]:
+    """u and x as operators of one dimension, u unitary."""
     uu = matrixcore.as_operator(u, "u")
     xx = matrixcore.as_operator(x, "x")
     if uu.shape != xx.shape:
         raise ValueError("u and x must share a dimension")
     if not matrixcore.is_unitary(uu):
         raise ValueError("u is not unitary")
+    return uu, xx
+
+
+def cesaro_mean(u, x, n: int) -> np.ndarray:
+    """Average of u^k x (u^k)* for k = 1..n."""
+    uu, xx = _mean_operands(u, x)
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
     return conj_weighted_sum(uu, xx, np.full(int(n), 1.0 / n))
@@ -144,12 +150,7 @@ def cesaro_mean(u, x, n: int) -> np.ndarray:
 
 def weighted_cesaro_mean(u, x, s: Schedule) -> np.ndarray:
     """Schedule-weighted average: sum of s.weights[k-1] * u^k x (u^k)*."""
-    uu = matrixcore.as_operator(u, "u")
-    xx = matrixcore.as_operator(x, "x")
-    if uu.shape != xx.shape:
-        raise ValueError("u and x must share a dimension")
-    if not matrixcore.is_unitary(uu):
-        raise ValueError("u is not unitary")
+    uu, xx = _mean_operands(u, x)
     if not isinstance(s, Schedule):
         raise ValueError("s must be a Schedule")
     return conj_weighted_sum(uu, xx, s.weights)

@@ -100,7 +100,7 @@ class PulseSystem:
         """op_norm(m) rounded up by the SVD's relative error, taken as d
         machine epsilons (the SVD noise level numpy.linalg.matrix_rank
         assumes), so that no bound reads a norm below the exact one."""
-        return matrixcore.op_norm(m) * (1.0 + self.dim * np.finfo(np.float64).eps)
+        return float(matrixcore.op_norm(m)) * (1.0 + self.dim * math.ulp(1.0))
 
     @cached_property
     def generator_norm(self) -> float:
@@ -202,10 +202,10 @@ def control_error(sys: PulseSystem, s: Schedule) -> float:
     return matrixcore.op_norm(pulse_product(sys, s) - limit_evolution(sys, s.n))
 
 
-def _exp(x: float) -> float:
-    """math.exp, but +inf where it would raise OverflowError (from 709.78)."""
+def _or_inf(f, *args) -> float:
+    """f(*args), or +inf where that raises OverflowError (exp past 709.78)."""
     try:
-        return math.exp(x)
+        return f(*args)
     except OverflowError:
         return math.inf
 
@@ -213,12 +213,14 @@ def _exp(x: float) -> float:
 def _rate_constants(sys: PulseSystem) -> tuple[float, float]:
     norm_x, norm_x0, norm_y = sys.generator_norm, sys.fixed_norm, sys.potential_norm
     abs_t = abs(sys.t)
-    m = 4.0 * abs_t**2 * _exp(2.0 * abs_t * norm_y) * norm_y**2
-    m += 2.0 * norm_y * abs_t
-    bracket = m + 2.0 * abs_t**2 * norm_y * (2.0 * norm_y + 3.0 * norm_x0)
-    # a zero bracket (Y = 0) stays 0 when e^{||X|| |t|} overflows
-    m_prime = _exp(norm_x * abs_t) * bracket if bracket > 0.0 else 0.0
-    return m, m_prime
+    # both constants carry a factor |t| ||Y||: 0 here, not 0 * inf = NaN
+    if abs_t == 0.0 or norm_y == 0.0:
+        return 0.0, 0.0
+    t_sq = _or_inf(pow, abs_t, 2)
+    m = 4.0 * t_sq * _or_inf(math.exp, 2.0 * abs_t * norm_y)
+    m = m * _or_inf(pow, norm_y, 2) + 2.0 * norm_y * abs_t
+    bracket = m + 2.0 * t_sq * norm_y * (2.0 * norm_y + 3.0 * norm_x0)
+    return m, _or_inf(math.exp, norm_x * abs_t) * bracket
 
 
 def equidistant_bound_constants(sys: PulseSystem) -> BoundBreakdown:

@@ -5,16 +5,19 @@ code in ergopulse replaced; tests compare the batched code against them
 row by row, so these bodies must not be vectorized.  The bound and limit
 oracles at the end derive the spectrum, commutant part and potential of
 a system afresh on every call, as the code did before PulseSystem
-cached them.  chain_product is the per-pulse loop that the blocked
-pairwise tree in ergopulse._kernels replaced.  expm_pade13 and
-pulse_product_taylor are independent references for matrixcore.expm and
-pulse_product: the former is the hand-written Pade-13 kernel that
-matrixcore.expm used before it became scipy.linalg.expm, the latter
-builds every factor from its Taylor sum.  tv_value adds one difference
-at a time, so it rounds unlike the pairwise sum of
-ergopulse._kernels.tv_value and is compared within a tolerance.
-defect_series_truncated is the defect series as matrixcore summed it
-before the closed form: orders up to i_max plus a tail majorant.
+cached them.  conj_weighted_sum is no earlier version: it is the
+literal per-term sum in extended precision, an independent reference
+for the eigenbasis kernel.  chain_product is the per-pulse loop that
+the blocked pairwise tree in ergopulse._kernels replaced.  expm_pade13
+and pulse_product_taylor are independent references for
+matrixcore.expm and pulse_product: the former is the hand-written
+Pade-13 kernel that matrixcore.expm used before it became
+scipy.linalg.expm, the latter builds every factor from its Taylor sum.
+tv_value adds one difference at a time, so it rounds unlike the
+pairwise sum of ergopulse._kernels.tv_value and is compared within a
+tolerance.  defect_series_truncated is the defect series as matrixcore
+summed it before the closed form: orders up to i_max plus a tail
+majorant.
 """
 
 import itertools
@@ -23,7 +26,6 @@ import math
 import numpy as np
 
 from ergopulse import matrixcore
-from ergopulse._kernels import RENORM_EVERY
 from ergopulse.ergodic import (
     COBOUNDARY_TOL,
     commutant_project,
@@ -33,6 +35,10 @@ from ergopulse.ergodic import (
 )
 from ergopulse.errors import NotACoboundaryError
 from ergopulse.optimizer import STEP_SCALE
+
+# x86-64 long doubles carry a 64-bit mantissa (eps 1.08e-19); where
+# np.longdouble is float64, conj_weighted_sum below is no reference
+LONGDOUBLE_IS_WIDE = np.finfo(np.longdouble).eps <= 1e-18
 
 
 def simplex_project(v):
@@ -169,26 +175,25 @@ def simplex_lattice(n, steps):
 
 
 def conj_weighted_sum(u, x, w):
-    """sum of w[k-1] * u^k x (u^k)* over k = 1..len(w), one term at a time.
+    """sum of w[k-1] * p^k x (p^k)* over k = 1..len(w), one term at a time
+    in np.clongdouble, where p is the unitary polar factor of u from four
+    Newton-Schulz steps p <- p (3I - p* p) / 2.
 
-    The running power and its adjoint are tracked incrementally instead of
-    recomputing u^k, and the power is re-unitarized (polar correction via
-    SVD) every RENORM_EVERY steps.
+    A reference only where the long double is wider than float64
+    (LONGDOUBLE_IS_WIDE); otherwise it rounds like the code it checks.
     """
     d = u.shape[0]
-    uh = np.ascontiguousarray(np.conj(u).T)
-    p = np.eye(d, dtype=np.complex128)
-    q = np.eye(d, dtype=np.complex128)
-    acc = np.zeros((d, d), dtype=np.complex128)
+    eye = np.eye(d, dtype=np.clongdouble)
+    p = u.astype(np.clongdouble)
+    for _ in range(4):
+        p = p @ (3 * eye - p.conj().T @ p) / 2
+    xx = x.astype(np.clongdouble)
+    power = eye
+    acc = np.zeros((d, d), dtype=np.clongdouble)
     for k in range(w.shape[0]):
-        p = np.dot(u, p)
-        q = np.dot(q, uh)
-        if (k + 1) % RENORM_EVERY == 0:
-            left, _sig, right = np.linalg.svd(p)
-            p = np.ascontiguousarray(np.dot(left, right))
-            q = np.ascontiguousarray(np.conj(p).T)
-        acc += w[k] * np.dot(np.dot(p, x), q)
-    return acc
+        power = p @ power
+        acc += w[k] * (power @ xx @ power.conj().T)
+    return acc.astype(np.complex128)
 
 
 def chain_product(u, factors, idx):

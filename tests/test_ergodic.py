@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ergopulse._kernels import RENORM_EVERY
 from ergopulse.ergodic import (
+    DEFAULT_CLUSTER_TOL,
     cesaro_mean,
     commutant_project,
     solve_coboundary,
@@ -68,6 +70,44 @@ def test_spectrum_merges_across_phase_wraparound():
     spec = spectrum(u, cluster_tol=1e-8)
     assert len(spec.clusters) == 1
     assert_allclose(spec.clusters[0][1], np.eye(2), atol=1e-12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    phi=st.floats(0.0, 2 * np.pi),
+    straddle=st.booleans(),
+    merged=st.booleans(),
+    offset=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectrum_splits_close_phases_at_cluster_tol(
+    phi, straddle, merged, offset, seed
+):
+    # phases phi, phi + g, phi + 2 in a random basis, with g within
+    # [tol / 2, 2 tol] but at least 1e-6 tol from tol itself
+    tol = DEFAULT_CLUSTER_TOL
+    if merged:
+        g = tol * (1 - 1e-6) * (0.5 + 0.5 * offset)
+    else:
+        g = tol * (1 + 1e-6) * (1 + offset)
+    if straddle:
+        # phi and phi + g on either side of 0 = 2 pi
+        phi = -offset * g
+    rng = np.random.default_rng(seed)
+    ginibre = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    basis, _ = np.linalg.qr(ginibre)
+    far_phase = (phi + 2.0) % (2 * np.pi)
+    u = (basis * np.exp(1j * np.array([phi, phi + g, far_phase]))) @ basis.conj().T
+    spec = spectrum(u)
+    assert len(spec.clusters) == (2 if merged else 3)
+    # the close pair's eigenspace is well separated, whether merged or split
+    far = min(
+        spec.clusters,
+        key=lambda c: abs(np.angle(np.exp(1j * (c[0] - far_phase)))),
+    )
+    near = sum(proj for _phase, proj in spec.clusters if proj is not far[1])
+    assert op_norm(far[1] - np.outer(basis[:, 2], basis[:, 2].conj())) <= 1e-12
+    assert op_norm(near - basis[:, :2] @ basis[:, :2].conj().T) <= 1e-12
 
 
 def test_spectrum_rejects_ambiguous_chain():
@@ -198,22 +238,18 @@ def test_cesaro_mean_matches_matrix_power_oracle():
     assert op_norm(cesaro_mean(u, x, n) - want) <= 1e-12
 
 
-def test_cesaro_mean_long_run_stays_accurate(polar_calls):
-    # crosses the kernel's periodic re-unitarization twice
+def test_cesaro_mean_long_run_stays_accurate():
     rng = np.random.default_rng(56)
     u = random_unitary(3, 0.3, seed=4)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     n = 2500
     want = sum(_conj_power_oracle(u, x, k) for k in range(1, n + 1)) / n
     assert op_norm(cesaro_mean(u, x, n) - want) <= 1e-10
-    assert len(polar_calls) == 2
 
 
-def test_long_means_do_not_drift_from_eigenbasis_closed_form(polar_calls):
-    # N > RENORM_EVERY^2, so both the small powers u^r and the block
-    # powers u^(qB) pass through the polar correction
+def test_long_means_do_not_drift_from_eigenbasis_closed_form():
+    # B = 1025 and Q = 1024: both running powers z^r and z^(qB) are long
     n = 2**20 + 3
-    assert n > RENORM_EVERY**2
     rng = np.random.default_rng(58)
     u = random_unitary(3, 0.3, seed=11)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -239,8 +275,18 @@ def test_long_means_do_not_drift_from_eigenbasis_closed_form(polar_calls):
     ):
         want = basis @ (mix * y) @ basis.conj().T
         assert op_norm(got - want) <= 1e-10 * op_norm(x)
-    # B = 1025 and Q = 1024 blocks: u^1024 once, then U^2..U^1023
-    assert len(polar_calls) == 2 * (1 + 1022)
+
+
+@pytest.mark.parametrize("scale", [1 + 4e-11, 1 - 4e-11])
+def test_cesaro_mean_of_near_unitary_is_the_unitary_mean(scale):
+    # u0 * scale passes the 1e-10 unitarity check; its mean is taken for
+    # the unitary with the same eigenvectors and phases, so powers of
+    # scale never enter
+    u0 = random_unitary(3, 0.3, seed=7)
+    rng = np.random.default_rng(59)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    got = cesaro_mean(u0 * scale, x, 1000)
+    assert op_norm(got - cesaro_mean(u0, x, 1000)) <= 1e-12 * op_norm(x)
 
 
 def test_cesaro_mean_converges_to_commutant_projection():

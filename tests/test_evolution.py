@@ -307,9 +307,19 @@ def test_equidistant_constants_vanish_for_commutant_generator():
     b = equidistant_bound_constants(sys)
     assert b.m_const == 0.0
     assert b.m_prime_const == 0.0
-    # e^{||X|| |t|} overflows past 709.78, but the zero bracket stays 0
+    # e^{||X|| |t|} overflows past 709.78, but ||Y|| = 0 keeps both at 0
     b = equidistant_bound_constants(PulseSystem(u=SZ, generator=-800j * SZ))
     assert (b.m_const, b.m_prime_const) == (0.0, 0.0)
+    # |t|^2 overflows past 1.34e154; ||Y|| = 0 still gives 0, not inf * 0
+    b = equidistant_bound_constants(PulseSystem(u=SZ, generator=-1j * SZ, t=1e155))
+    assert (b.m_const, b.m_prime_const) == (0.0, 0.0)
+
+
+def test_equidistant_constants_overflow_to_inf():
+    # |t|^2 overflows past |t| = 1.34e154, ||Y||^2 past ||Y|| = 1.34e154
+    for generator, t in ((-1j * SX, 1e155), (-1e155j * SX, 1.0)):
+        b = equidistant_bound_constants(PulseSystem(u=SZ, generator=generator, t=t))
+        assert (b.m_const, b.m_prime_const) == (math.inf, math.inf)
 
 
 def test_equidistant_constants_grow_with_time():
