@@ -26,7 +26,7 @@ from .evolution import (
     report_to_json_dict,
     write_report_csv,
 )
-from .matrixcore import matrix_from_json_dict
+from .matrixcore import json_object, matrix_from_json_dict
 from .optimizer import OptimizerConfig, minimize_bound_rhs, minimize_tv
 from .schedules import (
     ScheduleFamily,
@@ -101,8 +101,7 @@ def _load_system(spec: str, t: complex) -> PulseSystem:
         )
     with open(spec, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict) or "u" not in obj:
-        raise ValueError(f'--system file {spec!r} must be an object with "u"')
+    json_object(obj, f"--system file {spec!r}", ("u",), ("generator", "hamiltonian"))
     has_g = "generator" in obj
     has_h = "hamiltonian" in obj
     if has_g == has_h:
@@ -129,10 +128,7 @@ def _load_family(spec: str) -> ScheduleFamily:
             ) from None
     with open(spec, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict) or "xs" not in obj or "ys" not in obj:
-        raise ValueError(
-            f'--family file {spec!r} must be an object with "xs" and "ys"'
-        )
+    json_object(obj, f"--family file {spec!r}", ("xs", "ys"), ("name",))
     name = obj.get("name", os.path.splitext(os.path.basename(spec))[0])
     return table_density_family(obj["xs"], obj["ys"], name=str(name))
 

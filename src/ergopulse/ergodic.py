@@ -65,44 +65,29 @@ def spectrum(u, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> UnitarySpectrum:
     d = arr.shape[0]
     order = np.argsort(phases, kind="stable")
     sorted_phases = phases[order]
-    gaps = np.diff(sorted_phases)
     wrap_gap = 2 * np.pi - sorted_phases[-1] + sorted_phases[0]
-    circular_gaps = np.append(gaps, wrap_gap)
-
-    if d == 1:
-        chains = [[0]]
-    elif (circular_gaps <= cluster_tol).all():
+    wide = np.append(np.diff(sorted_phases), wrap_gap) > cluster_tol
+    if d > 1 and not wide.any():
         raise ClusteringAmbiguityError(sorted_phases, cluster_tol)
-    else:
-        start = int(np.argmax(circular_gaps > cluster_tol)) + 1
-        chains = [[start % d]]
-        for step in range(1, d):
-            pos = (start + step) % d
-            prev = (start + step - 1) % d
-            if circular_gaps[prev] <= cluster_tol:
-                chains[-1].append(pos)
-            else:
-                chains.append([pos])
-
-    labels = np.empty(d, dtype=np.int64)
+    # walk the circle from just past the first wide gap; each wide gap
+    # on the way starts the next chain
+    walk = (np.arange(d) + int(np.argmax(wide)) + 1) % d
+    chain_ids = np.concatenate(([0], np.cumsum(wide[walk[:-1]])))
     reps = []
     projectors = []
-    for chain in chains:
+    for c in range(chain_ids[-1] + 1):
+        chain = walk[chain_ids == c]
         base = sorted_phases[chain[0]]
-        offsets = np.array(
-            [(sorted_phases[i] - base) % (2 * np.pi) for i in chain]
-        )
+        offsets = (sorted_phases[chain] - base) % (2 * np.pi)
         if offsets.max() > cluster_tol:
             raise ClusteringAmbiguityError(sorted_phases[chain], cluster_tol)
         reps.append((base + offsets.mean()) % (2 * np.pi))
-        cols = order[chain]
-        block = vecs[:, cols]
+        block = vecs[:, order[chain]]
         projectors.append(block @ block.conj().T)
-        labels[cols] = len(reps) - 1
 
     rank = np.argsort(np.asarray(reps), kind="stable")
-    relabel = np.empty(len(reps), dtype=np.int64)
-    relabel[rank] = np.arange(len(reps))
+    labels = np.empty(d, dtype=np.int64)
+    labels[order[walk]] = np.argsort(rank)[chain_ids]
     clusters = tuple(
         (float(reps[i]), np.ascontiguousarray(projectors[i])) for i in rank
     )
@@ -111,7 +96,7 @@ def spectrum(u, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> UnitarySpectrum:
         cluster_tol=float(cluster_tol),
         basis=np.ascontiguousarray(vecs),
         col_phases=phases,
-        col_labels=relabel[labels],
+        col_labels=labels,
     )
 
 

@@ -211,16 +211,18 @@ def _or_inf(f, *args) -> float:
 
 
 def _rate_constants(sys: PulseSystem) -> tuple[float, float]:
-    norm_x, norm_x0, norm_y = sys.generator_norm, sys.fixed_norm, sys.potential_norm
+    """m = 4 s^2 e^{2s} + 2s and m' = e^x (m + 2s (2s + 3r)) in the products
+    s = |t| ||Y||, r = |t| ||P(X)|| and x = |t| ||X||, which neither
+    underflow nor overflow where |t| and a norm apart would."""
     abs_t = abs(sys.t)
-    # both constants carry a factor |t| ||Y||: 0 here, not 0 * inf = NaN
-    if abs_t == 0.0 or norm_y == 0.0:
+    s = abs_t * sys.potential_norm
+    if s == 0.0:  # both constants carry a factor s: 0, not 0 * inf = NaN
         return 0.0, 0.0
-    t_sq = _or_inf(pow, abs_t, 2)
-    m = 4.0 * t_sq * _or_inf(math.exp, 2.0 * abs_t * norm_y)
-    m = m * _or_inf(pow, norm_y, 2) + 2.0 * norm_y * abs_t
-    bracket = m + 2.0 * t_sq * norm_y * (2.0 * norm_y + 3.0 * norm_x0)
-    return m, _or_inf(math.exp, norm_x * abs_t) * bracket
+    r = abs_t * sys.fixed_norm
+    x = abs_t * sys.generator_norm
+    # s * s overflows to inf without raising; math.exp raises
+    m = 4.0 * (s * s) * _or_inf(math.exp, 2.0 * s) + 2.0 * s
+    return m, _or_inf(math.exp, x) * (m + 2.0 * s * (2.0 * s + 3.0 * r))
 
 
 def equidistant_bound_constants(sys: PulseSystem) -> BoundBreakdown:

@@ -189,15 +189,22 @@ def _require_real(value, where: str) -> float:
     return out
 
 
+def json_object(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
+    """obj, checked to be a JSON object with every required key and no key
+    outside required and optional; what names it in the messages."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object")
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {sorted(unknown)}")
+    if not all(key in obj for key in required):
+        raise ValueError(f"{what} needs " + " and ".join(f'"{k}"' for k in required))
+    return obj
+
+
 def matrix_from_json_dict(obj) -> np.ndarray:
     """Parse and validate the matrix JSON representation."""
-    if not isinstance(obj, dict):
-        raise ValueError("matrix JSON must be an object")
-    unknown = set(obj) - {"dim", "entries"}
-    if unknown:
-        raise ValueError(f"matrix JSON has unknown keys {sorted(unknown)}")
-    if "dim" not in obj or "entries" not in obj:
-        raise ValueError('matrix JSON needs "dim" and "entries"')
+    json_object(obj, "matrix JSON", ("dim", "entries"))
     dim = obj["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError('"dim" must be an integer')

@@ -1,13 +1,14 @@
 """Schedule optimization over the probability simplex.
 
 minimize_tv returns the minimizer of the total-variation functional in
-closed form: the equal-weights row, with value 2/n.  minimize_bound_rhs
-minimizes the per-schedule error bound of a concrete pulse system by
-projected descent with diminishing steps from a deterministic barycenter
-start plus seeded random restarts, all run in lockstep on one (R, n)
-array.  Both certify the result against an exhaustive simplex-lattice
-search when the lattice is small enough.  Objectives score an (m, n)
-stack of rows in one call.
+closed form: the equal-weights row, with value 2/n, whose proof stands
+in for a lattice search.  minimize_bound_rhs minimizes the per-schedule
+error bound of a concrete pulse system by projected descent with
+diminishing steps from a deterministic barycenter start plus seeded
+random restarts, all run in lockstep on one (R, n) array, and certifies
+its result against an exhaustive simplex-lattice search when the
+lattice is small enough.  Objectives score an (m, n) stack of rows in
+one call.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ class OptimizerConfig:
     restarts, max_iters and seed drive the descent of minimize_bound_rhs:
     the barycenter start plus restarts random rows drawn from seed, each
     stopped after max_iters iterations or once a step moves less than
-    STEP_TOL.  minimize_tv is a closed form and reads only
-    grid_resolution, the lattice spacing that both minimizers certify
-    against.
+    STEP_TOL.  grid_resolution is the spacing of the certifying lattice.
+    minimize_tv is a closed form and reads only grid_resolution: its
+    result is certified wherever that lattice fits within LATTICE_LIMIT.
     """
 
     restarts: int = 12
@@ -54,7 +55,7 @@ class OptimizerConfig:
             raise ValueError("restarts and seed must be >= 0 and max_iters >= 1")
         if not (0 < self.grid_resolution <= 0.5):
             raise ValueError("grid_resolution must be in (0, 0.5]")
-        _lattice_steps(self.grid_resolution)
+        _lattice_size(2, self.grid_resolution)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +102,12 @@ def _canonical_orientation(w, value, objective, tie_tol):
     return w, value
 
 
-def _lattice_steps(resolution: float) -> int:
-    """1/resolution as an integer, refusing spacings that do not divide 1."""
+def _lattice_size(n: int, resolution: float) -> tuple[int, int]:
+    """(steps, points) of the n-weight simplex lattice with the given
+    spacing: steps = 1/resolution, refusing spacings that do not divide 1,
+    and points = binom(steps + n - 1, n - 1)."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError("n must be an integer >= 2")
     resolution = float(resolution)
     if not math.isfinite(resolution) or resolution <= 0.0:
         raise ValueError(
@@ -115,7 +120,7 @@ def _lattice_steps(resolution: float) -> int:
             "resolution must divide 1 (got %r); try 0.05, 0.02 or 0.01"
             % (resolution,)
         )
-    return steps
+    return steps, math.comb(steps + n - 1, n - 1)
 
 
 def _lattice_chunks(n: int, resolution: float):
@@ -128,10 +133,7 @@ def _lattice_chunks(n: int, resolution: float):
     separate columns, holds memory near one float copy of the largest
     chunk.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    steps = _lattice_steps(resolution)
-    size = math.comb(steps + n - 1, n - 1)
+    steps, size = _lattice_size(n, resolution)
     if size > LATTICE_LIMIT:
         raise TooLargeInstanceError(size, LATTICE_LIMIT)
     for lead in range(steps + 1):
@@ -206,19 +208,23 @@ def minimize_tv(n: int, config: OptimizerConfig | None = None) -> OptimizationRe
     The minimizer is the equal row, in closed form.  With a_0 = a_{n+1} = 0,
     TV(a) = sum_{i=0..n} |a_{i+1} - a_i| is the length of a path from 0 up
     to max a_i and back, so TV(a) >= 2 max a_i >= 2/n, and equality needs
-    every a_i = 1/n.  Only config.grid_resolution is read, for the lattice
-    certification.
+    every a_i = 1/n.
+
+    So no lattice scan runs: certified_by_grid is whether the lattice at
+    config.grid_resolution fits within LATTICE_LIMIT, the verdict of
+    _certify(n, resolution, tv_value, value).  Every lattice row has
+    TV >= 2/n, tv_value rounds by O(n eps), and a lattice that fits has
+    resolution >= 1/499,999 (at n = 2), so _certify's slack
+    4 resolution max(1, value) >= 8e-6 always covers the rounding.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("n must be an integer >= 2")
     cfg = config or OptimizerConfig()
+    _steps, size = _lattice_size(n, cfg.grid_resolution)
     row = equidistant(int(n))
-    value = float(tv_value(row.weights))
     return OptimizationResult(
         minimizer=row,
-        value=value,
+        value=float(tv_value(row.weights)),
         iterations_used=0,
-        certified_by_grid=_certify(row.n, cfg.grid_resolution, tv_value, value),
+        certified_by_grid=size <= LATTICE_LIMIT,
     )
 
 

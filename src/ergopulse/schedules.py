@@ -21,6 +21,7 @@ import numpy as np
 
 from ._kernels import tv_value
 from .errors import InvalidDensityError
+from .matrixcore import json_object
 
 WEIGHT_SUM_TOL = 1e-12
 DENSITY_NORMALIZATION_TOL = 1e-6
@@ -299,13 +300,7 @@ def schedule_to_json_dict(s: Schedule) -> dict:
 
 
 def schedule_from_json_dict(obj) -> Schedule:
-    if not isinstance(obj, dict):
-        raise ValueError("schedule JSON must be an object")
-    unknown = set(obj) - {"n", "weights"}
-    if unknown:
-        raise ValueError(f"schedule JSON has unknown keys {sorted(unknown)}")
-    if "n" not in obj or "weights" not in obj:
-        raise ValueError('schedule JSON needs "n" and "weights"')
+    json_object(obj, "schedule JSON", ("n", "weights"))
     n = obj["n"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError('"n" must be an integer')

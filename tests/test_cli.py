@@ -336,6 +336,42 @@ def test_sweep_rejects_malformed_system_file(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+def test_sweep_rejects_unknown_system_file_keys(tmp_path, capsys):
+    # a "t" key would otherwise be ignored and the sweep run at --t
+    u, h = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    system = _write_system(
+        tmp_path / "system.json", u, hamiltonian=h, extra={"t": 0.5, "note": ""}
+    )
+    out = tmp_path / "x.csv"
+    code, _, err = _run(
+        capsys, "sweep", "--system", system, "--n", "4", "--out", str(out)
+    )
+    assert code == 2
+    assert "has unknown keys ['note', 't']" in err
+    assert not out.exists()
+
+
+def test_schedule_rejects_unknown_density_file_keys(tmp_path, capsys):
+    dens = tmp_path / "ramp.json"
+    dens.write_text(json.dumps({"xs": [0.0, 1.0], "ys": [0.5, 1.5], "n": 3}))
+    out = tmp_path / "row.json"
+    code, _, err = _run(
+        capsys,
+        "schedule",
+        "--kind",
+        "density-file",
+        "--density",
+        str(dens),
+        "--n",
+        "3",
+        "--out",
+        str(out),
+    )
+    assert code == 2
+    assert "has unknown keys ['n']" in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- optimize
 
 

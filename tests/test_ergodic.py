@@ -111,11 +111,41 @@ def test_spectrum_splits_close_phases_at_cluster_tol(
 
 
 def test_spectrum_rejects_ambiguous_chain():
-    # pairwise gaps sit below tol but the chain spans more than tol
-    u = np.diag(np.exp(1j * np.array([0.0, 0.6e-8, 1.2e-8])))
-    with pytest.raises(ClusteringAmbiguityError) as info:
-        spectrum(u, cluster_tol=1e-8)
-    assert info.value.cluster_tol == 1e-8
+    # pairwise gaps sit below tol but the chain spans more than tol, also
+    # when it runs across 0 = 2 pi
+    for start in (0.0, -0.6e-8):
+        u = np.diag(np.exp(1j * (start + np.array([0.0, 0.6e-8, 1.2e-8]))))
+        with pytest.raises(ClusteringAmbiguityError) as info:
+            spectrum(u, cluster_tol=1e-8)
+        assert info.value.cluster_tol == 1e-8
+        assert len(info.value.phases) == 3
+
+
+def test_spectrum_of_one_dimension_with_huge_tol():
+    # the single phase's own wrap gap, 2 pi, sits below tol = 10
+    spec = spectrum(np.array([[np.exp(0.7j)]]), cluster_tol=10.0)
+    assert len(spec.clusters) == 1
+    assert spec.clusters[0][0] == pytest.approx(0.7, abs=1e-15)
+    assert np.array_equal(spec.clusters[0][1], np.ones((1, 1)))
+    assert spec.col_labels.tolist() == [0]
+
+
+def test_spectrum_labels_follow_ranked_phases_across_wraparound():
+    # the first wide gap follows the smallest phase, not the wrap gap, and
+    # the cluster {-0.4e-8, 0.2e-8} straddles 0 = 2 pi, so its phase,
+    # 2 pi - 1e-9, ranks last
+    u = np.diag(np.exp(1j * np.array([0.2e-8, 3.0, -0.4e-8, 1.0])))
+    spec = spectrum(u, cluster_tol=1e-8)
+    reps = [phase for phase, _ in spec.clusters]
+    assert reps == sorted(reps)
+    assert_allclose(reps, [1.0, 3.0, 2 * np.pi - 1e-9], rtol=0, atol=1e-15)
+    ranks = {1.0: 0, 3.0: 1}
+    for j, phase in enumerate(spec.col_phases):
+        near = [r for r in ranks if abs(phase - r) < 0.1]
+        assert spec.col_labels[j] == (ranks[near[0]] if near else 2)
+    for label, (_phase, proj) in enumerate(spec.clusters):
+        cols = spec.basis[:, spec.col_labels == label]
+        assert_allclose(proj, cols @ cols.conj().T, atol=1e-15)
 
 
 def test_spectrum_rejects_everything_close():

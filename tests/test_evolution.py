@@ -322,6 +322,19 @@ def test_equidistant_constants_overflow_to_inf():
         assert (b.m_const, b.m_prime_const) == (math.inf, math.inf)
 
 
+def test_equidistant_constants_tiny_time_against_huge_generator():
+    # |t|^2 underflows to 0 while ||Y||^2 overflows, yet s = |t| ||Y|| is
+    # 5e-11: m = 4 s^2 e^{2s} + 2s and m' = e^{2s} (m + 4 s^2)
+    sys = PulseSystem(u=SZ, generator=-1e160j * SX, t=1e-170)
+    b = equidistant_bound_constants(sys)
+    assert b.m_const == pytest.approx(1.0000000001e-10, rel=1e-14)
+    assert b.m_prime_const == pytest.approx(1.0000000003e-10, rel=1e-14)
+    # s = 5e29: both constants overflow
+    sys = PulseSystem(u=SZ, generator=-1e200j * SX, t=1e-170)
+    b = equidistant_bound_constants(sys)
+    assert (b.m_const, b.m_prime_const) == (math.inf, math.inf)
+
+
 def test_equidistant_constants_grow_with_time():
     s1 = PulseSystem(u=SZ, generator=2 * SX, t=0.5)
     s2 = PulseSystem(u=SZ, generator=2 * SX, t=1.5)
@@ -480,6 +493,40 @@ def test_bounds_dominate_measured_error_property(
             assert n * err <= constants.m_const
     elif kind == "equidistant":
         assert n * err <= constants.m_prime_const
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    phi=st.floats(0.0, 2 * np.pi),
+    straddle=st.booleans(),
+    merged=st.booleans(),
+    offset=st.floats(0.0, 1.0),
+    t=st.floats(0.1, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bounds_hold_for_phases_near_cluster_tol(
+    phi, straddle, merged, offset, t, seed
+):
+    # phases phi, phi + g, phi + 2 with g within [tol / 2, 2 tol] but at
+    # least 1e-6 tol from tol itself, as in the spectrum's own property;
+    # X = Y - u Y u* is a coboundary whether or not the close pair merges
+    tol = ergopulse.ergodic.DEFAULT_CLUSTER_TOL
+    if merged:
+        g = tol * (1 - 1e-6) * (0.5 + 0.5 * offset)
+    else:
+        g = tol * (1 + 1e-6) * (1 + offset)
+    if straddle:
+        phi = -offset * g
+    rng = np.random.default_rng(seed)
+    q = random_unitary(3, seed=int(rng.integers(2**31)))
+    u = (q * np.exp(1j * np.array([phi, phi + g, phi + 2.0]))) @ q.conj().T
+    y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    y *= 0.5 / op_norm(y)
+    sys = PulseSystem(u=u, generator=y - u @ y @ u.conj().T, t=t)
+    assert len(sys.spec.clusters) == (2 if merged else 3)
+    for n in (8, 64):
+        for row in (equidistant(n), uhrig_family()(n)):
+            assert control_error(sys, row) <= schedule_bound_rhs(sys, row).total_rhs
 
 
 @settings(deadline=None, max_examples=150)

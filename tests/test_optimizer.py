@@ -1,6 +1,7 @@
 import math
 from itertools import product as iter_product
 
+import ergopulse.optimizer
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from ergopulse.optimizer import (
     LATTICE_LIMIT,
     OptimizationResult,
     OptimizerConfig,
+    _certify,
     _descend_fd,
     _lattice_chunks,
     _starts,
@@ -163,10 +165,23 @@ def test_minimize_tv_finds_uniform_row():
         assert res.iterations_used == 0
 
 
-def test_minimize_tv_certifies_small_instances():
+def test_minimize_tv_certifies_small_instances(monkeypatch):
+    # the closed form's proof certifies it; only the lattice size is read
+    def refuse(*_args):
+        raise AssertionError("minimize_tv scored the lattice")
+
+    monkeypatch.setattr(ergopulse.optimizer, "_lattice_chunks", refuse)
     assert minimize_tv(3, LIGHT).certified_by_grid
+    assert minimize_tv(5, LIGHT).certified_by_grid  # 316,251 points
     # default 0.02 spacing overflows the lattice limit at n = 6
-    assert not minimize_tv(6, LIGHT).certified_by_grid
+    assert not minimize_tv(6, LIGHT).certified_by_grid  # 3,478,761 points
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_minimize_tv_certificate_matches_lattice_search(n):
+    for res in (0.5, 0.25, 0.2, 0.1, 0.05, 0.02):
+        result = minimize_tv(n, OptimizerConfig(grid_resolution=res))
+        assert result.certified_by_grid == _certify(n, res, tv_value, result.value)
 
 
 def test_minimize_tv_barycenter_start_is_already_optimal():
