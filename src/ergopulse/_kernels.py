@@ -11,8 +11,9 @@ into the running product left to right.  The factor order never
 changes; only the rounding follows a tree instead of a chain.
 simplex_project and tv_value, the optimizer kernels, work on stacks of
 rows with whole-array operations; tv_value is the package's one
-total-variation sum.  Matrix exponentials are not a kernel here:
-matrixcore.expm is scipy.linalg.expm.
+total-variation sum.  Matrix exponentials are not a kernel here: they
+live in matrixcore.expm, whose scalar-multiples form runs the Taylor
+factors of pulse_product as one matrix product per Horner level.
 """
 
 from __future__ import annotations

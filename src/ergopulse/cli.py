@@ -117,18 +117,20 @@ def _load_system(spec: str, t: complex) -> PulseSystem:
     return PulseSystem(u=u, generator=x, t=t)
 
 
-def _load_family(spec: str) -> ScheduleFamily:
+def _load_family(spec: str, flag: str) -> ScheduleFamily:
+    """The built-in family or density-table file spec, which came in
+    through the command-line flag that the error messages name."""
     try:
         return family_by_name(spec)
     except ValueError:
         if not os.path.exists(spec):
             raise ValueError(
-                f"--family {spec!r} is neither a built-in family name nor "
+                f"{flag} {spec!r} is neither a built-in family name nor "
                 "an existing density-table file"
             ) from None
     with open(spec, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    json_object(obj, f"--family file {spec!r}", ("xs", "ys"), ("name",))
+    json_object(obj, f"{flag} file {spec!r}", ("xs", "ys"), ("name",))
     name = obj.get("name", os.path.splitext(os.path.basename(spec))[0])
     return table_density_family(obj["xs"], obj["ys"], name=str(name))
 
@@ -142,7 +144,7 @@ def _write_json(obj, path: str) -> None:
 def cmd_sweep(args) -> int:
     t = _parse_time(args.t)
     system = _load_system(args.system, t)
-    family = _load_family(args.family)
+    family = _load_family(args.family, "--family")
     counts = _parse_pulse_counts(args.n)
     report = convergence_sweep(system, family, counts)
     if args.format == "csv":
@@ -178,7 +180,7 @@ def cmd_schedule(args) -> int:
     if args.kind == "density-file":
         if not args.density:
             raise ValueError("--kind density-file needs --density <path>")
-        family = _load_family(args.density)
+        family = _load_family(args.density, "--density")
     else:
         family = family_by_name(args.kind)
     row = family(args.n)
@@ -235,7 +237,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    family = _load_family(args.family)
+    family = _load_family(args.family, "--family")
     report = cohen_uniformity_probe(family, args.nmax, _parse_k_grid(args.kgrid))
     _write_json(
         {

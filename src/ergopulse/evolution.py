@@ -11,7 +11,8 @@ a total-variation term.
 
 Both bounds read the system only through ||X||, ||P(X)|| and ||Y||, each
 derived once per system (one yosida_split) and rounded up by d machine
-epsilons for the error of the SVD.  A bound that overflows is +inf.
+epsilons for the error of the SVD; the rate constants are rounded up
+from there.  A bound that overflows is +inf.
 """
 
 from __future__ import annotations
@@ -176,16 +177,18 @@ def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
     """The interleaved product u e^{a_1 X t} u e^{a_2 X t} ... u e^{a_n X t},
     multiplied left to right.
 
-    The factors of the distinct weights are one stacked matrixcore.expm
-    call, and kernels.chain_product multiplies them out as a blocked
-    pairwise tree."""
+    The factors e^{a X t} of the distinct weights a are one call to the
+    scalar-multiples form of matrixcore.expm (a shared Taylor sum where
+    |a t| ||X||_1 <= 1, scipy.linalg.expm elsewhere), and
+    kernels.chain_product multiplies them out as a blocked pairwise
+    tree."""
     if not isinstance(s, Schedule):
         raise ValueError("s must be a Schedule")
     # searchsorted rather than return_inverse: np.unique's inverse holds
     # several N-length temporaries at once
     values = np.unique(s.weights)
     idx = np.searchsorted(values, s.weights)
-    factors = matrixcore.expm((values * sys.t)[:, None, None] * sys.generator)
+    factors = matrixcore.expm(sys.generator, values * sys.t)
     return chain_product(sys.u, factors, idx)
 
 
@@ -210,19 +213,52 @@ def _or_inf(f, *args) -> float:
         return math.inf
 
 
+def _next_up(v: float, steps: int) -> float:
+    """v moved steps floats toward +inf."""
+    for _ in range(steps):
+        v = math.nextafter(v, math.inf)
+    return v
+
+
 def _rate_constants(sys: PulseSystem) -> tuple[float, float]:
     """m = 4 s^2 e^{2s} + 2s and m' = e^x (m + 2s (2s + 3r)) in the products
-    s = |t| ||Y||, r = |t| ||P(X)|| and x = |t| ||X||, which neither
-    underflow nor overflow where |t| and a norm apart would."""
+    s = |t| ||Y||, r = |t| ||P(X)|| and x = |t| ||X|| of the cached norms,
+    rounded up: each returned value is at least the exact one, and +inf
+    where it overflows.  Both are 0 exactly where t or ||Y|| is.
+
+    They are evaluated as m = 2s (1 + g) and m' = 2s e^x (1 + g + 2s + 3r)
+    with g = 2s e^{2s}, so every bracket is >= 1 and only the final
+    product by 2s can underflow.
+
+    Proof of the bound, with u = 2^-53, abs (hypot) and math.exp within
+    1 ulp, and next^k(v) the k-th float above v.  A correctly rounded
+    fl(z) has z <= next(fl(z)), also where fl(z) is 0 or subnormal, and a
+    step up from a normal v adds ulp(v) > u v.  |t| <= next^2(abs(t)),
+    two steps since |t| may lie in the binade above; so s, r and x are
+    at most next(fl(next^2(abs(t)) norm)), and m and m' increase in all
+    three, which leaves the rounding after that.  g carries 3u (exp 2u,
+    the product u; 2s is exact) and 1 + g 4u, so m <= next(fl(m))
+    (1 + 4.01u): 5 more steps cover that where next(fl(m)) is normal, as
+    (1 + u)^5 > 1 + 4.01u, and 3 where it is subnormal, as there
+    next(fl(m)) 4.01u < 2.01 2^-1074 and a step adds 2^-1074.  In m',
+    1 + g + 2s + 3r carries 6u (g 3u and three sums of positive terms),
+    e^x 2u and their product 1u: 9u, so 10 more steps, 11 in all.
+    Overflow gives +inf; 2s > 0, so no 0 * inf arises.
+    """
     abs_t = abs(sys.t)
-    s = abs_t * sys.potential_norm
-    if s == 0.0:  # both constants carry a factor s: 0, not 0 * inf = NaN
+    if abs_t == 0.0 or sys.potential_norm == 0.0:
         return 0.0, 0.0
-    r = abs_t * sys.fixed_norm
-    x = abs_t * sys.generator_norm
-    # s * s overflows to inf without raising; math.exp raises
-    m = 4.0 * (s * s) * _or_inf(math.exp, 2.0 * s) + 2.0 * s
-    return m, _or_inf(math.exp, x) * (m + 2.0 * s * (2.0 * s + 3.0 * r))
+    t_up = _next_up(abs_t, 2)
+    s, r, x = (
+        _next_up(t_up * norm, 1)
+        for norm in (sys.potential_norm, sys.fixed_norm, sys.generator_norm)
+    )
+    two_s = 2.0 * s
+    # two_s * e^{two_s} overflows to inf without raising; math.exp raises
+    g = two_s * _or_inf(math.exp, two_s)
+    m = two_s * (1.0 + g)
+    m_prime = two_s * (_or_inf(math.exp, x) * (1.0 + g + two_s + 3.0 * r))
+    return _next_up(m, 6), _next_up(m_prime, 11)
 
 
 def equidistant_bound_constants(sys: PulseSystem) -> BoundBreakdown:

@@ -13,6 +13,8 @@ and pulse_product_taylor are independent references for
 matrixcore.expm and pulse_product: the former is the hand-written
 Pade-13 kernel that matrixcore.expm used before it became
 scipy.linalg.expm, the latter builds every factor from its Taylor sum.
+expm_multiples is the reference for the scalar-multiples form of
+matrixcore.expm: scipy.linalg.expm on each c a in turn.
 tv_value adds one difference at a time, so it rounds unlike the
 pairwise sum of ergopulse._kernels.tv_value and is compared within a
 tolerance.  defect_series_truncated is the defect series as matrixcore
@@ -24,6 +26,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 from ergopulse import matrixcore
 from ergopulse.ergodic import (
@@ -205,6 +208,11 @@ def chain_product(u, factors, idx):
         out = np.dot(out, u)
         out = np.dot(out, factors[idx[k]])
     return out
+
+
+def expm_multiples(a, scalars):
+    """The stack of e^(c a), one scipy.linalg.expm call per scalar c."""
+    return np.stack([scipy.linalg.expm(c * a) for c in scalars])
 
 
 def expm_pade13(a):

@@ -369,6 +369,7 @@ def test_schedule_rejects_unknown_density_file_keys(tmp_path, capsys):
     )
     assert code == 2
     assert "has unknown keys ['n']" in err
+    assert "--density file" in err and "--family" not in err
     assert not out.exists()
 
 

@@ -351,6 +351,65 @@ def test_equidistant_constants_bound_the_error():
         assert control_error(sys, equidistant(n)) <= b.m_prime_const / n
 
 
+def _exact_rate_constants(mpmath, sys):
+    """m, m' and e^x (1 + 3r), from the exact |t| and the cached norms."""
+    t = mpmath.mpc(sys.t.real, sys.t.imag)
+    s, r, x = (
+        abs(t) * mpmath.mpf(norm)
+        for norm in (sys.potential_norm, sys.fixed_norm, sys.generator_norm)
+    )
+    m = 4 * s**2 * mpmath.exp(2 * s) + 2 * s
+    e_x = mpmath.exp(x)
+    return m, e_x * (m + 2 * s * (2 * s + 3 * r)), e_x * (1 + 3 * r)
+
+
+def _with_norms(sys, potential, fixed, generator):
+    sys.__dict__.update(
+        potential_norm=potential, fixed_norm=fixed, generator_norm=generator
+    )
+    return sys
+
+
+def test_rate_constants_are_upper_bounds_of_the_exact_values():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(57)
+    systems = [PRESETS["qubit-z-x"](1.1)]
+    for seed in range(60):
+        dim = int(rng.integers(2, 6))
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        t = rng.uniform(0.05, 3.0)
+        if seed % 2:
+            t *= np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        u = random_unitary(dim, 0.2, seed=900 + seed)
+        systems.append(PulseSystem(u=u, generator=x * rng.uniform(0.1, 2.0), t=t))
+    # e^{2s} and e^x near 1e150 magnify the rounding of s and x
+    systems.append(_with_norms(PRESETS["qubit-z-x"](1.0), 170.0, 3.0, 350.0))
+    rel = 1 + mpmath.mpf(2) ** -40
+    tiny = 2.0**-1074
+    with mpmath.workdps(50):
+        for sys in systems:
+            b = equidistant_bound_constants(sys)
+            want_m, want_m_prime, _ = _exact_rate_constants(mpmath, sys)
+            assert want_m <= b.m_const <= want_m * rel
+            assert want_m_prime <= b.m_prime_const <= want_m_prime * rel
+
+        # s = |t| ||Y|| underflows to 0 or to a subnormal although |t| and
+        # ||Y|| are positive: s is then bounded by a few 2^-1074, which m'
+        # carries with its factor e^x (1 + 3r)
+        for t, norms in (
+            (1e-200, (1e-200, 0.0, 1e-200)),
+            (1e-30, (1e-300, 1e300, 1e31)),
+            (1e-160, (3e-160, 0.0, 3e-160)),
+            (1e-170 + 2e-170j, (1e-150, 1e169, 0.0)),
+        ):
+            sys = _with_norms(PRESETS["qubit-z-x"](t), *norms)
+            b = equidistant_bound_constants(sys)
+            want_m, want_m_prime, factor = _exact_rate_constants(mpmath, sys)
+            assert 0 < want_m <= b.m_const <= want_m + 16 * tiny
+            assert want_m_prime <= b.m_prime_const
+            assert b.m_prime_const <= (want_m_prime + 16 * tiny * factor) * rel
+
+
 # -------------------------------------------------------- schedule_bound_rhs
 
 
@@ -437,7 +496,8 @@ def test_bounds_use_norms_rounded_up():
     assert b.total_rhs == _schedule_series_terms(s.weights[None, :], scale)[2][0]
     norm_y = sys.potential_norm
     m = 4.0 * math.exp(2.0 * norm_y) * norm_y**2 + 2.0 * norm_y
-    assert b.m_const == m
+    # m_const is rounded up by a few ulps from the inflated norm
+    assert m < b.m_const < m * (1.0 + 1e-14)
     res = ergopulse.optimizer.minimize_bound_rhs(
         sys, 2, ergopulse.optimizer.OptimizerConfig(restarts=1, max_iters=5)
     )

@@ -137,7 +137,8 @@ def test_expm_matches_pade13_oracle():
 
 def test_expm_small_non_normal_matches_taylor():
     # a small non-normal matrix keeps its off-diagonal first-order term:
-    # the four-term Taylor sum leaves out less than eps^4 / 24
+    # the four-term Taylor sum leaves out less than eps^4 / 24; the
+    # scalar-multiples form takes its Taylor route here
     for eps in (1e-5, 1e-7, 1e-9):
         rng = np.random.default_rng(31)
         for dim in range(2, 9):
@@ -147,8 +148,10 @@ def test_expm_small_non_normal_matches_taylor():
             m = eps * a
             taylor = np.eye(dim) + m + m @ m / 2.0 + m @ m @ m / 6.0
             assert op_norm(expm(m) - taylor) <= 1e-15
+            assert op_norm(expm(a, [eps])[0] - taylor) <= 1e-15
         nil = np.array([[0.0, eps], [0.0, 0.0]])
         assert op_norm(expm(nil) - (np.eye(2) + nil)) <= 1e-15
+        assert op_norm(expm(nil, [1.0])[0] - (np.eye(2) + nil)) <= 1e-15
 
 
 def test_expm_skew_hermitian_gives_unitary():
@@ -205,6 +208,78 @@ def test_expm_rejects_bad_stacks():
     ]:
         with pytest.raises(ValueError, match=match):
             expm(bad)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def _multiples_error(a, scalars):
+    """Largest spectral-norm distance of expm(a, scalars) from the
+    per-scalar scipy calls, relative to the reference."""
+    got = expm(a, scalars)
+    want = oracles.expm_multiples(a, scalars)
+    assert got.shape == want.shape
+    return max(op_norm(g - w) / op_norm(w) for g, w in zip(got, want))
+
+
+def test_expm_multiples_match_per_scalar_scipy():
+    rng = np.random.default_rng(43)
+    nil = np.array([[0.0, 1e-7], [0.0, 0.0]])
+    generators = [nil, np.zeros((3, 3)), np.array([[0.4 - 1.3j]])]
+    for dim in (2, 3, 5, 8):
+        g = _random_complex(rng, dim)
+        generators += [g, np.triu(g, 1)]
+    for a in generators:
+        norm1 = max(np.abs(a).sum(axis=0).max(), 1e-300)
+        # |c| ||a||_1 on both sides of the Taylor radius 1, complex scalars
+        radii = np.concatenate([rng.uniform(0.0, 1.0, 40), rng.uniform(1.0, 6.0, 8)])
+        phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, radii.shape))
+        scalars = np.concatenate([[0.0, 1.0 / norm1, 1e-12], radii * phases / norm1])
+        assert _multiples_error(a, scalars) <= 4 * EPS
+        # the slices past the radius are scipy's own results
+        big = np.abs(scalars) * np.abs(a).sum(axis=0).max() > 1.0
+        if big.any():
+            assert np.array_equal(
+                expm(a, scalars)[big], oracles.expm_multiples(a, scalars[big])
+            )
+    got = expm(nil, np.array([1.0, 2.5 - 1.0j]))
+    assert got[0][0, 1] == 1e-7 and got[1][0, 1] == (2.5 - 1.0j) * 1e-7
+    zero = expm(np.zeros((3, 3)), np.array([0.3, 2e300]))
+    assert np.array_equal(zero, [np.eye(3)] * 2)
+
+
+def test_expm_multiples_taylor_degree_rule():
+    # the smallest n with r^(n+1)/(n+1)! e^r <= 2^-53, plus 3
+    def tail(r, n):
+        return r ** (n + 1) / math.factorial(n + 1) * math.exp(r)
+
+    assert matrixcore._taylor_degree(0.0) == 3
+    grid = np.concatenate([np.geomspace(1e-18, 1e-2, 40), np.linspace(0.01, 1, 100)])
+    for r in grid:
+        n = matrixcore._taylor_degree(float(r)) - 3
+        assert tail(r, n) <= 2.0**-53
+        assert n == 0 or tail(r, n - 1) > 2.0**-53
+    assert matrixcore._taylor_degree(1.0) == 21
+
+
+def test_expm_multiples_reruns_are_bytewise_identical():
+    rng = np.random.default_rng(45)
+    a = _random_complex(rng, 5)
+    scalars = rng.uniform(-0.5, 0.5, 300) * np.exp(1j * rng.uniform(0, 6, 300))
+    first = expm(a, scalars)
+    assert np.array_equal(expm(a, scalars), first)
+    assert np.array_equal(expm(a.copy(), list(scalars)), first)
+
+
+def test_expm_multiples_rejects_bad_input():
+    a = np.eye(2)
+    for bad in (np.ones((2, 2)), np.array([]), [1.0, np.nan], [np.inf], 0.5):
+        with pytest.raises(ValueError, match="scalars"):
+            expm(a, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        expm(np.full((2, 2), 1e300), [1e10])
+    with pytest.raises(ValueError, match="square"):
+        expm(np.zeros((3, 2, 2)), [1.0])
 
 
 # ----------------------------------------------- exp_product_defect_bound

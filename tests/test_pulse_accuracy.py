@@ -6,9 +6,11 @@ values of u, X, t and the float weights, and printed to 40 digits; the
 qubit-z-x ones agree with the closed-form factors cos(at) I - i sin(at)
 sigma_x to 1e-40.  mpmath is not a dependency, so they are constants.
 
-The stacked route (one batched expm, a pairwise chain product) is held to
-within 4x of the per-pulse route it replaced (per-weight expm calls, one
-matrix product at a time), entry by entry in the worst entry.
+The stacked route (one expm call over the scalar multiples a t of X,
+whose small ones share a Taylor sum, and a pairwise chain product) is
+held to within 4x of the per-pulse route it replaced (per-weight
+scipy.linalg.expm calls, one matrix product at a time), entry by entry
+in the worst entry.
 """
 
 from fractions import Fraction
