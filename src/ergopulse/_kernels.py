@@ -4,11 +4,22 @@ conj_weighted_sum sums a weighted conjugation orbit in the eigenbasis of
 u, as a blocked sqrt(N) split on d^2 scalars: no matrix power drifts.
 
 chain_product forms u F_k for the distinct factors in one stacked matmul,
-then walks the index row in blocks of CHAIN_BLOCK: each block's
-u F_{idx[k]} are gathered and reduced pairwise, (m0 m1)(m2 m3)..., one
-stacked matmul per tree level, and the block results are multiplied
-into the running product left to right.  The factor order never
-changes; only the rounding follows a tree instead of a chain.
+then walks the index row in blocks of CHAIN_BLOCK: each block is reduced
+pairwise, (m0 m1)(m2 m3)..., one stacked matmul per tree level, and the
+block results are multiplied into the running product left to right.
+The factor order never changes; only the rounding follows a tree
+instead of a chain.  Repeats are multiplied once: while a level's table
+of k distinct matrices has k^2 < h for its h pairs, pairs must repeat,
+and each distinct pair is one slice of that level's matmul; equal blocks
+are reduced once, through a memo keyed on their index bytes.  So an
+equidistant row of N pulses costs one block and N / CHAIN_BLOCK products,
+and a row of many distinct weights pays one comparison per level.  Every
+product keeps its operands and its matmul or dot call, so the result is
+bit-identical to the tree that multiplies every pair.  Memory stays
+O(CHAIN_BLOCK d^2) besides the distinct factors and the memo, which
+holds one d x d result and one CHAIN_BLOCK-index key per distinct block
+(at most the size of the index row).
+
 simplex_project and tv_value, the optimizer kernels, work on stacks of
 rows with whole-array operations; tv_value is the package's one
 total-variation sum.  Matrix exponentials are not a kernel here: they
@@ -79,23 +90,68 @@ def conj_weighted_sum(u, x, w):
 def chain_product(u, factors, idx):
     """Left-to-right product u.factors[idx[0]].u.factors[idx[1]]....
 
-    Blocked pairwise tree (see the module docstring).  Besides the stack
-    u @ factors it holds O(CHAIN_BLOCK d^2) memory, never an (N, d, d)
-    stack.
+    Blocked pairwise tree that multiplies each repeated pair and each
+    repeated block once (see the module docstring and _block_product).
+    Every product has the same operands, and is made by the same matmul
+    or dot call, as in the tree that multiplies every pair, so the result
+    is bit-identical to it.  Besides the stack u @ factors and the memo
+    it holds O(CHAIN_BLOCK d^2) memory, never an (N, d, d) stack.
     """
     uf = np.matmul(u, factors)
     out = np.eye(u.shape[0], dtype=np.complex128)
+    blocks = {}
     for start in range(0, idx.shape[0], CHAIN_BLOCK):
-        m = uf[idx[start : start + CHAIN_BLOCK]]
-        while m.shape[0] > 1:
-            half = m.shape[0] // 2
-            pairs = np.matmul(m[0 : 2 * half : 2], m[1 : 2 * half : 2])
-            if m.shape[0] % 2:
-                # the odd leftover is the block's last factor
-                pairs[-1] = np.dot(pairs[-1], m[-1])
-            m = pairs
-        out = np.dot(out, m[0])
+        ids = idx[start : start + CHAIN_BLOCK]
+        key = ids.tobytes()
+        if key not in blocks:
+            blocks[key] = _block_product(uf, ids)
+        out = np.dot(out, blocks[key])
     return out
+
+
+def _block_product(table, ids):
+    """table[ids[0]] table[ids[1]] ... by the pairwise tree.
+
+    While the k-entry table has k^2 < h for the level's h pairs, pairs
+    must repeat: each pair is coded left * k + right, each distinct code
+    multiplied once, and the codes' ranks are the next level's ids (a
+    one-entry table needs no codes: its one pair is (0, 0)).  From
+    the first level with k^2 >= h on, the level is the table itself, so
+    k^2 >= h holds at every later level, and the plain strided loop runs.
+    """
+    while ids.shape[0] > 1:
+        k = table.shape[0]
+        half = ids.shape[0] // 2
+        if k * k >= half:
+            break
+        if k == 1:
+            # every pair is (0, 0): without the code table, short
+            # equidistant rows cost no more than in the unshared tree
+            pairs = np.matmul(table, table)
+            next_ids = np.zeros(half, dtype=np.intp)
+        else:
+            codes = ids[0 : 2 * half : 2] * k + ids[1 : 2 * half : 2]
+            rank = np.zeros(k * k, dtype=np.intp)
+            rank[codes] = 1
+            code = np.flatnonzero(rank)
+            rank[code] = np.arange(code.shape[0])
+            left, right = np.divmod(code, k)
+            pairs = np.matmul(table.take(left, axis=0), table.take(right, axis=0))
+            next_ids = rank[codes]
+        if ids.shape[0] % 2:
+            # the odd leftover is the block's last factor
+            last = np.dot(pairs[next_ids[-1]], table[ids[-1]])
+            pairs = np.concatenate([pairs, last[None]])
+            next_ids[-1] = pairs.shape[0] - 1
+        table, ids = pairs, next_ids
+    m = table[ids]
+    while m.shape[0] > 1:
+        half = m.shape[0] // 2
+        pairs = np.matmul(m[0 : 2 * half : 2], m[1 : 2 * half : 2])
+        if m.shape[0] % 2:
+            pairs[-1] = np.dot(pairs[-1], m[-1])
+        m = pairs
+    return m[0]
 
 
 def simplex_project(v):

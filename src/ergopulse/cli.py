@@ -117,21 +117,28 @@ def _load_system(spec: str, t: complex) -> PulseSystem:
     return PulseSystem(u=u, generator=x, t=t)
 
 
-def _load_family(spec: str, flag: str) -> ScheduleFamily:
-    """The built-in family or density-table file spec, which came in
-    through the command-line flag that the error messages name."""
+def _load_family(spec: str) -> ScheduleFamily:
+    """The --family spec: a built-in family name, else a density-table file."""
     try:
         return family_by_name(spec)
     except ValueError:
         if not os.path.exists(spec):
             raise ValueError(
-                f"{flag} {spec!r} is neither a built-in family name nor "
+                f"--family {spec!r} is neither a built-in family name nor "
                 "an existing density-table file"
             ) from None
-    with open(spec, "r", encoding="utf-8") as fh:
+    return _load_density(spec, "--family")
+
+
+def _load_density(path: str, flag: str) -> ScheduleFamily:
+    """The density-table file path, which came in through the
+    command-line flag that the error messages name."""
+    if not os.path.exists(path):
+        raise ValueError(f"{flag} {path!r} is not an existing density-table file")
+    with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    json_object(obj, f"{flag} file {spec!r}", ("xs", "ys"), ("name",))
-    name = obj.get("name", os.path.splitext(os.path.basename(spec))[0])
+    json_object(obj, f"{flag} file {path!r}", ("xs", "ys"), ("name",))
+    name = obj.get("name", os.path.splitext(os.path.basename(path))[0])
     return table_density_family(obj["xs"], obj["ys"], name=str(name))
 
 
@@ -144,7 +151,7 @@ def _write_json(obj, path: str) -> None:
 def cmd_sweep(args) -> int:
     t = _parse_time(args.t)
     system = _load_system(args.system, t)
-    family = _load_family(args.family, "--family")
+    family = _load_family(args.family)
     counts = _parse_pulse_counts(args.n)
     report = convergence_sweep(system, family, counts)
     if args.format == "csv":
@@ -180,7 +187,7 @@ def cmd_schedule(args) -> int:
     if args.kind == "density-file":
         if not args.density:
             raise ValueError("--kind density-file needs --density <path>")
-        family = _load_family(args.density, "--density")
+        family = _load_density(args.density, "--density")
     else:
         family = family_by_name(args.kind)
     row = family(args.n)
@@ -237,7 +244,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    family = _load_family(args.family, "--family")
+    family = _load_family(args.family)
     report = cohen_uniformity_probe(family, args.nmax, _parse_k_grid(args.kgrid))
     _write_json(
         {

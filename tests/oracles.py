@@ -8,8 +8,10 @@ a system afresh on every call, as the code did before PulseSystem
 cached them.  conj_weighted_sum is no earlier version: it is the
 literal per-term sum in extended precision, an independent reference
 for the eigenbasis kernel.  chain_product is the per-pulse loop that
-the blocked pairwise tree in ergopulse._kernels replaced.  expm_pade13
-and pulse_product_taylor are independent references for
+the blocked pairwise tree in ergopulse._kernels replaced, and chain_tree
+is that tree as it was before it shared repeated pairs and blocks: it
+multiplies every pair, and the shared tree must match it bit for bit.
+expm_pade13 and pulse_product_taylor are independent references for
 matrixcore.expm and pulse_product: the former is the hand-written
 Pade-13 kernel that matrixcore.expm used before it became
 scipy.linalg.expm, the latter builds every factor from its Taylor sum.
@@ -207,6 +209,25 @@ def chain_product(u, factors, idx):
     for k in range(idx.shape[0]):
         out = np.dot(out, u)
         out = np.dot(out, factors[idx[k]])
+    return out
+
+
+def chain_tree(u, factors, idx, block=256):
+    """Left-to-right product u.factors[idx[0]].u.factors[idx[1]]...., as
+    a pairwise tree over blocks of block pulses that multiplies every
+    pair."""
+    uf = np.matmul(u, factors)
+    out = np.eye(u.shape[0], dtype=np.complex128)
+    for start in range(0, idx.shape[0], block):
+        m = uf[idx[start : start + block]]
+        while m.shape[0] > 1:
+            half = m.shape[0] // 2
+            pairs = np.matmul(m[0 : 2 * half : 2], m[1 : 2 * half : 2])
+            if m.shape[0] % 2:
+                # the odd leftover is the block's last factor
+                pairs[-1] = np.dot(pairs[-1], m[-1])
+            m = pairs
+        out = np.dot(out, m[0])
     return out
 
 

@@ -373,6 +373,29 @@ def test_schedule_rejects_unknown_density_file_keys(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_schedule_density_names_no_built_in_family(tmp_path, capsys, monkeypatch):
+    # --density reads a file only: a family name with no such file fails
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "row.json"
+    argv = ["schedule", "--kind", "density-file", "--density", "uhrig"]
+    code, _, err = _run(capsys, *argv, "--n", "4", "--out", str(out))
+    assert code == 2
+    assert "--density 'uhrig'" in err
+    assert not out.exists()
+
+
+def test_schedule_reads_density_file_named_like_a_family(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "uhrig").write_text(json.dumps({"xs": [0.0, 1.0], "ys": [0.5, 1.5]}))
+    out = tmp_path / "row.json"
+    argv = ["schedule", "--kind", "density-file", "--density", "uhrig"]
+    code, stdout, _ = _run(capsys, *argv, "--n", "3", "--out", str(out))
+    assert code == 0
+    # the file's ramp 0.5 + x, not the built-in Uhrig row
+    assert_allclose(load_schedule(out).weights, [2 / 9, 3 / 9, 4 / 9], atol=1e-12)
+    assert "kind=density-file" in stdout
+
+
 # ------------------------------------------------------------- optimize
 
 

@@ -1,9 +1,9 @@
 """Kernel tests: each kernel must agree with a plain restatement of its
 math.  The eigenbasis conj_weighted_sum is checked against the per-term
 sum in extended precision, the pairwise chain_product against the
-per-pulse loop, and the batched optimizer kernels row by row against
-the scalar loops, in oracles.py, and tv_value also against exact
-rational sums.
+per-pulse loop and bit for bit against the unshared tree, and the
+batched optimizer kernels row by row against the scalar loops, in
+oracles.py, and tv_value also against exact rational sums.
 """
 
 import itertools
@@ -144,6 +144,30 @@ def test_chain_product_matches_plain_loop():
             want = oracles.chain_product(u, factors, idx)
             tol = 4.0 * n * eps * np.exp(log_norms[idx].sum())
             assert op_norm(got - want) <= tol, (d, n, kind)
+
+
+def test_chain_product_matches_unshared_tree_bit_for_bit():
+    # Sharing repeated pairs and blocks keeps every product's operands and
+    # call, so rows of one, two and three factors (all-equal, alternating,
+    # period 3) and of many (random) give the unshared tree's bits.  As in
+    # pulse_product, each row gets only the factors it uses; unitary
+    # factors keep every product finite.
+    lengths = [1, 2, 3, CHAIN_BLOCK - 1, CHAIN_BLOCK, CHAIN_BLOCK + 1]
+    lengths += [2 * CHAIN_BLOCK + 3, 4097]
+    for d, n in itertools.product([1, 2, 5, 8], lengths):
+        rng = np.random.default_rng([d, n, 3])
+        seeds = rng.integers(2**31, size=41)
+        u, *factors = [random_unitary(d, seed=int(s)) for s in seeds]
+        factors = np.stack(factors)
+        for kind, k, idx in [
+            ("all-equal", 1, np.zeros(n, dtype=np.intp)),
+            ("alternating", 2, np.arange(n) % 2),
+            ("period-3", 3, np.arange(n) % 3),
+            ("random", 40, rng.integers(0, 40, size=n)),
+        ]:
+            got = chain_product(u, factors[:k], idx)
+            want = oracles.chain_tree(u, factors[:k], idx, CHAIN_BLOCK)
+            assert np.array_equal(got, want), (d, n, kind)
 
 
 def test_simplex_project_known_points():
