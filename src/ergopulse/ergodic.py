@@ -2,10 +2,12 @@
 
 A unitary u acts on matrices by conjugation x -> u x u*.  The fixed points
 of that action form the commutant of u; averaging the conjugation orbit
-(plain or weighted Cesaro means) converges to the projection onto that
+(plain or weighted Cesaro means) converges to the projection P onto that
 commutant.  The complementary part of any operator is a coboundary
-y - u y u*, and solve_coboundary inverts that relation explicitly in the
-eigenbasis of u.
+y - u y u*.  In an eigenbasis V of u, conjugation multiplies entry (i, j)
+of V* x V by z_ij = lambda_i conj(lambda_j).  So P keeps the entries
+whose i and j share an eigenphase cluster, and the potential y divides
+the others by 1 - z_ij: one entrywise multiplier each (_split).
 """
 
 from __future__ import annotations
@@ -53,13 +55,9 @@ def spectrum(u, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> UnitarySpectrum:
     cluster_tol admits no consistent grouping and raises
     ClusteringAmbiguityError.
     """
-    arr = matrixcore.as_operator(u, "u")
     if not np.isfinite(cluster_tol) or cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive and finite")
-    if not matrixcore.is_unitary(arr):
-        raise ValueError(
-            "u is not unitary within %.1e in operator norm" % matrixcore.UNITARITY_TOL
-        )
+    arr = matrixcore.require_unitary(u)
     tri, vecs = scipy.linalg.schur(arr, output="complex")
     phases = np.angle(np.diag(tri)) % (2 * np.pi)
     d = arr.shape[0]
@@ -100,28 +98,44 @@ def spectrum(u, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> UnitarySpectrum:
     )
 
 
-def commutant_project(spec: UnitarySpectrum, x) -> np.ndarray:
-    """Projection of x onto the commutant of u: sum of P x P over the
-    spectral projectors P of u."""
-    arr = matrixcore.as_operator(x, "x")
+def _split(spec: UnitarySpectrum, x, name: str) -> YosidaSplit:
+    """P(x), x - P(x) and y, from V* x V times the same-cluster mask and
+    times 1 / (1 - z_ij) across clusters (0 inside them).  Both exist for
+    every x, so no tolerance is tested."""
+    arr = matrixcore.as_operator(x, name)
     if arr.shape[0] != spec.dim:
         raise ValueError(
-            f"dimension mismatch: x is {arr.shape[0]}, spectrum is {spec.dim}"
+            f"dimension mismatch: {name} is {arr.shape[0]}, spectrum is {spec.dim}"
         )
-    out = np.zeros_like(arr)
-    for _phase, proj in spec.clusters:
-        out += proj @ arr @ proj
-    return out
+    basis = spec.basis
+    inner = basis.conj().T @ arr @ basis
+    same = spec.col_labels[:, None] == spec.col_labels[None, :]
+    lam = np.exp(1j * spec.col_phases)
+    inverse = np.zeros_like(inner)
+    inverse[~same] = 1.0 / (1.0 - np.outer(lam, lam.conj())[~same])
+    fixed, potential = (basis @ (inner * g) @ basis.conj().T for g in (same, inverse))
+    return YosidaSplit(fixed, arr - fixed, potential)
+
+
+def commutant_project(spec: UnitarySpectrum, x) -> np.ndarray:
+    """Projection of x onto the commutant of u: the entries of V* x V
+    inside each eigenphase cluster, taken back to the standard basis."""
+    return _split(spec, x, "x").fixed_part
+
+
+def is_coboundary_norm(fixed_norm: float, norm: float) -> bool:
+    """The coboundary rule: ||P(x)|| = fixed_norm <= COBOUNDARY_TOL ||x||.
+    It is relative, so x and s x get the same verdict at every scale s,
+    and 0 is a coboundary."""
+    return fixed_norm <= COBOUNDARY_TOL * norm
 
 
 def _mean_operands(u, x) -> tuple[np.ndarray, np.ndarray]:
     """u and x as operators of one dimension, u unitary."""
-    uu = matrixcore.as_operator(u, "u")
+    uu = matrixcore.require_unitary(u)
     xx = matrixcore.as_operator(x, "x")
     if uu.shape != xx.shape:
         raise ValueError("u and x must share a dimension")
-    if not matrixcore.is_unitary(uu):
-        raise ValueError("u is not unitary")
     return uu, xx
 
 
@@ -156,38 +170,19 @@ class YosidaSplit:
 
 
 def solve_coboundary(spec: UnitarySpectrum, w) -> np.ndarray:
-    """Solve y - u y u* = w for the potential y.
-
-    Requires w to have (numerically) no commutant component; otherwise no
-    solution exists and NotACoboundaryError reports the offending norm.
-    The returned y has zero commutant component itself, which pins down
-    the otherwise free gauge.
-    """
-    arr = matrixcore.as_operator(w, "w")
-    if arr.shape[0] != spec.dim:
-        raise ValueError(
-            f"dimension mismatch: w is {arr.shape[0]}, spectrum is {spec.dim}"
-        )
-    resid = matrixcore.op_norm(commutant_project(spec, arr))
-    if resid >= COBOUNDARY_TOL:
+    """Solve y - u y u* = w for the potential y, which has no commutant
+    part (that pins the gauge).  A w that fails the coboundary rule
+    (is_coboundary_norm) has no solution: NotACoboundaryError reports
+    the norm of its commutant projection."""
+    split = _split(spec, w, "w")
+    resid = matrixcore.op_norm(split.fixed_part)
+    if not is_coboundary_norm(resid, matrixcore.op_norm(w)):
         raise NotACoboundaryError(resid)
-    basis = spec.basis
-    in_eigenbasis = basis.conj().T @ arr @ basis
-    lam = np.exp(1j * spec.col_phases)
-    divisors = 1.0 - np.outer(lam, lam.conj())
-    cross = spec.col_labels[:, None] != spec.col_labels[None, :]
-    solved = np.zeros_like(in_eigenbasis)
-    solved[cross] = in_eigenbasis[cross] / divisors[cross]
-    return basis @ solved @ basis.conj().T
+    return split.potential
 
 
 def yosida_split(spec: UnitarySpectrum, x) -> YosidaSplit:
     """Split x into its commutant projection and a coboundary with an
-    explicit potential."""
-    arr = matrixcore.as_operator(x, "x")
-    fixed = commutant_project(spec, arr)
-    coboundary = arr - fixed
-    potential = solve_coboundary(spec, coboundary)
-    return YosidaSplit(
-        fixed_part=fixed, coboundary_part=coboundary, potential=potential
-    )
+    explicit potential.  x - P(x) is a coboundary by construction, so no
+    tolerance is tested, at any scale of x."""
+    return _split(spec, x, "x")

@@ -28,9 +28,9 @@ import numpy as np
 from . import matrixcore
 from ._kernels import chain_product, tv_value
 from .ergodic import (
-    COBOUNDARY_TOL,
     UnitarySpectrum,
     YosidaSplit,
+    is_coboundary_norm,
     spectrum,
     yosida_split,
 )
@@ -55,15 +55,10 @@ class PulseSystem:
     t: complex = 1.0
 
     def __post_init__(self):
-        u = matrixcore.as_operator(self.u, "u").copy()
+        u = matrixcore.require_unitary(self.u).copy()
         x = matrixcore.as_operator(self.generator, "generator").copy()
         if u.shape != x.shape:
             raise ValueError("u and generator must share a dimension")
-        if not matrixcore.is_unitary(u):
-            raise ValueError(
-                "u is not unitary within %.1e in operator norm"
-                % matrixcore.UNITARITY_TOL
-            )
         t = complex(self.t)
         if not (math.isfinite(t.real) and math.isfinite(t.imag)):
             raise ValueError("t must be finite")
@@ -122,8 +117,8 @@ class PulseSystem:
 
     @property
     def is_coboundary(self) -> bool:
-        """Whether P(X) vanishes, so that X = Y - u Y u*."""
-        return self.fixed_norm < COBOUNDARY_TOL
+        """Whether X = Y - u Y u*, by ergodic.is_coboundary_norm."""
+        return is_coboundary_norm(self.fixed_norm, self.generator_norm)
 
     def _require_coboundary(self) -> None:
         if not self.is_coboundary:

@@ -63,6 +63,16 @@ def is_unitary(m, tol: float = UNITARITY_TOL) -> bool:
     return op_norm(arr @ arr.conj().T - eye) <= tol
 
 
+def require_unitary(u) -> np.ndarray:
+    """u as_operator, or ValueError unless unitary within UNITARITY_TOL."""
+    arr = as_operator(u, "u")
+    if not is_unitary(arr):
+        raise ValueError(
+            "u is not unitary within %.1e in operator norm" % UNITARITY_TOL
+        )
+    return arr
+
+
 def expm(m, scalars=None) -> np.ndarray:
     """Matrix exponential e^m, by scipy.linalg.expm; given a (k, d, d)
     stack, the exponential of every matrix in it, in one call.  Given a

@@ -5,12 +5,16 @@ code in ergopulse replaced; tests compare the batched code against them
 row by row, so these bodies must not be vectorized.  The bound and limit
 oracles at the end derive the spectrum, commutant part and potential of
 a system afresh on every call, as the code did before PulseSystem
-cached them.  conj_weighted_sum is no earlier version: it is the
-literal per-term sum in extended precision, an independent reference
-for the eigenbasis kernel.  chain_product is the per-pulse loop that
-the blocked pairwise tree in ergopulse._kernels replaced, and chain_tree
-is that tree as it was before it shared repeated pairs and blocks: it
-multiplies every pair, and the shared tree must match it bit for bit.
+cached them, through commutant_project and solve_coboundary here: the
+sum of P x P over the spectral projectors of u, and the division of the
+cross-cluster entries of V* w V by 1 - lambda_i conj(lambda_j), which
+ergopulse.ergodic replaced by one entrywise multiplier step.
+conj_weighted_sum is no earlier version: it is the literal per-term sum
+in extended precision, an independent reference for the eigenbasis
+kernel.  chain_product is the per-pulse loop that the blocked pairwise
+tree in ergopulse._kernels replaced, and chain_tree is that tree as it
+was before it shared repeated pairs and blocks: it multiplies every
+pair, and the shared tree must match it bit for bit.
 expm_pade13 and pulse_product_taylor are independent references for
 matrixcore.expm and pulse_product: the former is the hand-written
 Pade-13 kernel that matrixcore.expm used before it became
@@ -31,13 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from ergopulse import matrixcore
-from ergopulse.ergodic import (
-    COBOUNDARY_TOL,
-    commutant_project,
-    solve_coboundary,
-    spectrum,
-    yosida_split,
-)
+from ergopulse.ergodic import COBOUNDARY_TOL, spectrum
 from ergopulse.errors import NotACoboundaryError
 from ergopulse.optimizer import STEP_SCALE
 
@@ -301,6 +299,32 @@ def _rate_constants(norm_x, norm_x0, norm_y, abs_t):
     return m, m_prime
 
 
+def commutant_project(spec, x):
+    """Sum of P x P over the spectral projectors P of u."""
+    out = np.zeros_like(x, dtype=np.complex128)
+    for _phase, proj in spec.clusters:
+        out += proj @ x @ proj
+    return out
+
+
+def solve_coboundary(spec, w):
+    """y with y - u y u* = w: the cross-cluster entries of V* w V divided by
+    1 - lambda_i conj(lambda_j), the rest 0.  w must pass the coboundary
+    rule, with its commutant part projected as above."""
+    w = np.asarray(w, dtype=np.complex128)
+    resid = matrixcore.op_norm(commutant_project(spec, w))
+    if resid > COBOUNDARY_TOL * matrixcore.op_norm(w):
+        raise NotACoboundaryError(resid)
+    basis = spec.basis
+    in_eigenbasis = basis.conj().T @ w @ basis
+    lam = np.exp(1j * spec.col_phases)
+    divisors = 1.0 - np.outer(lam, lam.conj())
+    cross = spec.col_labels[:, None] != spec.col_labels[None, :]
+    solved = np.zeros_like(in_eigenbasis)
+    solved[cross] = in_eigenbasis[cross] / divisors[cross]
+    return basis @ solved @ basis.conj().T
+
+
 def limit_evolution(sys, n):
     """e^{P(X) t} u^n, with P(X) projected afresh."""
     projected = commutant_project(spectrum(sys.u), sys.generator)
@@ -308,26 +332,27 @@ def limit_evolution(sys, n):
 
 
 def equidistant_bound_constants(sys):
-    """(m_const, m_prime_const) from a fresh yosida_split of the generator."""
-    split = yosida_split(spectrum(sys.u), sys.generator)
+    """(m_const, m_prime_const) from a fresh split of the generator."""
+    spec = spectrum(sys.u)
+    fixed = commutant_project(spec, sys.generator)
     return _rate_constants(
         matrixcore.op_norm(sys.generator),
-        matrixcore.op_norm(split.fixed_part),
-        matrixcore.op_norm(split.potential),
+        matrixcore.op_norm(fixed),
+        matrixcore.op_norm(solve_coboundary(spec, sys.generator - fixed)),
         abs(sys.t),
     )
 
 
 def schedule_bound_rhs(sys, s):
     """(m_const, m_prime_const, tv_term, c_series_sum, total_rhs), with the
-    potential solved from the generator itself."""
+    potential solved from the generator itself, which must pass the
+    relative coboundary rule."""
     spec = spectrum(sys.u)
+    norm_x = matrixcore.op_norm(sys.generator)
     norm_p = matrixcore.op_norm(commutant_project(spec, sys.generator))
-    if norm_p >= COBOUNDARY_TOL:
+    if norm_p > COBOUNDARY_TOL * norm_x:
         raise NotACoboundaryError(norm_p)
     norm_y = matrixcore.op_norm(solve_coboundary(spec, sys.generator))
     abs_t = abs(sys.t)
-    m, m_prime = _rate_constants(
-        matrixcore.op_norm(sys.generator), norm_p, norm_y, abs_t
-    )
+    m, m_prime = _rate_constants(norm_x, norm_p, norm_y, abs_t)
     return (m, m_prime) + schedule_series_terms(s.weights, abs_t * norm_y)

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from ergopulse import cli
 from ergopulse.cli import main
-from ergopulse.matrixcore import matrix_to_json_dict
+from ergopulse.matrixcore import matrix_to_json_dict, random_unitary
 from ergopulse.schedules import load_schedule, tv_functional, uhrig_family
 
 
@@ -261,6 +261,26 @@ def test_sweep_overflowing_bounds_are_inf(tmp_path, capsys, family, hamiltonian,
     assert [b["m_prime_const"] for b in report["bounds"]] == [math.inf] * 3
     if route == "constants":
         assert [b["total_rhs"] for b in report["bounds"]] == [math.inf] * 3
+
+
+def test_sweep_of_huge_hamiltonian_matches_its_rescaled_twin(tmp_path, capsys):
+    # (1e9 H, t = 1e-9) is the same evolution as (H, t = 1): same route and
+    # errors, although ||P(X)|| rounds to about 1e-7 at the large scale
+    u = random_unitary(3, 0.2, seed=5)
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    h = (h + h.conj().T) / 2
+    reports = []
+    for scale, t in ((1.0, "1"), (1e9, "1e-9")):
+        system = _write_system(tmp_path / "h.json", u, hamiltonian=scale * h)
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--system", system, "--t", t, "--n", "4,8,16"]
+        code, _, err = _run(capsys, *argv, "--format", "json", "--out", str(out))
+        assert code == 0, err
+        reports.append(json.loads(out.read_text())["report"])
+    small, huge = reports
+    assert huge["bound_route"] == small["bound_route"] == "constants"
+    assert_allclose(huge["errors"], small["errors"], rtol=1e-6)
 
 
 def test_sweep_rejects_unknown_system_and_family(tmp_path, capsys):

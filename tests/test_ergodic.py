@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -22,6 +24,8 @@ from ergopulse.schedules import (
     tv_functional,
     uhrig_family,
 )
+
+import oracles
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -239,6 +243,54 @@ def test_commutant_project_dimension_mismatch():
         commutant_project(spec, np.eye(3))
 
 
+def _clustered_unitary(rng, dim, kind, merged):
+    """A unitary in a random basis: Haar-like phases ("random"), the first
+    phase doubled ("degenerate"), or the first two g apart ("near_tol"),
+    with g in [tol / 2, tol) when merged and (tol, 2 tol] when not, at
+    least 1e-6 tol from tol itself."""
+    if kind == "random":
+        return random_unitary(dim, 0.05, seed=int(rng.integers(2**31)))
+    phi = rng.uniform(0.0, 2 * np.pi)
+    phases = phi + 2.0 + 0.5 * np.arange(dim)
+    phases[:2] = phi
+    if kind == "near_tol":
+        tol, step = DEFAULT_CLUSTER_TOL, rng.uniform(0.5, 1.0)
+        phases[1] += tol * (1 - 1e-6) * step if merged else tol * (1 + 1e-6) * 2 * step
+    q = random_unitary(dim, seed=int(rng.integers(2**31)))
+    return (q * np.exp(1j * phases)) @ q.conj().T
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    dim=st.integers(2, 8),
+    kind=st.sampled_from(("random", "degenerate", "near_tol")),
+    merged=st.booleans(),
+    exponent=st.integers(-9, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eigenbasis_step_matches_loop_oracles(dim, kind, merged, exponent, seed):
+    # P(x) within 1e-14 max(1, ||x||) of the projector sum.  y within
+    # 1e-14 max(1, ||x||, ||y||) of the division form: where a gap sits
+    # just above the cluster tolerance, 1 / (1 - z) is about 1e8, so the
+    # rounding of V* x V reaches y magnified by that much
+    rng = np.random.default_rng(seed)
+    u = _clustered_unitary(rng, dim, kind, merged)
+    spec = spectrum(u)
+    # a scalar u has no coboundary but 0, so x - P(x) is refused as noise
+    assume(len(spec.clusters) > 1)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x *= 10.0**exponent
+    want_p = oracles.commutant_project(spec, x)
+    want_y = oracles.solve_coboundary(spec, x - want_p)
+    scale_p = 1e-14 * max(1.0, op_norm(x))
+    scale_y = 1e-14 * max(1.0, op_norm(x), op_norm(want_y))
+    split = yosida_split(spec, x)
+    assert op_norm(commutant_project(spec, x) - want_p) <= scale_p
+    assert op_norm(split.fixed_part - want_p) <= scale_p
+    assert op_norm(split.potential - want_y) <= scale_y
+    assert op_norm(solve_coboundary(spec, x - want_p) - want_y) <= scale_y
+
+
 # -------------------------------------------------------------- cesaro_mean
 
 
@@ -413,6 +465,32 @@ def test_solve_coboundary_rejects_commutant_content():
     with pytest.raises(NotACoboundaryError) as info:
         solve_coboundary(spec, np.eye(2))
     assert info.value.projection_norm == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_solve_coboundary_rule_is_relative(scale):
+    # the rule ||P(w)|| <= COBOUNDARY_TOL ||w|| gives one verdict at every
+    # scale: s I is refused even where its norm is tiny, and s X is
+    # solved even where it is huge
+    spec = spectrum(np.diag([1.0, -1.0]))
+    with pytest.raises(NotACoboundaryError):
+        solve_coboundary(spec, scale * np.eye(2))
+    y = solve_coboundary(spec, 2 * scale * SX)
+    assert op_norm(y - scale * SX) <= 1e-15 * scale
+
+
+def test_split_with_eigenphase_zero_divides_no_zero():
+    # 1 - lambda_i conj(lambda_j) is exactly 0 on the diagonal when a
+    # phase is 0; those entries must never reach the division
+    for u in (np.diag([1.0, -1.0]), np.diag([1.0, 1j]), np.diag([1.0, 1.0, -1.0])):
+        spec = spectrum(u)
+        x = np.ones((u.shape[0], u.shape[0]), dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split = yosida_split(spec, x)
+            y = solve_coboundary(spec, split.coboundary_part)
+        assert np.all(np.isfinite(split.potential))
+        assert_allclose(y, split.potential, atol=1e-15)
 
 
 def test_solve_coboundary_zero_maps_to_zero():

@@ -555,6 +555,40 @@ def test_bounds_dominate_measured_error_property(
         assert n * err <= constants.m_prime_const
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    dim=st.integers(2, 4),
+    degenerate=st.booleans(),
+    coboundary=st.booleans(),
+    kind=st.sampled_from(("equidistant", "uhrig")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bound_route_and_bounds_do_not_depend_on_scale(
+    dim, degenerate, coboundary, kind, seed
+):
+    # (s X, t / s) is the same physics as (X, t): the coboundary rule is
+    # relative, so every scale takes the same bound route, and every row's
+    # bound still holds
+    assume(dim > 2 or not degenerate)
+    rng = np.random.default_rng(seed)
+    u = _spread_unitary(rng, dim, degenerate)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x = x - commutant_project(spectrum(u), x)
+    if not coboundary:
+        x = x + commutant_project(spectrum(u), rng.standard_normal((dim, dim)) * 1j)
+    x /= op_norm(x)
+    t = rng.uniform(0.1, 1.5)
+    family = equidistant_family() if kind == "equidistant" else uhrig_family()
+    routes = set()
+    for s in (1e-9, 1.0, 1e9):
+        sys = PulseSystem(u=u, generator=s * x, t=t / s)
+        report = convergence_sweep(sys, family, [4, 8, 16, 32])
+        routes.add(report.bound_route)
+        for err, b in zip(report.errors, report.bounds or ()):
+            assert err <= b.total_rhs
+    assert len(routes) == 1
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     phi=st.floats(0.0, 2 * np.pi),
