@@ -57,7 +57,12 @@ def spectrum(u, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> UnitarySpectrum:
     """
     if not np.isfinite(cluster_tol) or cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive and finite")
-    arr = matrixcore.require_unitary(u)
+    return _spectrum(matrixcore.require_unitary(u), cluster_tol)
+
+
+def _spectrum(arr: np.ndarray, cluster_tol: float) -> UnitarySpectrum:
+    """spectrum of an operator already checked unitary, at a cluster_tol
+    already checked positive and finite."""
     tri, vecs = scipy.linalg.schur(arr, output="complex")
     phases = np.angle(np.diag(tri)) % (2 * np.pi)
     d = arr.shape[0]
@@ -130,6 +135,12 @@ def is_coboundary_norm(fixed_norm: float, norm: float) -> bool:
     return fixed_norm <= COBOUNDARY_TOL * norm
 
 
+def require_coboundary_norm(fixed_norm: float, norm: float, hint: str = "") -> None:
+    """Raise NotACoboundaryError unless is_coboundary_norm(fixed_norm, norm)."""
+    if not is_coboundary_norm(fixed_norm, norm):
+        raise NotACoboundaryError(fixed_norm, norm, COBOUNDARY_TOL, hint)
+
+
 def _mean_operands(u, x) -> tuple[np.ndarray, np.ndarray]:
     """u and x as operators of one dimension, u unitary."""
     uu = matrixcore.require_unitary(u)
@@ -172,12 +183,10 @@ class YosidaSplit:
 def solve_coboundary(spec: UnitarySpectrum, w) -> np.ndarray:
     """Solve y - u y u* = w for the potential y, which has no commutant
     part (that pins the gauge).  A w that fails the coboundary rule
-    (is_coboundary_norm) has no solution: NotACoboundaryError reports
-    the norm of its commutant projection."""
+    (require_coboundary_norm) has no solution: NotACoboundaryError reports
+    the norm of its commutant projection and its ratio to ||w||."""
     split = _split(spec, w, "w")
-    resid = matrixcore.op_norm(split.fixed_part)
-    if not is_coboundary_norm(resid, matrixcore.op_norm(w)):
-        raise NotACoboundaryError(resid)
+    require_coboundary_norm(matrixcore.op_norm(split.fixed_part), matrixcore.op_norm(w))
     return split.potential
 
 

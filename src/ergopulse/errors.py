@@ -29,13 +29,28 @@ class ClusteringAmbiguityError(DomainError):
 
 class NotACoboundaryError(DomainError):
     """The operator has a nonzero commutant component and is not of the
-    form Y - u Y u*."""
+    form Y - u Y u*: ||P(X)|| = projection_norm exceeds tolerance times
+    ||X|| = generator_norm, and the message states that ratio."""
 
-    def __init__(self, projection_norm: float, hint: str = ""):
+    def __init__(
+        self,
+        projection_norm: float,
+        generator_norm: float,
+        tolerance: float,
+        hint: str = "",
+    ):
         self.projection_norm = float(projection_norm)
+        self.generator_norm = float(generator_norm)
         msg = (
             "operator is not a coboundary: its commutant projection has "
-            "op_norm %.6g" % self.projection_norm
+            "op_norm %.6g; ||P(x)|| / ||x|| = %.6g exceeds the tolerance "
+            "%.0e (||x|| = %.6g)"
+            % (
+                self.projection_norm,
+                self.projection_norm / self.generator_norm,
+                tolerance,
+                self.generator_norm,
+            )
         )
         if hint:
             msg += "; " + hint

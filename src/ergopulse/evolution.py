@@ -28,13 +28,14 @@ import numpy as np
 from . import matrixcore
 from ._kernels import chain_product, tv_value
 from .ergodic import (
+    DEFAULT_CLUSTER_TOL,
     UnitarySpectrum,
     YosidaSplit,
+    _spectrum,
     is_coboundary_norm,
-    spectrum,
+    require_coboundary_norm,
     yosida_split,
 )
-from .errors import NotACoboundaryError
 from .schedules import Schedule, ScheduleFamily
 
 
@@ -75,8 +76,8 @@ class PulseSystem:
 
     @cached_property
     def spec(self) -> UnitarySpectrum:
-        """Clustered spectrum of u."""
-        return spectrum(self.u)
+        """Clustered spectrum of u, which __post_init__ checked unitary."""
+        return _spectrum(self.u, DEFAULT_CLUSTER_TOL)
 
     @cached_property
     def _split(self) -> YosidaSplit:
@@ -121,12 +122,12 @@ class PulseSystem:
         return is_coboundary_norm(self.fixed_norm, self.generator_norm)
 
     def _require_coboundary(self) -> None:
-        if not self.is_coboundary:
-            raise NotACoboundaryError(
-                self.fixed_norm,
-                hint="split the generator with yosida_split and bound the "
-                "commutant part separately",
-            )
+        require_coboundary_norm(
+            self.fixed_norm,
+            self.generator_norm,
+            hint="split the generator with yosida_split and bound the "
+            "commutant part separately",
+        )
 
 
 @dataclass(frozen=True, eq=False)

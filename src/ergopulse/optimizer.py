@@ -8,7 +8,10 @@ diminishing steps from a deterministic barycenter start plus seeded
 random restarts, all run in lockstep on one (R, n) array, and certifies
 its result against an exhaustive simplex-lattice search when the
 lattice is small enough.  Objectives score an (m, n) stack of rows in
-one call.
+one call, and a row scores the same bits in any stack.  So each descent
+iteration is one call, scoring its finite-difference bumps with the
+previous iteration's steps, and certification scores the lattice in
+groups of up to CERTIFY_ROWS rows.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from .evolution import PulseSystem, _schedule_series_terms
 from .schedules import Schedule, equidistant
 
 LATTICE_LIMIT = 500_000
+# Rows per objective call in lattice certification.  The bound objective
+# peaks at about 15 float64 per weight per row, so a group of 2^11 rows
+# holds about 240 n KiB; its per-row cost is already flat from about
+# 1,000 rows, and the default n = 3 lattice (1,326 rows) is one call.
+CERTIFY_ROWS = 2**11
 STEP_SCALE = 0.25
 STEP_TOL = 1e-12
 UNIFORM_PROXIMITY_TOL = 1e-4
@@ -181,12 +189,31 @@ def brute_force_simplex_grid(n: int, resolution: float, objective):
     return best_w, best_v
 
 
+def _lattice_groups(n: int, resolution: float):
+    """Yield the simplex lattice as consecutive _lattice_chunks joined up to
+    CERTIFY_ROWS rows per group; a chunk larger than that is a group alone.
+    A group therefore holds at most max(CERTIFY_ROWS, largest chunk) rows,
+    which bounds the objective's (m, n) temporaries, and the whole lattice
+    is never held at once."""
+    group, rows = [], 0
+    for chunk in _lattice_chunks(n, resolution):
+        if group and rows + chunk.shape[0] > CERTIFY_ROWS:
+            yield np.concatenate(group)
+            group, rows = [], 0
+        group.append(chunk)
+        rows += chunk.shape[0]
+    if group:
+        yield np.concatenate(group)
+
+
 def _certify(n, resolution, objective, value) -> bool:
     """Grid certification: no lattice point beats the reported value by
-    more than a lattice-scaled slack.  objective scores a stack of rows."""
+    more than a lattice-scaled slack.  objective scores a stack of rows;
+    it is called once per group of _lattice_groups, so a lattice of at
+    most CERTIFY_ROWS rows costs one call."""
     try:
         grid_v = min(
-            float(objective(rows).min()) for rows in _lattice_chunks(n, resolution)
+            float(objective(rows).min()) for rows in _lattice_groups(n, resolution)
         )
     except TooLargeInstanceError:
         return False
@@ -230,22 +257,34 @@ def minimize_tv(n: int, config: OptimizerConfig | None = None) -> OptimizationRe
 
 def _descend_fd(objective, starts, max_iters, step_tol):
     """Projected descent along central finite-difference gradients, run in
-    lockstep on every row of starts.
+    lockstep on every row of starts, with one objective call per iteration.
 
-    Each iteration scores all live rows shifted by +-h along every axis in
-    one objective call and the stepped rows in another.  A row stops when
-    its gradient vanishes or its step moves less than step_tol.  Returns
-    (best_row, best_value, total_iterations); ties go to the earliest
-    start, then the earliest iterate.
+    Iteration k scores every live row shifted by +-h along every axis
+    together with the rows iteration k - 1 stepped to (the first call
+    scores the starts), and one last call scores the final steps.  A
+    stepped row's value only updates the record of its start, never the
+    next step, and a row scores the same in any stack, so this deferral
+    leaves every bit of the result as a separate call per row set would.
+    A row stops when its gradient vanishes or its step moves less than
+    step_tol.  Returns (best_row, best_value, total_iterations); ties go
+    to the earliest start, then the earliest iterate.
     """
     m, n = starts.shape
     h = 1e-7
     w = _clip_row(simplex_project(starts))
     best = w.copy()
-    best_v = objective(w)
+    best_v = np.full(m, np.inf)
     live = np.arange(m)
+    # rows scored with the next call, and the starts they belong to
+    pending, owner = w, live
     shifts = h * np.eye(n)
     total = 0
+
+    def record(values, rows, idx):
+        better = values < best_v[idx]
+        best_v[idx[better]] = values[better]
+        best[idx[better]] = rows[better]
+
     for k in range(1, max_iters + 1):
         if live.size == 0:
             break
@@ -253,7 +292,9 @@ def _descend_fd(objective, starts, max_iters, step_tol):
         bumped = np.concatenate(
             [w[:, None, :] + shifts, w[:, None, :] - shifts]
         ).reshape(-1, n)
-        plus, minus = objective(bumped).reshape(2, live.size, n)
+        values = objective(np.concatenate([bumped, pending]))
+        record(values[bumped.shape[0]:], pending, owner)
+        plus, minus = values[: bumped.shape[0]].reshape(2, live.size, n)
         grad = (plus - minus) / (2 * h)
         # row-wise dot products round as np.linalg.norm does on one row
         norm = np.sqrt(grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
@@ -261,13 +302,12 @@ def _descend_fd(objective, starts, max_iters, step_tol):
         w, grad, norm, live = w[moving], grad[moving], norm[moving], live[moving]
         step = STEP_SCALE / (k * norm)
         w_new = _clip_row(simplex_project(w - step[:, None] * grad))
-        v_new = objective(w_new)
-        better = v_new < best_v[live]
-        best_v[live[better]] = v_new[better]
-        best[live[better]] = w_new[better]
+        pending, owner = w_new, live
         going = ~(np.max(np.abs(w_new - w), axis=1) < step_tol)
         w = w_new[going]
         live = live[going]
+    if pending.shape[0]:
+        record(objective(pending), pending, owner)
     i = int(np.argmin(best_v))
     return best[i], float(best_v[i]), total
 

@@ -313,8 +313,9 @@ def solve_coboundary(spec, w):
     rule, with its commutant part projected as above."""
     w = np.asarray(w, dtype=np.complex128)
     resid = matrixcore.op_norm(commutant_project(spec, w))
-    if resid > COBOUNDARY_TOL * matrixcore.op_norm(w):
-        raise NotACoboundaryError(resid)
+    norm_w = matrixcore.op_norm(w)
+    if resid > COBOUNDARY_TOL * norm_w:
+        raise NotACoboundaryError(resid, norm_w, COBOUNDARY_TOL)
     basis = spec.basis
     in_eigenbasis = basis.conj().T @ w @ basis
     lam = np.exp(1j * spec.col_phases)
@@ -351,7 +352,7 @@ def schedule_bound_rhs(sys, s):
     norm_x = matrixcore.op_norm(sys.generator)
     norm_p = matrixcore.op_norm(commutant_project(spec, sys.generator))
     if norm_p > COBOUNDARY_TOL * norm_x:
-        raise NotACoboundaryError(norm_p)
+        raise NotACoboundaryError(norm_p, norm_x, COBOUNDARY_TOL)
     norm_y = matrixcore.op_norm(solve_coboundary(spec, sys.generator))
     abs_t = abs(sys.t)
     m, m_prime = _rate_constants(norm_x, norm_p, norm_y, abs_t)

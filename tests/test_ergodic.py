@@ -467,6 +467,21 @@ def test_solve_coboundary_rejects_commutant_content():
     assert info.value.projection_norm == pytest.approx(1.0, abs=1e-12)
 
 
+def test_not_a_coboundary_message_states_the_tested_ratio():
+    # the rule is relative, so the refusal reports ||P(w)|| / ||w||: here
+    # ||P(w)|| = ||diag(2, 0)|| = 2 and ||w|| = 1 + sqrt(2)
+    spec = spectrum(np.diag([1.0, -1.0]))
+    w = np.array([[2.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NotACoboundaryError) as info:
+        solve_coboundary(spec, w)
+    assert info.value.projection_norm == pytest.approx(2.0, rel=1e-14)
+    assert info.value.generator_norm == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-14)
+    assert str(info.value) == (
+        "operator is not a coboundary: its commutant projection has op_norm 2; "
+        "||P(x)|| / ||x|| = 0.828427 exceeds the tolerance 1e-08 (||x|| = 2.41421)"
+    )
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
 def test_solve_coboundary_rule_is_relative(scale):
     # the rule ||P(w)|| <= COBOUNDARY_TOL ||w|| gives one verdict at every

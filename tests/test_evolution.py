@@ -3,6 +3,7 @@ import math
 
 import ergopulse.ergodic
 import ergopulse.evolution
+import ergopulse.matrixcore
 import ergopulse.optimizer
 
 import numpy as np
@@ -88,23 +89,42 @@ def test_pulse_system_stores_read_only_copies():
 
 
 def test_pulse_system_derives_spectrum_once(monkeypatch):
+    rng = np.random.default_rng(41)
+    sys = _coboundary_system(rng, 3, seed=41, t=0.6)
+    # public spectrum and PulseSystem.spec both derive through _spectrum
     calls = []
-    real = ergopulse.ergodic.spectrum
+    real = ergopulse.ergodic._spectrum
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
     for module in (ergopulse.ergodic, ergopulse.evolution):
-        monkeypatch.setattr(module, "spectrum", counting)
-    rng = np.random.default_rng(41)
-    sys = _coboundary_system(rng, 3, seed=41, t=0.6)
+        monkeypatch.setattr(module, "_spectrum", counting)
     report = convergence_sweep(sys, uhrig_family(), [4, 8, 16, 32, 64])
     assert report.bound_route == "schedule"
     equidistant_bound_constants(sys)
     limit_evolution(sys, 8)
     schedule_bound_rhs(sys, equidistant(8))
     assert len(calls) == 1
+
+
+def test_pulse_system_checks_unitarity_once(monkeypatch):
+    # __post_init__ checks u; the spectrum read from spec does not again
+    calls = []
+    real = ergopulse.matrixcore.is_unitary
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ergopulse.matrixcore, "is_unitary", counting)
+    sys = PulseSystem(u=SZ, generator=-1j * SX, t=0.5)
+    assert len(calls) == 1
+    assert len(sys.spec.clusters) == 2
+    assert len(calls) == 1
+    spectrum(sys.u)  # the public entry point still checks its input
+    assert len(calls) == 2
 
 
 def _degenerate_unitary(rng, dim):
@@ -422,8 +442,11 @@ def test_schedule_bound_zero_generator():
 
 def test_schedule_bound_refuses_commutant_content():
     sys = PulseSystem(u=SZ, generator=SZ, t=1.0)
-    with pytest.raises(NotACoboundaryError, match="yosida_split"):
+    with pytest.raises(NotACoboundaryError, match="yosida_split") as info:
         schedule_bound_rhs(sys, equidistant(4))
+    # the generator lies in the commutant: the tested ratio is 1
+    assert "||P(x)|| / ||x|| = 1 exceeds the tolerance 1e-08" in str(info.value)
+    assert info.value.generator_norm == sys.generator_norm
 
 
 def test_schedule_bound_dominates_measured_error():
@@ -639,6 +662,34 @@ def test_schedule_series_terms_rows_match_scalar_oracle(rows, n, scale, seed):
     for k in range(3):
         assert got[k].shape == (rows,)
         assert_allclose(got[k], [w[k] for w in want], rtol=1e-13, atol=0)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    rows=st.integers(1, 40),
+    n=st.integers(2, 40),
+    scale=st.sampled_from([0.0, 0.3, 1.0, 7.5, 400.0]),
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.lists(st.integers(1, 39), max_size=6),
+)
+def test_schedule_series_terms_score_rows_alike_in_any_stack(
+    rows, n, scale, seed, cuts
+):
+    # a row's terms do not depend on the other rows in its stack, bit for
+    # bit: the optimizer relies on this to score rows of different roles
+    # in one call.  n up to 40 passes numpy's 8-element pairwise-sum
+    # block; at scale 400 the step prefactor and expm1 overflow to +inf.
+    rng = np.random.default_rng(seed)
+    a = rng.dirichlet(np.full(n, 0.5), size=rows)
+    a[rng.integers(rows), rng.integers(n)] = 0.0
+    whole = _schedule_series_terms(a, scale)
+    bounds = [0] + sorted({c for c in cuts if c < rows}) + [rows]
+    parts = [_schedule_series_terms(a[i:j], scale) for i, j in zip(bounds, bounds[1:])]
+    for k in range(3):
+        assert np.array_equal(np.concatenate([p[k] for p in parts]), whole[k])
+        assert not np.isnan(whole[k]).any()
+    alone = [_schedule_series_terms(a[i : i + 1], scale)[2][0] for i in range(rows)]
+    assert np.array_equal(alone, whole[2])
 
 
 def test_schedule_series_terms_overflow_gives_inf():

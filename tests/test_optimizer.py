@@ -13,12 +13,14 @@ from ergopulse.cli import PRESETS
 from ergopulse.errors import TooLargeInstanceError
 from ergopulse.evolution import _schedule_series_terms, schedule_bound_rhs
 from ergopulse.optimizer import (
+    CERTIFY_ROWS,
     LATTICE_LIMIT,
     OptimizationResult,
     OptimizerConfig,
     _certify,
     _descend_fd,
     _lattice_chunks,
+    _lattice_groups,
     _starts,
     brute_force_simplex_grid,
     minimize_bound_rhs,
@@ -327,7 +329,7 @@ def test_minimize_bound_rhs_beats_or_ties_lopsided_rows(seeded=3):
 
 
 @pytest.mark.parametrize(
-    "n, scale", [(2, 1.0), (3, 0.7), (3, 1.4), (4, 0.8), (3, 0.0)]
+    "n, scale", [(2, 1.0), (3, 0.7), (3, 1.4), (4, 0.8), (3, 0.0), (9, 1.0)]
 )
 def test_lockstep_fd_descent_matches_per_start_oracle(n, scale):
     # the bound objective of minimize_bound_rhs at scale = |t| ||Y||
@@ -337,8 +339,9 @@ def test_lockstep_fd_descent_matches_per_start_oracle(n, scale):
 
     starts = _starts(n, OptimizerConfig(restarts=5, seed=n))
     # step_tol 1e-2 stops rows at different iterations; scale 0 gives a
-    # flat objective whose zero gradient stops every row at once
-    for max_iters, step_tol in ((60, 1e-12), (60, 1e-2)):
+    # flat objective whose zero gradient stops every row at once;
+    # max_iters 1 and 2 leave the last steps to the call after the loop
+    for max_iters, step_tol in ((60, 1e-12), (60, 1e-2), (1, 1e-12), (2, 1e-2)):
         got_w, got_v, got_iters = _descend_fd(objective, starts, max_iters, step_tol)
         want_w, want_v, want_iters = oracles.fd_descent(
             lambda w: objective(w[None, :])[0], starts, max_iters, step_tol
@@ -346,6 +349,71 @@ def test_lockstep_fd_descent_matches_per_start_oracle(n, scale):
         assert np.array_equal(got_w, want_w)
         assert got_v == want_v
         assert got_iters == want_iters
+
+
+def test_minimize_bound_rhs_makes_one_objective_call_per_iteration(monkeypatch):
+    # one call per descent iteration, one for the last steps, one for the
+    # reversed row and one for the whole 1,326-row certifying lattice
+    calls = []
+    real = ergopulse.optimizer._schedule_series_terms
+
+    def counting(rows, scale):
+        calls.append(rows.shape[0])
+        return real(rows, scale)
+
+    monkeypatch.setattr(ergopulse.optimizer, "_schedule_series_terms", counting)
+    cfg = OptimizerConfig()
+    res = minimize_bound_rhs(PRESETS["qubit-z-x"](1.0), 3, cfg)
+    assert res.certified_by_grid
+    assert len(calls) <= cfg.max_iters + 3
+    assert calls[-1] == math.comb(52, 2)
+
+
+def test_certify_scores_a_lattice_within_the_row_budget_in_one_call():
+    sys = PRESETS["qubit-z-x"](1.0)
+    scale = abs(sys.t) * sys.potential_norm
+    calls = []
+
+    def objective(rows):
+        calls.append(rows.shape[0])
+        return _schedule_series_terms(rows, scale)[2]
+
+    verdicts = set()
+    for n, resolution in ((3, 0.02), (4, 0.05), (5, 0.1)):
+        size = math.comb(round(1 / resolution) + n - 1, n - 1)
+        assert size <= CERTIFY_ROWS
+        # the per-chunk loop that certification groups
+        grid_v = min(
+            float(objective(rows).min()) for rows in _lattice_chunks(n, resolution)
+        )
+        for value in (grid_v, 2.0 * grid_v + 1.0):
+            calls.clear()
+            got = _certify(n, resolution, objective, value)
+            assert calls == [size]
+            slack = 4.0 * resolution * max(1.0, abs(value))
+            assert got == (grid_v >= value - slack)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n, resolution", [(4, 0.01), (5, 0.02)])
+def test_lattice_groups_join_whole_chunks_up_to_the_row_budget(n, resolution):
+    # (4, 0.01): 176,851 rows in chunks of 1 to 5,151 rows; (5, 0.02):
+    # 316,251 rows in chunks of 1 to 23,426 rows; the larger chunks
+    # exceed the budget alone
+    chunks = list(_lattice_chunks(n, resolution))
+    groups = list(_lattice_groups(n, resolution))
+    assert np.array_equal(np.concatenate(groups), np.concatenate(chunks))
+    sizes = [c.shape[0] for c in chunks]
+    start = 0
+    for k, g in enumerate(groups):
+        count = int(np.searchsorted(np.cumsum(sizes[start:]), g.shape[0])) + 1
+        assert sum(sizes[start : start + count]) == g.shape[0]  # whole chunks
+        assert count == 1 or g.shape[0] <= CERTIFY_ROWS
+        if k + 1 < len(groups):  # the next chunk did not fit
+            assert g.shape[0] + sizes[start + count] > CERTIFY_ROWS
+        start += count
+    assert start == len(chunks)
 
 
 def test_minimize_bound_rhs_cli_defaults_keep_known_optimum():
