@@ -13,6 +13,7 @@ the others by 1 - z_ij: one entrywise multiplier each (_split).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 import scipy.linalg
@@ -28,15 +29,14 @@ COBOUNDARY_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class UnitarySpectrum:
-    """Clustered eigenstructure of a unitary.
-
-    clusters pairs each representative eigenphase (in [0, 2pi)) with the
-    orthogonal projector onto its eigenspace; basis holds orthonormal
-    eigenvector columns with per-column phases and cluster labels for
-    eigenbasis computations.
+    """Clustered eigenstructure of a unitary, as arrays: orthonormal
+    eigenvector columns (basis, from the complex Schur form), their phases
+    in [0, 2pi) and cluster labels, and cluster_phases[k], the increasing
+    representative phase of label k.  Cluster k's spectral projector is
+    V_k V_k*, V_k = basis[:, col_labels == k].
     """
 
-    clusters: tuple[tuple[float, np.ndarray], ...]
+    cluster_phases: np.ndarray
     cluster_tol: float
     basis: np.ndarray
     col_phases: np.ndarray
@@ -48,16 +48,17 @@ class UnitarySpectrum:
 
 
 def spectrum(u, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> UnitarySpectrum:
-    """Eigenphase clusters and spectral projectors of a unitary.
+    """Eigenbasis, eigenphases and eigenphase cluster labels of a unitary.
 
     Phases closer than cluster_tol along the circle are merged into one
     cluster.  A chain of pairwise-close phases that spans more than
     cluster_tol admits no consistent grouping and raises
     ClusteringAmbiguityError.
     """
-    if not np.isfinite(cluster_tol) or cluster_tol <= 0:
+    real = isinstance(cluster_tol, Real) and not isinstance(cluster_tol, bool)
+    if not (real and 0 < cluster_tol < np.inf):
         raise ValueError("cluster_tol must be positive and finite")
-    return _spectrum(matrixcore.require_unitary(u), cluster_tol)
+    return _spectrum(matrixcore.require_unitary(u), float(cluster_tol))
 
 
 def _spectrum(arr: np.ndarray, cluster_tol: float) -> UnitarySpectrum:
@@ -75,28 +76,28 @@ def _spectrum(arr: np.ndarray, cluster_tol: float) -> UnitarySpectrum:
     # walk the circle from just past the first wide gap; each wide gap
     # on the way starts the next chain
     walk = (np.arange(d) + int(np.argmax(wide)) + 1) % d
-    chain_ids = np.concatenate(([0], np.cumsum(wide[walk[:-1]])))
-    reps = []
-    projectors = []
-    for c in range(chain_ids[-1] + 1):
-        chain = walk[chain_ids == c]
-        base = sorted_phases[chain[0]]
-        offsets = (sorted_phases[chain] - base) % (2 * np.pi)
-        if offsets.max() > cluster_tol:
-            raise ClusteringAmbiguityError(sorted_phases[chain], cluster_tol)
-        reps.append((base + offsets.mean()) % (2 * np.pi))
-        block = vecs[:, order[chain]]
-        projectors.append(block @ block.conj().T)
-
-    rank = np.argsort(np.asarray(reps), kind="stable")
+    walked = sorted_phases[walk]
+    breaks = wide[walk[:-1]]
+    chain_ids = np.concatenate(([0], np.cumsum(breaks)))
+    starts = np.flatnonzero(np.concatenate(([True], breaks)))
+    # each phase's offset from the first of its chain, 0 for that first
+    offsets = (walked - walked[starts][chain_ids]) % (2 * np.pi)
+    too_wide = np.flatnonzero(np.maximum.reduceat(offsets, starts) > cluster_tol)
+    if too_wide.size:
+        raise ClusteringAmbiguityError(walked[chain_ids == too_wide[0]], cluster_tol)
+    # reduceat adds a segment's first entry to the pairwise sum of the
+    # rest, so each chain gets a leading 0: its sum is then the one
+    # np.mean takes of the chain's offsets alone, bit for bit
+    padded = np.zeros(d + starts.size)
+    padded[np.arange(d) + chain_ids + 1] = offsets
+    sums = np.add.reduceat(padded, starts + np.arange(starts.size))
+    reps = (walked[starts] + sums / np.bincount(chain_ids)) % (2 * np.pi)
+    rank = np.argsort(reps, kind="stable")
     labels = np.empty(d, dtype=np.int64)
     labels[order[walk]] = np.argsort(rank)[chain_ids]
-    clusters = tuple(
-        (float(reps[i]), np.ascontiguousarray(projectors[i])) for i in rank
-    )
     return UnitarySpectrum(
-        clusters=clusters,
-        cluster_tol=float(cluster_tol),
+        cluster_phases=reps[rank],
+        cluster_tol=cluster_tol,
         basis=np.ascontiguousarray(vecs),
         col_phases=phases,
         col_labels=labels,
@@ -105,8 +106,8 @@ def _spectrum(arr: np.ndarray, cluster_tol: float) -> UnitarySpectrum:
 
 def _split(spec: UnitarySpectrum, x, name: str) -> YosidaSplit:
     """P(x), x - P(x) and y, from V* x V times the same-cluster mask and
-    times 1 / (1 - z_ij) across clusters (0 inside them).  Both exist for
-    every x, so no tolerance is tested."""
+    times 1 / (1 - z_ij) where the labels differ (0 where they agree).
+    Both exist for every x, so no tolerance is tested."""
     arr = matrixcore.as_operator(x, name)
     if arr.shape[0] != spec.dim:
         raise ValueError(

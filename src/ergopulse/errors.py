@@ -15,7 +15,7 @@ class DomainError(Exception):
 
 
 class ClusteringAmbiguityError(DomainError):
-    """Eigenphases cannot be split into well-separated clusters."""
+    """The eigenphases have no consistent grouping at cluster_tol."""
 
     def __init__(self, phases, cluster_tol: float):
         self.phases = list(phases)

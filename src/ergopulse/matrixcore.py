@@ -4,11 +4,11 @@ seeded random unitaries with controlled eigenphase gaps, and a small JSON
 interchange format for matrices.
 
 Everything operates on square complex128 arrays of dimension at most
-MAX_DIM.  expm also takes a stack of them, or one matrix and many scalar
-multiples; the small multiples share a truncated Taylor sum evaluated
-for all of them at once, one matrix product per Horner level.  Public
-entry points validate and normalize their inputs with as_operator, so
-downstream code can assume clean, C-contiguous data.
+MAX_DIM.  expm also takes one matrix and many scalar multiples; the
+small multiples share a truncated Taylor sum evaluated for all of them
+at once, one matrix product per Horner level.  Public entry points
+validate and normalize their inputs with as_operator, so downstream
+code can assume clean, C-contiguous data.
 """
 
 from __future__ import annotations
@@ -24,22 +24,20 @@ MAX_DIM = 64
 UNITARITY_TOL = 1e-10
 
 
-def as_operator(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+def as_operator(m, name: str = "matrix") -> np.ndarray:
     """Validate a square complex matrix and return it as a C-contiguous
-    complex128 array.  With stack=True, validate a (k, d, d) stack of
-    square matrices instead.
+    complex128 array.
 
     An input that already is one is returned as it is, not copied, so the
     result may share memory with the caller's array; callers that keep or
     freeze it take their own copy (PulseSystem does).
     """
     arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2 + stack or arr.shape[-1] != arr.shape[-2]:
-        kind = "a stack of square matrices" if stack else "square"
-        raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
-    if not 1 <= arr.shape[-1] <= MAX_DIM:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    if not 1 <= arr.shape[0] <= MAX_DIM:
         raise ValueError(
-            f"{name} dimension must be in [1, {MAX_DIM}], got {arr.shape[-1]}"
+            f"{name} dimension must be in [1, {MAX_DIM}], got {arr.shape[0]}"
         )
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -74,28 +72,25 @@ def require_unitary(u) -> np.ndarray:
 
 
 def expm(m, scalars=None) -> np.ndarray:
-    """Matrix exponential e^m, by scipy.linalg.expm; given a (k, d, d)
-    stack, the exponential of every matrix in it, in one call.  Given a
-    matrix m and a 1-D array of k complex scalars c, the (k, d, d) stack
-    of the e^(c_k m).
+    """Matrix exponential e^m, by scipy.linalg.expm.  Given also a 1-D
+    array of k complex scalars c, the (k, d, d) stack of the e^(c_k m).
 
     scipy.linalg.expm is one route for every input, normal or not and at
     any scale: scaling and squaring around a Pade approximant whose degree
     and scaling are chosen from 1-norm estimates (Al-Mohy & Higham, SIMAX
     31(3), 2009).  No normality test picks a method, so a small non-normal
-    matrix keeps its off-diagonal first-order term.  scipy runs that
-    algorithm on each matrix of a stack in turn, so a stacked result
-    equals the per-matrix calls byte for byte.
+    matrix keeps its off-diagonal first-order term.
 
     The scalar-multiples form sends every c_k with r_k = |c_k| ||m||_1 > 1
-    to scipy.linalg.expm as above.  The others share one truncated Taylor
-    sum T_n(c m) = sum_{j<=n} (c m)^j / j!, by Horner,
-    E <- I + (c/j) m E for j = n..1 (Moler & Van Loan, SIAM Rev. 45(1),
-    2003, sec. 3).  E is held as a (d, d, k) array, so m E for all k
-    slices is one (d x d) @ (d x dk) product per level, then a scale by
-    c/j and + I.  The degree n is the smallest with
-    r^(n+1)/(n+1)! e^r <= 2^-53 at the largest of those r, plus 3; the
-    result of a slice therefore depends on the other slices of the call.
+    to scipy.linalg.expm as above, in one call on their stack.  The
+    others share one truncated Taylor sum
+    T_n(c m) = sum_{j<=n} (c m)^j / j!, by Horner, E <- I + (c/j) m E
+    for j = n..1 (Moler & Van Loan, SIAM Rev. 45(1), 2003, sec. 3).
+    E is held as a (d, d, k) array, so m E for all k slices is one
+    (d x d) @ (d x dk) product per level, then a scale by c/j and + I.
+    The degree n is the smallest with r^(n+1)/(n+1)! e^r <= 2^-53 at the
+    largest of those r, plus 3; the result of a slice therefore depends
+    on the other slices of the call.
 
     Error, in the 1-norm, with u = 2^-53 and r = r_k <= 1.  Truncation:
     ||e^(cm) - T_n|| <= r^(n+1)/(n+1)! e^r, and the 3 extra terms cut the
@@ -114,8 +109,7 @@ def expm(m, scalars=None) -> np.ndarray:
     value, and a product c_k m that overflows, raise ValueError.
     """
     if scalars is None:
-        arr = np.asarray(m)
-        return scipy.linalg.expm(as_operator(arr, stack=arr.ndim == 3))
+        return scipy.linalg.expm(as_operator(m))
     a = as_operator(m)
     c = np.asarray(scalars, dtype=np.complex128)
     if c.ndim != 1 or c.shape[0] == 0 or not np.isfinite(c).all():
@@ -123,13 +117,15 @@ def expm(m, scalars=None) -> np.ndarray:
     d = a.shape[0]
     k = c.shape[0]
     # an r or a product that overflows is caught below: r = inf is not
-    # small, and as_operator refuses the non-finite product
+    # small, so the product lands in big
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.abs(c) * np.abs(a).sum(axis=0).max()
         small = r <= 1.0
         big = c[~small, None, None] * a
+    if not np.isfinite(big).all():
+        raise ValueError("c_k m contains non-finite entries")
     if big.shape[0]:
-        big = scipy.linalg.expm(as_operator(big, "c_k m", stack=True))
+        big = scipy.linalg.expm(big)
     if not small.any():
         return big
     # out is filled after the Horner work buffers are freed, so a call
@@ -243,6 +239,8 @@ def random_unitary(dim: int, min_phase_gap: float = 0.0, seed=None) -> np.ndarra
     Phases are laid out as the mandatory gap plus Dirichlet-distributed
     slack, then conjugated by a Haar-random basis.
     """
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
     gap = float(min_phase_gap)

@@ -6,9 +6,13 @@ row by row, so these bodies must not be vectorized.  The bound and limit
 oracles at the end derive the spectrum, commutant part and potential of
 a system afresh on every call, as the code did before PulseSystem
 cached them, through commutant_project and solve_coboundary here: the
-sum of P x P over the spectral projectors of u, and the division of the
+sum of P x P over the cluster projectors of u (cluster_projectors, formed
+from the spectrum's basis and labels), and the division of the
 cross-cluster entries of V* w V by 1 - lambda_i conj(lambda_j), which
 ergopulse.ergodic replaced by one entrywise multiplier step.
+spectrum_clusters is the per-chain loop that labelled the eigenphase
+clusters and took their phases before ergopulse.ergodic._spectrum did it
+with one reduceat per quantity; the two must agree bit for bit.
 conj_weighted_sum is no earlier version: it is the literal per-term sum
 in extended precision, an independent reference for the eigenbasis
 kernel.  chain_product is the per-pulse loop that the blocked pairwise
@@ -36,7 +40,7 @@ import scipy.linalg
 
 from ergopulse import matrixcore
 from ergopulse.ergodic import COBOUNDARY_TOL, spectrum
-from ergopulse.errors import NotACoboundaryError
+from ergopulse.errors import ClusteringAmbiguityError, NotACoboundaryError
 from ergopulse.optimizer import STEP_SCALE
 
 # x86-64 long doubles carry a 64-bit mantissa (eps 1.08e-19); where
@@ -299,10 +303,50 @@ def _rate_constants(norm_x, norm_x0, norm_y, abs_t):
     return m, m_prime
 
 
+def spectrum_clusters(u, cluster_tol):
+    """(col_labels, cluster_phases) of a unitary u, chain by chain: walk
+    the sorted eigenphases from just past the first gap wider than
+    cluster_tol, start a chain at each such gap, refuse the first chain
+    that spans more than cluster_tol, and take base + mean offset as its
+    phase.  Raises ClusteringAmbiguityError as ergopulse.ergodic.spectrum
+    does."""
+    tri, _vecs = scipy.linalg.schur(np.asarray(u, dtype=np.complex128), output="complex")
+    phases = np.angle(np.diag(tri)) % (2 * np.pi)
+    d = phases.shape[0]
+    order = np.argsort(phases, kind="stable")
+    sorted_phases = phases[order]
+    wrap_gap = 2 * np.pi - sorted_phases[-1] + sorted_phases[0]
+    wide = np.append(np.diff(sorted_phases), wrap_gap) > cluster_tol
+    if d > 1 and not wide.any():
+        raise ClusteringAmbiguityError(sorted_phases, cluster_tol)
+    walk = (np.arange(d) + int(np.argmax(wide)) + 1) % d
+    chain_ids = np.concatenate(([0], np.cumsum(wide[walk[:-1]])))
+    reps = []
+    for c in range(chain_ids[-1] + 1):
+        chain = walk[chain_ids == c]
+        base = sorted_phases[chain[0]]
+        offsets = (sorted_phases[chain] - base) % (2 * np.pi)
+        if offsets.max() > cluster_tol:
+            raise ClusteringAmbiguityError(sorted_phases[chain], cluster_tol)
+        reps.append((base + offsets.mean()) % (2 * np.pi))
+    rank = np.argsort(np.asarray(reps), kind="stable")
+    labels = np.empty(d, dtype=np.int64)
+    labels[order[walk]] = np.argsort(rank)[chain_ids]
+    return labels, np.asarray(reps)[rank]
+
+
+def cluster_projectors(spec):
+    """V_k V_k* for every label k, V_k = spec.basis[:, spec.col_labels == k]:
+    the orthogonal projector onto cluster k's eigenspace."""
+    labels = range(spec.cluster_phases.shape[0])
+    blocks = (spec.basis[:, spec.col_labels == k] for k in labels)
+    return [v @ v.conj().T for v in blocks]
+
+
 def commutant_project(spec, x):
-    """Sum of P x P over the spectral projectors P of u."""
+    """Sum of P x P over the cluster projectors P of u."""
     out = np.zeros_like(x, dtype=np.complex128)
-    for _phase, proj in spec.clusters:
+    for proj in cluster_projectors(spec):
         out += proj @ x @ proj
     return out
 

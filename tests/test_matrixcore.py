@@ -167,46 +167,22 @@ def test_expm_commuting_sum_factorizes():
     assert_allclose(expm(d1 + d2), expm(d1) @ expm(d2), atol=1e-13)
 
 
-def test_expm_stack_equals_per_matrix_calls_bytewise():
-    # pulse_product exponentiates every distinct weight in one stacked
-    # call; each slice must be exactly what a lone call returns
-    rng = np.random.default_rng(41)
-    weights = np.concatenate([[0.0, 1e-9, 1e-7], rng.uniform(0.0, 2.0, 5), [40.0]])
-    for dim in (1, 2, 3, 8):
-        g = _random_complex(rng, dim)
-        normal = -1j * (g + g.conj().T)
-        non_normal = _random_complex(rng, dim)
-        for x in (normal, non_normal):
-            for t in (1.0, 0.7 - 0.4j):
-                stack = (weights * t)[:, None, None] * x
-                got = expm(stack)
-                assert got.shape == stack.shape
-                for k in range(stack.shape[0]):
-                    assert np.array_equal(got[k], expm(stack[k]))
-    # tiny nilpotent and triangular factors, mixed with diagonal ones,
-    # take scipy's triangular and diagonal branches inside one stack
-    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    stack = np.stack(
-        [1e-7 * nil, 1e-7 * nil.T, np.diag([0.3j, -0.2]), [[0.5, 30.0], [0.0, -0.2j]]]
-    )
-    got = expm(stack)
-    assert got[0][0, 1] == 1e-7 and got[1][1, 0] == 1e-7
-    for k in range(stack.shape[0]):
-        assert np.array_equal(got[k], expm(stack[k]))
-
-
 def test_expm_rejects_bad_stacks():
+    # expm takes one matrix: any (k, d, d) stack is refused as not square,
+    # whatever its entries or dimension
     big = matrixcore.MAX_DIM + 1
     bad_nan = np.zeros((3, 2, 2))
     bad_nan[2, 0, 1] = np.inf
-    for bad, match in [
-        (np.zeros((3, 2, 3)), "square"),
-        (np.zeros((1, 2, 2, 2)), "square"),
-        (bad_nan, "non-finite"),
-        (np.zeros((2, big, big)), "dimension"),
-        (np.zeros((2, 0, 0)), "dimension"),
-    ]:
-        with pytest.raises(ValueError, match=match):
+    for bad in (
+        np.zeros((3, 2, 2)),
+        np.zeros((1, 2, 2)),
+        np.zeros((3, 2, 3)),
+        np.zeros((1, 2, 2, 2)),
+        bad_nan,
+        np.zeros((2, big, big)),
+        np.zeros((2, 0, 0)),
+    ):
+        with pytest.raises(ValueError, match="must be square"):
             expm(bad)
 
 
@@ -456,6 +432,13 @@ def test_random_unitary_respects_min_phase_gap():
 def test_random_unitary_dim_one():
     u = random_unitary(1, seed=3)
     assert abs(abs(u[0, 0]) - 1.0) < 1e-14
+
+
+def test_random_unitary_refuses_bool_or_non_integer_dim():
+    for bad in (2.5, 3.0, True, False, np.bool_(True), "3", None):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            random_unitary(bad, seed=0)
+    assert np.array_equal(random_unitary(np.int64(3), seed=4), random_unitary(3, seed=4))
 
 
 def test_random_unitary_rejects_infeasible_gap():
