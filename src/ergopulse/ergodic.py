@@ -13,7 +13,6 @@ the others by 1 - z_ij: one entrywise multiplier each (_split).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 import scipy.linalg
@@ -53,12 +52,12 @@ def spectrum(u, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> UnitarySpectrum:
     Phases closer than cluster_tol along the circle are merged into one
     cluster.  A chain of pairwise-close phases that spans more than
     cluster_tol admits no consistent grouping and raises
-    ClusteringAmbiguityError.
+    ClusteringAmbiguityError.  cluster_tol is a positive real.
     """
-    real = isinstance(cluster_tol, Real) and not isinstance(cluster_tol, bool)
-    if not (real and 0 < cluster_tol < np.inf):
-        raise ValueError("cluster_tol must be positive and finite")
-    return _spectrum(matrixcore.require_unitary(u), float(cluster_tol))
+    tol = matrixcore.require_real(cluster_tol, "cluster_tol")
+    if tol <= 0:
+        raise ValueError(f"cluster_tol must be positive, got {tol!r}")
+    return _spectrum(matrixcore.require_unitary(u), tol)
 
 
 def _spectrum(arr: np.ndarray, cluster_tol: float) -> UnitarySpectrum:
@@ -142,26 +141,16 @@ def require_coboundary_norm(fixed_norm: float, norm: float, hint: str = "") -> N
         raise NotACoboundaryError(fixed_norm, norm, COBOUNDARY_TOL, hint)
 
 
-def _mean_operands(u, x) -> tuple[np.ndarray, np.ndarray]:
-    """u and x as operators of one dimension, u unitary."""
-    uu = matrixcore.require_unitary(u)
-    xx = matrixcore.as_operator(x, "x")
-    if uu.shape != xx.shape:
-        raise ValueError("u and x must share a dimension")
-    return uu, xx
-
-
 def cesaro_mean(u, x, n: int) -> np.ndarray:
-    """Average of u^k x (u^k)* for k = 1..n."""
-    uu, xx = _mean_operands(u, x)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be a positive integer")
-    return conj_weighted_sum(uu, xx, np.full(int(n), 1.0 / n))
+    """Average of u^k x (u^k)* for k = 1..n, a count n >= 1."""
+    uu, xx = matrixcore.require_pair(u, x, "x")
+    n = matrixcore.require_count(n, "n", 1)
+    return conj_weighted_sum(uu, xx, np.full(n, 1.0 / n))
 
 
 def weighted_cesaro_mean(u, x, s: Schedule) -> np.ndarray:
     """Schedule-weighted average: sum of s.weights[k-1] * u^k x (u^k)*."""
-    uu, xx = _mean_operands(u, x)
+    uu, xx = matrixcore.require_pair(u, x, "x")
     if not isinstance(s, Schedule):
         raise ValueError("s must be a Schedule")
     return conj_weighted_sum(uu, xx, s.weights)

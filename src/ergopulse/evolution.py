@@ -21,6 +21,7 @@ import csv
 import math
 from dataclasses import astuple, dataclass, fields, replace
 from functools import cached_property
+from numbers import Complex
 from os import PathLike
 
 import numpy as np
@@ -43,12 +44,13 @@ from .schedules import Schedule, ScheduleFamily
 class PulseSystem:
     """Pulse unitary u, generator X, and evolution time t.
 
-    For Hamiltonian control pass X = -i H; t may be complex.  u and X are
-    stored as read-only copies, and everything derived from (u, X, t) --
-    the spectrum of u, the commutant part P(X), the potential Y of
-    X - P(X), their norms and the limit factor e^{P(X) t} -- is computed
-    once, on first use, and cached on the instance.  The norms are
-    rounded up, so the bounds built from them stay upper bounds.
+    For Hamiltonian control pass X = -i H; t is any finite complex number
+    but a bool.  u and X are stored as read-only copies, and everything
+    derived from (u, X, t) -- the spectrum of u, the commutant part P(X),
+    the potential Y of X - P(X), their norms and the limit factor
+    e^{P(X) t} -- is computed once, on first use, and cached on the
+    instance.  The norms are rounded up, so the bounds built from them
+    stay upper bounds.
     """
 
     u: np.ndarray
@@ -56,13 +58,14 @@ class PulseSystem:
     t: complex = 1.0
 
     def __post_init__(self):
-        u = matrixcore.require_unitary(self.u).copy()
-        x = matrixcore.as_operator(self.generator, "generator").copy()
-        if u.shape != x.shape:
-            raise ValueError("u and generator must share a dimension")
-        t = complex(self.t)
-        if not (math.isfinite(t.real) and math.isfinite(t.imag)):
-            raise ValueError("t must be finite")
+        u, x = matrixcore.require_pair(self.u, self.generator, "generator")
+        u, x = u.copy(), x.copy()
+        if isinstance(self.t, bool) or not isinstance(self.t, Complex):
+            raise ValueError(f"t must be a complex number, got {self.t!r}")
+        t = complex(
+            matrixcore.require_real(self.t.real, "t.real"),
+            matrixcore.require_real(self.t.imag, "t.imag"),
+        )
         # the cached quantities below assume u and X never change
         u.setflags(write=False)
         x.setflags(write=False)
@@ -194,10 +197,9 @@ def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
 
 
 def limit_evolution(sys: PulseSystem, n: int) -> np.ndarray:
-    """The n-pulse limit object e^{P(X) t} u^n."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be a positive integer")
-    return sys.limit_factor @ np.linalg.matrix_power(sys.u, int(n))
+    """The n-pulse limit object e^{P(X) t} u^n, for a count n >= 1."""
+    n = matrixcore.require_count(n, "n", 1)
+    return sys.limit_factor @ np.linalg.matrix_power(sys.u, n)
 
 
 def control_error(sys: PulseSystem, s: Schedule) -> float:
@@ -344,16 +346,14 @@ def convergence_sweep(
 ) -> ConvergenceReport:
     """Measured control error over a grid of pulse counts, with bounds
     attached where a bound route applies and a log-log slope fitted over
-    the upper half of the grid."""
+    the upper half of the grid.  n_values are >= 3 increasing counts >= 2."""
     if not isinstance(family, ScheduleFamily):
         raise ValueError("family must be a ScheduleFamily")
-    ns = [int(n) for n in n_values]
+    ns = [matrixcore.require_count(n, "pulse count", 2) for n in n_values]
     if len(ns) < 3:
         raise ValueError("need at least 3 pulse counts")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("pulse counts must be strictly increasing")
-    if ns[0] < 2:
-        raise ValueError("pulse counts must be >= 2")
 
     errors = []
     bounds: list[BoundBreakdown] | None

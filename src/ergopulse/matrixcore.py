@@ -7,14 +7,16 @@ Everything operates on square complex128 arrays of dimension at most
 MAX_DIM.  expm also takes one matrix and many scalar multiples; the
 small multiples share a truncated Taylor sum evaluated for all of them
 at once, one matrix product per Horner level.  Public entry points
-validate and normalize their inputs with as_operator, so downstream
-code can assume clean, C-contiguous data.
+validate and normalize their inputs with as_operator, require_count,
+require_real and require_pair, so downstream code can assume clean,
+C-contiguous data and plain ints and finite floats.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from os import PathLike
 
 import numpy as np
@@ -69,6 +71,40 @@ def require_unitary(u) -> np.ndarray:
             "u is not unitary within %.1e in operator norm" % UNITARITY_TOL
         )
     return arr
+
+
+def require_pair(u, x, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(u, x) as operators of one dimension, u unitary (require_unitary);
+    name names x in the messages."""
+    uu = require_unitary(u)
+    xx = as_operator(x, name)
+    if uu.shape != xx.shape:
+        raise ValueError(f"u and {name} must share a dimension")
+    return uu, xx
+
+
+def require_count(value, name: str, minimum: int) -> int:
+    """value as an int, or ValueError unless it is an int or np.integer of
+    at least minimum.  bool, np.bool_, floats (4.0 too) and strings are
+    refused, so no count is ever rounded or parsed."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def require_real(value, name: str) -> float:
+    """value as a float, or ValueError unless it is a numbers.Real other
+    than bool whose float is finite.  Strings, NaN, +-inf and ints or
+    fractions past the float range (10**400) are refused."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        out = float(value) if real else math.nan
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return out
 
 
 def expm(m, scalars=None) -> np.ndarray:
@@ -223,29 +259,30 @@ def _defect_series_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def exp_product_defect_bound(a_norm: float, b_norm: float) -> float:
     """Upper bound on ||e^A e^B - e^(A+B)|| given ||A|| <= a_norm and
     ||B|| <= b_norm: the defect series S of _defect_series_batch, in
-    closed form for any finite norms, rounded outward; +inf on overflow.
+    closed form for any finite, nonnegative real norms, rounded outward;
+    +inf on overflow.
     """
-    a = float(a_norm)
-    b = float(b_norm)
-    if not (math.isfinite(a) and math.isfinite(b)) or a < 0 or b < 0:
-        raise ValueError("norms must be finite and nonnegative")
+    a = require_real(a_norm, "a_norm")
+    b = require_real(b_norm, "b_norm")
+    if a < 0 or b < 0:
+        raise ValueError(f"norms must be nonnegative, got {a!r} and {b!r}")
     return float(_defect_series_batch(np.array([a]), np.array([b]))[0])
 
 
 def random_unitary(dim: int, min_phase_gap: float = 0.0, seed=None) -> np.ndarray:
-    """Seeded random unitary whose eigenphases are pairwise separated by at
-    least min_phase_gap on the circle.
+    """Seeded random unitary of a count dim in [1, MAX_DIM] whose
+    eigenphases are pairwise separated by at least min_phase_gap, a
+    nonnegative real, on the circle.
 
     Phases are laid out as the mandatory gap plus Dirichlet-distributed
     slack, then conjugated by a Haar-random basis.
     """
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-        raise ValueError(f"dim must be an integer, got {dim!r}")
-    if not 1 <= dim <= MAX_DIM:
+    dim = require_count(dim, "dim", 1)
+    if dim > MAX_DIM:
         raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
-    gap = float(min_phase_gap)
-    if not math.isfinite(gap) or gap < 0:
-        raise ValueError("min_phase_gap must be finite and nonnegative")
+    gap = require_real(min_phase_gap, "min_phase_gap")
+    if gap < 0:
+        raise ValueError(f"min_phase_gap must be nonnegative, got {gap!r}")
     if dim * gap >= 2 * np.pi:
         raise ValueError(
             "infeasible: %d phases with pairwise gap %.6g do not fit on the circle"
@@ -271,15 +308,6 @@ def matrix_to_json_dict(m) -> dict:
     }
 
 
-def _require_real(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} must be a real number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValueError(f"{where} must be finite, got {value!r}")
-    return out
-
-
 def json_object(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
     """obj, checked to be a JSON object with every required key and no key
     outside required and optional; what names it in the messages."""
@@ -296,10 +324,8 @@ def json_object(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
 def matrix_from_json_dict(obj) -> np.ndarray:
     """Parse and validate the matrix JSON representation."""
     json_object(obj, "matrix JSON", ("dim", "entries"))
-    dim = obj["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ValueError('"dim" must be an integer')
-    if not 1 <= dim <= MAX_DIM:
+    dim = require_count(obj["dim"], '"dim"', 1)
+    if dim > MAX_DIM:
         raise ValueError(f'"dim" must be in [1, {MAX_DIM}], got {dim}')
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
@@ -312,8 +338,8 @@ def matrix_from_json_dict(obj) -> np.ndarray:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"entry {k} must be a [re, im] pair, got {pair!r}")
         flat[k] = complex(
-            _require_real(pair[0], f"entry {k} real part"),
-            _require_real(pair[1], f"entry {k} imaginary part"),
+            require_real(pair[0], f"entry {k} real part"),
+            require_real(pair[1], f"entry {k} imaginary part"),
         )
     return flat.reshape(dim, dim)
 

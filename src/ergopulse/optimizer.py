@@ -24,6 +24,7 @@ import numpy as np
 from ._kernels import simplex_project, tv_value
 from .errors import TooLargeInstanceError
 from .evolution import PulseSystem, _schedule_series_terms
+from .matrixcore import require_count, require_real
 from .schedules import Schedule, equidistant
 
 LATTICE_LIMIT = 500_000
@@ -47,6 +48,7 @@ class OptimizerConfig:
     STEP_TOL.  grid_resolution is the spacing of the certifying lattice.
     minimize_tv is a closed form and reads only grid_resolution: its
     result is certified wherever that lattice fits within LATTICE_LIMIT.
+    restarts and seed are counts >= 0, max_iters one >= 1.
     """
 
     restarts: int = 12
@@ -55,15 +57,13 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError("%s must be an integer (got %r)" % (name, value))
-        if self.restarts < 0 or self.max_iters < 1 or self.seed < 0:
-            raise ValueError("restarts and seed must be >= 0 and max_iters >= 1")
-        if not (0 < self.grid_resolution <= 0.5):
-            raise ValueError("grid_resolution must be in (0, 0.5]")
-        _lattice_size(2, self.grid_resolution)
+        require_count(self.restarts, "restarts", 0)
+        require_count(self.max_iters, "max_iters", 1)
+        require_count(self.seed, "seed", 0)
+        resolution = require_real(self.grid_resolution, "grid_resolution")
+        if not 0 < resolution <= 0.5:
+            raise ValueError(f"grid_resolution must be in (0, 0.5], got {resolution!r}")
+        _lattice_size(2, resolution)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,15 +113,11 @@ def _canonical_orientation(w, value, objective, tie_tol):
 def _lattice_size(n: int, resolution: float) -> tuple[int, int]:
     """(steps, points) of the n-weight simplex lattice with the given
     spacing: steps = 1/resolution, refusing spacings that do not divide 1,
-    and points = binom(steps + n - 1, n - 1)."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    resolution = float(resolution)
-    if not math.isfinite(resolution) or resolution <= 0.0:
-        raise ValueError(
-            "resolution must be a positive finite number (got %r)"
-            % (resolution,)
-        )
+    and points = binom(steps + n - 1, n - 1), for a count n >= 2."""
+    n = require_count(n, "n", 2)
+    resolution = require_real(resolution, "resolution")
+    if resolution <= 0.0:
+        raise ValueError(f"resolution must be positive, got {resolution!r}")
     steps = round(1.0 / resolution)
     if steps < 2 or abs(steps * resolution - 1.0) > 1e-9:
         raise ValueError(
@@ -230,7 +226,8 @@ def _starts(n: int, cfg: OptimizerConfig) -> np.ndarray:
 
 
 def minimize_tv(n: int, config: OptimizerConfig | None = None) -> OptimizationResult:
-    """Minimize the total-variation functional over valid n-weight rows.
+    """Minimize the total-variation functional over valid n-weight rows,
+    for a count n >= 2.
 
     The minimizer is the equal row, in closed form.  With a_0 = a_{n+1} = 0,
     TV(a) = sum_{i=0..n} |a_{i+1} - a_i| is the length of a path from 0 up
@@ -246,7 +243,7 @@ def minimize_tv(n: int, config: OptimizerConfig | None = None) -> OptimizationRe
     """
     cfg = config or OptimizerConfig()
     _steps, size = _lattice_size(n, cfg.grid_resolution)
-    row = equidistant(int(n))
+    row = equidistant(n)
     return OptimizationResult(
         minimizer=row,
         value=float(tv_value(row.weights)),
@@ -320,13 +317,12 @@ def minimize_bound_rhs(
     """Minimize the per-schedule error bound over valid n-weight rows.
 
     The objective is total_rhs of schedule_bound_rhs, so the generator
-    must be a coboundary.  Descent uses central finite differences for
-    the subgradient (the objective is piecewise smooth in the weights).
+    must be a coboundary, and n is a count >= 2.  Descent uses central
+    finite differences for the subgradient (the objective is piecewise
+    smooth in the weights).
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("n must be an integer >= 2")
+    n = require_count(n, "n", 2)
     cfg = config or OptimizerConfig()
-    n = int(n)
     sys._require_coboundary()
     scale = abs(sys.t) * sys.potential_norm
 

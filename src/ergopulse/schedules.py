@@ -5,7 +5,8 @@ consecutive pulses; a ScheduleFamily produces one row per pulse count so
 limits in the pulse count make sense.  The total-variation functional
 a_1 + sum |a_{i+1} - a_i| + a_n controls how far a family can stray from
 mean behavior, and cohen_uniformity_probe collects the numerical evidence
-for (or against) that control along a geometric grid.
+for (or against) that control along a geometric grid.  Every row builder
+takes a count n >= 2, since a single weight would have to be 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from ._kernels import tv_value
 from .errors import InvalidDensityError
-from .matrixcore import json_object
+from .matrixcore import json_object, require_count, require_real
 
 WEIGHT_SUM_TOL = 1e-12
 DENSITY_NORMALIZATION_TOL = 1e-6
@@ -30,18 +31,17 @@ DENSITY_NORMALIZATION_TOL = 1e-6
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """A row of n weights with 0 <= a_i < 1 and sum exactly 1 (within
-    WEIGHT_SUM_TOL)."""
+    WEIGHT_SUM_TOL), n a count >= 1."""
 
     n: int
     weights: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError("n must be a positive integer")
+        n = require_count(self.n, "n", 1)
         arr = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        if arr.ndim != 1 or arr.shape[0] != self.n:
+        if arr.ndim != 1 or arr.shape[0] != n:
             raise ValueError(
-                f"weights must be a length-{self.n} vector, got shape {arr.shape}"
+                f"weights must be a length-{n} vector, got shape {arr.shape}"
             )
         if not np.isfinite(arr).all():
             raise ValueError("weights contain non-finite entries")
@@ -50,7 +50,7 @@ class Schedule:
         total = float(arr.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", arr)
 
 
@@ -75,15 +75,9 @@ class ScheduleFamily:
         return s
 
 
-def _row_length(n, name: str) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"{name} needs integer n >= 2: a single weight is invalid")
-    return int(n)
-
-
 def equidistant(n: int) -> Schedule:
     """All weights equal to 1/n."""
-    n = _row_length(n, "equidistant")
+    n = require_count(n, "equidistant n", 2)
     return Schedule(n, np.full(n, 1.0 / n))
 
 
@@ -92,7 +86,7 @@ def uhrig(n: int) -> Schedule:
     a_i = sin(pi/2n) sin(pi m_i/2n) with m_i = min(2i-1, 2(n-i)+1).  The min
     keeps the sine argument at most pi/2, so the right end has no
     cancellation and the row is an exact palindrome."""
-    n = _row_length(n, "uhrig")
+    n = require_count(n, "uhrig n", 2)
     i = np.arange(1, n + 1)
     m = np.minimum(2 * i - 1, 2 * (n - i) + 1)
     half = math.pi / (2 * n)
@@ -106,7 +100,7 @@ def from_cdf(cdf: Callable[[np.ndarray], np.ndarray], n: int) -> Schedule:
     must be finite, at least -1e-12 and sum to 1 within
     DENSITY_NORMALIZATION_TOL; the row is then renormalized to sum to 1.
     """
-    n = _row_length(n, "from_cdf")
+    n = require_count(n, "from_cdf n", 2)
     edges = np.linspace(0.0, 1.0, n + 1)
     vals = np.asarray(cdf(edges), dtype=np.float64)
     if vals.shape != edges.shape:
@@ -136,7 +130,7 @@ def pathological(n: int) -> Schedule:
     Sums to 1 for every n >= 2 but its total variation tends to 2, so it
     deliberately fails the uniformity the density families enjoy.
     """
-    n = _row_length(n, "pathological")
+    n = require_count(n, "pathological n", 2)
     big = (2.0 * n - 1.0) / (n * n)
     small = 1.0 / (n * n)
     weights = np.empty(n)
@@ -149,7 +143,7 @@ def pathological(n: int) -> Schedule:
 
 def pathological_row_exact(n: int) -> list[Fraction]:
     """The pathological row in exact rationals."""
-    n = _row_length(n, "pathological")
+    n = require_count(n, "pathological n", 2)
     big = Fraction(2 * n - 1, n * n)
     small = Fraction(1, n * n)
     row = [big if i % 2 == 0 else small for i in range(n)]
@@ -258,21 +252,21 @@ def cohen_uniformity_probe(
 ) -> UniformityReport:
     """Probe the weighted-mean uniformity conditions along a geometric grid.
 
-    The verdict is "violates-uniform" when the total variation at the
-    largest probed N stays above 0.5, and "consistent-with-uniform"
-    otherwise.  This is numerical evidence over a finite grid, not a proof.
+    n_max is a count >= 4 and k_grid holds counts in [1, n_max].  The
+    verdict is "violates-uniform" when the total variation at the largest
+    probed N stays above 0.5, and "consistent-with-uniform" otherwise.
+    This is numerical evidence over a finite grid, not a proof.
     """
     if not isinstance(family, ScheduleFamily):
         raise ValueError("family must be a ScheduleFamily")
-    ks = sorted({int(k) for k in k_grid})
-    if not ks or ks[0] < 1:
-        raise ValueError("k_grid must hold positive integers")
-    if not isinstance(n_max, (int, np.integer)) or n_max < 4:
-        raise ValueError("n_max must be an integer >= 4")
+    ks = sorted({require_count(k, "k_grid entry", 1) for k in k_grid})
+    if not ks:
+        raise ValueError("k_grid must hold at least one count")
+    n_max = require_count(n_max, "n_max", 4)
     if n_max < ks[-1]:
         raise ValueError("n_max must be at least max(k_grid)")
-    grid = [4 << k for k in range(int(n_max).bit_length()) if 4 << k < n_max]
-    grid.append(int(n_max))
+    grid = [4 << k for k in range(n_max.bit_length()) if 4 << k < n_max]
+    grid.append(n_max)
 
     tail_sup = {k: 0.0 for k in ks}
     tv_seq = []
@@ -301,19 +295,11 @@ def schedule_to_json_dict(s: Schedule) -> dict:
 
 def schedule_from_json_dict(obj) -> Schedule:
     json_object(obj, "schedule JSON", ("n", "weights"))
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError('"n" must be an integer')
+    n = require_count(obj["n"], '"n"', 1)
     weights = obj["weights"]
     if not isinstance(weights, list) or len(weights) != n:
         raise ValueError('"weights" must be a list of exactly n numbers')
-    vals = []
-    for k, v in enumerate(weights):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"weight {k} must be a number, got {v!r}")
-        if not math.isfinite(float(v)):
-            raise ValueError(f"weight {k} must be finite")
-        vals.append(float(v))
+    vals = [require_real(v, f"weight {k}") for k, v in enumerate(weights)]
     return Schedule(n, np.array(vals))
 
 

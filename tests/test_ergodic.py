@@ -168,7 +168,7 @@ def test_spectrum_validates_input():
     "tol", ["1e-8", None, True, False, np.bool_(True), 1e-8 + 0j, [1e-8], np.inf, np.nan, -1]
 )
 def test_spectrum_refuses_bool_or_non_real_cluster_tol(tol):
-    with pytest.raises(ValueError, match="cluster_tol must be positive and finite"):
+    with pytest.raises(ValueError, match="cluster_tol must be (a finite real number|positive)"):
         spectrum(np.eye(2), cluster_tol=tol)
 
 
@@ -474,7 +474,7 @@ def test_cesaro_mean_validation():
 
 
 def test_cesaro_mean_rejects_bool_pulse_count():
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         cesaro_mean(np.eye(2), np.eye(2), True)
 
 

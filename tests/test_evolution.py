@@ -9,7 +9,7 @@ import ergopulse.optimizer
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -266,7 +266,7 @@ def test_limit_evolution_validates_n():
 
 def test_limit_evolution_rejects_bool_pulse_count():
     sys = PulseSystem(u=np.eye(2), generator=SX)
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         limit_evolution(sys, True)
 
 
@@ -621,12 +621,16 @@ def test_bound_route_and_bounds_do_not_depend_on_scale(
     t=st.floats(0.1, 1.5),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(phi=0.0, straddle=False, merged=True, offset=1.0, t=1.0, seed=523)
 def test_bounds_hold_for_phases_near_cluster_tol(
     phi, straddle, merged, offset, t, seed
 ):
     # phases phi, phi + g, phi + 2 with g within [tol / 2, 2 tol] but at
-    # least 1e-6 tol from tol itself, as in the spectrum's own property;
-    # X = Y - u Y u* is a coboundary whether or not the close pair merges
+    # least 1e-6 tol from tol itself, as in the spectrum's own property.
+    # Y - u Y u* alone is no coboundary when the close pair merges: its
+    # commutant part keeps (1 - e^{ig}) Y_12, about g ||Y||, and can pass
+    # the 1e-8 rule.  So X is Y - u Y u* minus that commutant part, a
+    # coboundary whether or not the pair merges.
     tol = ergopulse.ergodic.DEFAULT_CLUSTER_TOL
     if merged:
         g = tol * (1 - 1e-6) * (0.5 + 0.5 * offset)
@@ -639,7 +643,8 @@ def test_bounds_hold_for_phases_near_cluster_tol(
     u = (q * np.exp(1j * np.array([phi, phi + g, phi + 2.0]))) @ q.conj().T
     y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     y *= 0.5 / op_norm(y)
-    sys = PulseSystem(u=u, generator=y - u @ y @ u.conj().T, t=t)
+    x = y - u @ y @ u.conj().T
+    sys = PulseSystem(u=u, generator=x - commutant_project(spectrum(u), x), t=t)
     assert sys.spec.cluster_phases.shape == ((2,) if merged else (3,))
     for n in (8, 64):
         for row in (equidistant(n), uhrig_family()(n)):
