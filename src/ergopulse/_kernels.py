@@ -159,16 +159,24 @@ def simplex_project(v):
 
     Sort and threshold (Condat, Math. Prog. 2016) on every row of an
     (..., n) array at once: theta is the last running threshold
-    (cumsum - 1) / k that leaves the k-th largest entry positive.
+    (cumsum - 1) / k that leaves the k-th largest entry positive, or 0
+    where none does.  It is read from the thresholds by one flat index
+    per row, and the sums and the test run in place.
     """
     n = v.shape[-1]
-    mu = -np.sort(-v, axis=-1)
-    t = (np.cumsum(mu, axis=-1) - 1.0) / np.arange(1.0, n + 1.0)
-    keep = mu - t > 0.0
-    last = n - 1 - np.argmax(keep[..., ::-1], axis=-1)
-    theta = np.take_along_axis(t, last[..., None], axis=-1)
-    theta = np.where(keep.any(axis=-1, keepdims=True), theta, 0.0)
-    w = v - theta
+    mu = np.negative(v, dtype=np.float64)
+    mu.sort(axis=-1)
+    np.negative(mu, out=mu)
+    t = mu.cumsum(axis=-1)
+    t -= 1.0
+    t /= np.arange(1.0, n + 1.0)
+    keep = np.subtract(mu, t, out=mu) > 0.0
+    # distance of the last kept k from the row's end; 0 where none is
+    # kept, and the masked thresholds are 0 there
+    back = keep[..., ::-1].argmax(axis=-1)
+    rows = np.where(keep, t, 0.0).reshape(-1, n)
+    theta = rows[np.arange(rows.shape[0]), n - 1 - back.reshape(-1)]
+    w = v - theta.reshape(back.shape + (1,))
     return np.where(w < 0.0, 0.0, w)
 
 
@@ -177,11 +185,13 @@ def tv_value(w):
 
     The stack is made C-ordered first (no copy when it already is), so
     each row's differences are summed as that row alone would be and a
-    stacked call returns the per-row values bit for bit.
+    stacked call returns the per-row values bit for bit.  The differences
+    are one slice subtraction, the arithmetic of np.diff without its
+    Python wrapper.
     """
     w = np.ascontiguousarray(w)
     # abs in place: lattice certification scores chunks of tens of
     # thousands of rows, where a second (m, n - 1) temporary shows in
     # peak memory
-    steps = np.diff(w, axis=-1)
-    return w[..., 0] + np.abs(steps, out=steps).sum(axis=-1) + w[..., -1]
+    steps = w[..., 1:] - w[..., :-1]
+    return w[..., 0] + np.add.reduce(np.abs(steps, out=steps), axis=-1) + w[..., -1]

@@ -302,13 +302,18 @@ def _step_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead and follow are the per-step norms, in units of |t| ||Y||, of the
     single-step defects between partial products k and k+1: 2 a_1 and
     2 a_2 for the first step, then the running total-variation prefix
-    a_1 + sum_{j<k} |a_{j+1} - a_j| + a_k and 2 a_{k+1}.
+    a_1 + sum_{j<k} |a_{j+1} - a_j| + a_k and 2 a_{k+1}.  The prefix is
+    summed in place in lead, and at n = 2 there is none.
     """
     m, n = a.shape
-    diffs = np.abs(np.diff(a, axis=1))
     lead = np.empty((m, n - 1))
-    lead[:, 0] = 2.0 * a[:, 0]
-    lead[:, 1:] = a[:, :1] + np.cumsum(diffs[:, :-1], axis=1) + a[:, 1:-1]
+    np.multiply(a[:, 0], 2.0, out=lead[:, 0])
+    if n > 2:
+        prefix = lead[:, 1:]
+        steps = a[:, 1:-1] - a[:, :-2]
+        np.abs(steps, out=steps).cumsum(axis=1, out=prefix)
+        prefix += a[:, :1]
+        prefix += a[:, 1:-1]
     return lead, 2.0 * a[:, 1:]
 
 
@@ -327,14 +332,16 @@ def _schedule_series_terms(
     if scale == 0.0:
         return np.zeros(m), np.zeros(m), np.zeros(m)
     lead, follow = _step_norms(a)
-    series = matrixcore._defect_series_batch(lead * scale, follow * scale)
+    lead *= scale
+    follow *= scale
+    series = matrixcore._defect_series_batch(lead, follow)
     c_series = series[:, -1]
     with np.errstate(over="ignore", invalid="ignore"):
         tv_term = np.expm1(scale * tv_value(a))
         if n > 2:
             # e^(2 scale) overflows from scale 354.89; a zero sum stays 0
             prefactor = math.exp(2.0 * scale) if scale < 354.0 else math.inf
-            partial = series[:, :-1].sum(axis=1)
+            partial = np.add.reduce(series[:, :-1], axis=1)
             c_series = np.where(partial > 0.0, prefactor * partial, 0.0) + c_series
     return tv_term, c_series, c_series + tv_term
 

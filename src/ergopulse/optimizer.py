@@ -262,8 +262,14 @@ def _descend_fd(objective, starts, max_iters, step_tol):
     stepped row's value only updates the record of its start, never the
     next step, and a row scores the same in any stack, so this deferral
     leaves every bit of the result as a separate call per row set would.
-    A row stops when its gradient vanishes or its step moves less than
-    step_tol.  Returns (best_row, best_value, total_iterations); ties go
+    The rows of a call are written into one buffer allocated up front,
+    and a row set is compacted only when some row leaves it.
+
+    A row stops when its step moves less than step_tol, or when its
+    gradient norm is zero or not finite: where the objective overflows,
+    (+-h values inf - inf) or the squares of a finite gradient do, the
+    row stops where it stands, and no overflow or invalid-value warning
+    escapes.  Returns (best_row, best_value, total_iterations); ties go
     to the earliest start, then the earliest iterate.
     """
     m, n = starts.shape
@@ -274,35 +280,43 @@ def _descend_fd(objective, starts, max_iters, step_tol):
     live = np.arange(m)
     # rows scored with the next call, and the starts they belong to
     pending, owner = w, live
-    shifts = h * np.eye(n)
+    # w - h e_i rounds as w + (-h e_i) does
+    shifts = (h * np.eye(n)) * np.array([1.0, -1.0])[:, None, None, None]
+    # the +h bumps, the -h bumps, then the pending rows of one call
+    buf = np.empty(((2 * n + 1) * m, n))
     total = 0
 
     def record(values, rows, idx):
         better = values < best_v[idx]
-        best_v[idx[better]] = values[better]
-        best[idx[better]] = rows[better]
+        idx = idx[better]
+        best_v[idx] = values[better]
+        best[idx] = rows[better]
 
     for k in range(1, max_iters + 1):
         if live.size == 0:
             break
         total += live.size
-        bumped = np.concatenate(
-            [w[:, None, :] + shifts, w[:, None, :] - shifts]
-        ).reshape(-1, n)
-        values = objective(np.concatenate([bumped, pending]))
-        record(values[bumped.shape[0]:], pending, owner)
-        plus, minus = values[: bumped.shape[0]].reshape(2, live.size, n)
-        grad = (plus - minus) / (2 * h)
-        # row-wise dot products round as np.linalg.norm does on one row
-        norm = np.sqrt(grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
-        moving = norm != 0.0
-        w, grad, norm, live = w[moving], grad[moving], norm[moving], live[moving]
+        nb = 2 * n * live.size
+        np.add(w[:, None, :], shifts, out=buf[:nb].reshape(2, live.size, n, n))
+        rows = buf[: nb + pending.shape[0]]
+        rows[nb:] = pending
+        values = objective(rows)
+        record(values[nb:], pending, owner)
+        plus, minus = values[:nb].reshape(2, live.size, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = (plus - minus) / (2 * h)
+            # row-wise dot products round as np.linalg.norm does on one row
+            norm = np.sqrt(grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
+        moving = (norm > 0.0) & (norm < np.inf)
+        if not moving.all():
+            w, grad, norm, live = w[moving], grad[moving], norm[moving], live[moving]
         step = STEP_SCALE / (k * norm)
         w_new = _clip_row(simplex_project(w - step[:, None] * grad))
         pending, owner = w_new, live
-        going = ~(np.max(np.abs(w_new - w), axis=1) < step_tol)
-        w = w_new[going]
-        live = live[going]
+        stopped = np.maximum.reduce(np.abs(w_new - w), axis=1) < step_tol
+        if stopped.any():
+            w_new, live = w_new[~stopped], live[~stopped]
+        w = w_new
     if pending.shape[0]:
         record(objective(pending), pending, owner)
     i = int(np.argmin(best_v))
@@ -328,7 +342,7 @@ def minimize_bound_rhs(
 
     def objective(w: np.ndarray) -> np.ndarray:
         rows = _clip_row(np.asarray(w, dtype=np.float64))
-        rows = rows / rows.sum(axis=1, keepdims=True)
+        rows /= np.add.reduce(rows, axis=1, keepdims=True)
         return _schedule_series_terms(rows, scale)[2]
 
     best_w, best_v, total_iters = _descend_fd(

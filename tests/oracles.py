@@ -30,6 +30,12 @@ pairwise sum of ergopulse._kernels.tv_value and is compared within a
 tolerance.  defect_series_truncated is the defect series as matrixcore
 summed it before the closed form: orders up to i_max plus a tail
 majorant.
+The *_stacked functions at the end are the stacked bound-descent code
+(_defect_series_batch, _step_norms, _schedule_series_terms,
+simplex_project, tv_value and _descend_fd) as it was before its numpy
+calls were cut, and minimize_bound_rhs_stacked composes them into the
+bound minimizer; the package must match them bit for bit.  laid_out
+gives a stack in C, Fortran or strided layout.
 """
 
 import itertools
@@ -401,3 +407,166 @@ def schedule_bound_rhs(sys, s):
     abs_t = abs(sys.t)
     m, m_prime = _rate_constants(norm_x, norm_p, norm_y, abs_t)
     return (m, m_prime) + schedule_series_terms(s.weights, abs_t * norm_y)
+
+
+# -- the stacked bound-descent kernels before their numpy calls were cut --
+
+LAYOUTS = ("C", "F", "strided")
+
+
+def laid_out(x, layout):
+    """x as a C-ordered, Fortran-ordered, or non-contiguous (every other
+    row and column of a larger array) stack of the same values."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        big = np.full(tuple(2 * k for k in x.shape), np.nan)
+        big[tuple(slice(None, None, 2) for _ in x.shape)] = x
+        return big[tuple(slice(None, None, 2) for _ in x.shape)]
+    return np.ascontiguousarray(x)
+
+
+
+def defect_series_stacked(a, b):
+    """matrixcore._defect_series_batch with both phi2 branches evaluated
+    on every entry of np.stack([lo, -d]) and one picked by np.where."""
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    d = hi - lo
+    y = np.stack([lo, -d])
+    # both phi2 branches run everywhere; the discarded one may overflow
+    # or divide 0/0
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.full_like(y, matrixcore._PHI2_TAYLOR[0])
+        for c in matrixcore._PHI2_TAYLOR[1:]:
+            phi *= y
+            phi += c
+        phi = np.where(np.abs(y) < 1.0, phi, (np.expm1(y) / y - 1.0) / y)
+        inner = (lo * phi[0] + d * phi[1]) * np.exp(hi) * (2.0 + 2.0**-46)
+        out = lo * inner + np.finfo(np.float64).smallest_subnormal
+    return np.where(lo > 0.0, out, 0.0)
+
+
+def step_norms_stacked(a):
+    """evolution._step_norms with np.diff and a fresh prefix sum."""
+    m, n = a.shape
+    diffs = np.abs(np.diff(a, axis=1))
+    lead = np.empty((m, n - 1))
+    lead[:, 0] = 2.0 * a[:, 0]
+    lead[:, 1:] = a[:, :1] + np.cumsum(diffs[:, :-1], axis=1) + a[:, 1:-1]
+    return lead, 2.0 * a[:, 1:]
+
+
+def schedule_series_terms_stacked(a, scale):
+    """evolution._schedule_series_terms over the stacked oracles here."""
+    m, n = a.shape
+    if scale == 0.0:
+        return np.zeros(m), np.zeros(m), np.zeros(m)
+    lead, follow = step_norms_stacked(a)
+    series = defect_series_stacked(lead * scale, follow * scale)
+    c_series = series[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tv_term = np.expm1(scale * tv_value_stacked(a))
+        if n > 2:
+            # e^(2 scale) overflows from scale 354.89; a zero sum stays 0
+            prefactor = math.exp(2.0 * scale) if scale < 354.0 else math.inf
+            partial = series[:, :-1].sum(axis=1)
+            c_series = np.where(partial > 0.0, prefactor * partial, 0.0) + c_series
+    return tv_term, c_series, c_series + tv_term
+
+
+def simplex_project_stacked(v):
+    """_kernels.simplex_project with theta read by np.take_along_axis."""
+    n = v.shape[-1]
+    mu = -np.sort(-v, axis=-1)
+    t = (np.cumsum(mu, axis=-1) - 1.0) / np.arange(1.0, n + 1.0)
+    keep = mu - t > 0.0
+    last = n - 1 - np.argmax(keep[..., ::-1], axis=-1)
+    theta = np.take_along_axis(t, last[..., None], axis=-1)
+    theta = np.where(keep.any(axis=-1, keepdims=True), theta, 0.0)
+    w = v - theta
+    return np.where(w < 0.0, 0.0, w)
+
+
+def tv_value_stacked(w):
+    """_kernels.tv_value with np.diff."""
+    w = np.ascontiguousarray(w)
+    # abs in place: lattice certification scores chunks of tens of
+    # thousands of rows, where a second (m, n - 1) temporary shows in
+    # peak memory
+    steps = np.diff(w, axis=-1)
+    return w[..., 0] + np.abs(steps, out=steps).sum(axis=-1) + w[..., -1]
+
+
+def descend_fd_stacked(objective, starts, max_iters, step_tol):
+    """optimizer._descend_fd with np.concatenate for every call's rows,
+    every compaction made, and no stop for a non-finite gradient norm."""
+
+    def _clip_row(w):
+        return np.minimum(w, 1.0 - 1e-12)
+
+    m, n = starts.shape
+    h = 1e-7
+    w = _clip_row(simplex_project_stacked(starts))
+    best = w.copy()
+    best_v = np.full(m, np.inf)
+    live = np.arange(m)
+    # rows scored with the next call, and the starts they belong to
+    pending, owner = w, live
+    shifts = h * np.eye(n)
+    total = 0
+
+    def record(values, rows, idx):
+        better = values < best_v[idx]
+        best_v[idx[better]] = values[better]
+        best[idx[better]] = rows[better]
+
+    for k in range(1, max_iters + 1):
+        if live.size == 0:
+            break
+        total += live.size
+        bumped = np.concatenate(
+            [w[:, None, :] + shifts, w[:, None, :] - shifts]
+        ).reshape(-1, n)
+        values = objective(np.concatenate([bumped, pending]))
+        record(values[bumped.shape[0]:], pending, owner)
+        plus, minus = values[: bumped.shape[0]].reshape(2, live.size, n)
+        grad = (plus - minus) / (2 * h)
+        # row-wise dot products round as np.linalg.norm does on one row
+        norm = np.sqrt(grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
+        moving = norm != 0.0
+        w, grad, norm, live = w[moving], grad[moving], norm[moving], live[moving]
+        step = STEP_SCALE / (k * norm)
+        w_new = _clip_row(simplex_project_stacked(w - step[:, None] * grad))
+        pending, owner = w_new, live
+        going = ~(np.max(np.abs(w_new - w), axis=1) < step_tol)
+        w = w_new[going]
+        live = live[going]
+    if pending.shape[0]:
+        record(objective(pending), pending, owner)
+    i = int(np.argmin(best_v))
+    return best[i], float(best_v[i]), total
+
+
+def minimize_bound_rhs_stacked(sys, n, config):
+    """(value, minimizer weights, iterations_used, certified_by_grid) of
+    optimizer.minimize_bound_rhs, its objective and descent built from the
+    stacked oracles here; the starts, the orientation tie-break and the
+    certification are the package's own."""
+    from ergopulse.optimizer import _canonical_orientation, _certify, _starts
+    from ergopulse.optimizer import STEP_TOL
+
+    scale = abs(sys.t) * sys.potential_norm
+
+    def objective(w):
+        rows = np.minimum(np.asarray(w, dtype=np.float64), 1.0 - 1e-12)
+        rows = rows / rows.sum(axis=1, keepdims=True)
+        return schedule_series_terms_stacked(rows, scale)[2]
+
+    best_w, best_v, total_iters = descend_fd_stacked(
+        objective, _starts(n, config), config.max_iters, STEP_TOL
+    )
+    best_w, best_v = _canonical_orientation(best_w, best_v, objective, STEP_TOL)
+    certified = _certify(n, config.grid_resolution, objective, best_v)
+    weights = np.minimum(best_w, 1.0 - 1e-12)
+    return float(best_v), weights, total_iters, certified

@@ -19,6 +19,7 @@ from ergopulse.evolution import (
     BoundBreakdown,
     PulseSystem,
     _schedule_series_terms,
+    _step_norms,
     control_error,
     convergence_sweep,
     equidistant_bound_constants,
@@ -695,6 +696,40 @@ def test_schedule_series_terms_score_rows_alike_in_any_stack(
         assert not np.isnan(whole[k]).any()
     alone = [_schedule_series_terms(a[i : i + 1], scale)[2][0] for i in range(rows)]
     assert np.array_equal(alone, whole[2])
+
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    rows=st.integers(1, 6),
+    n=st.integers(2, 12),
+    # 0 takes the early return; 354 and up the infinite step prefactor
+    scale=st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 353.9, 354.0, 400.0, 1e300]),
+        st.floats(0.0, 50.0),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 5e-324, 1e-310]),
+    layout=st.sampled_from(oracles.LAYOUTS),
+)
+@example(rows=3, n=2, scale=0.0, seed=1, zeros=0.0, layout="F")
+@example(rows=3, n=2, scale=400.0, seed=2, zeros=5e-324, layout="strided")
+@example(rows=4, n=12, scale=354.0, seed=3, zeros=1e-310, layout="F")
+def test_step_norms_and_series_terms_are_bit_identical_to_stacked_oracle(
+    rows, n, scale, seed, zeros, layout
+):
+    # n = 2 has no prefix and no partial sum; zeros puts zero or
+    # subnormal weights in, so norms and defect terms vanish or underflow
+    rng = np.random.default_rng(seed)
+    a = rng.dirichlet(np.full(n, 0.5), size=rows)
+    a[rng.integers(rows), rng.integers(n)] = zeros
+    a = oracles.laid_out(a, layout)
+    for got, want in zip(_step_norms(a), oracles.step_norms_stacked(a)):
+        assert np.array_equal(got, want)
+    got = _schedule_series_terms(a, scale)
+    want = oracles.schedule_series_terms_stacked(a, scale)
+    for k in range(3):
+        assert np.array_equal(got[k], want[k], equal_nan=True)
 
 
 def test_schedule_series_terms_overflow_gives_inf():

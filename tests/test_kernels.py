@@ -218,6 +218,45 @@ def test_simplex_project_rows_match_scalar_oracle(v):
     assert np.array_equal(got, want)
 
 
+
+_finite = st.floats(-1e18, 1e18, allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    v=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(2, 9)),
+        elements=st.one_of(
+            _finite,
+            st.sampled_from((0.0, -0.0, 5e-324, 1e-310, 1.0, 0.5, 1e17, -1e17)),
+        ),
+    ),
+    layout=st.sampled_from(oracles.LAYOUTS),
+)
+@example(v=np.array([[1e17, 1e17], [0.3, 0.9]]), layout="F")
+def test_simplex_project_is_bit_identical_to_stacked_oracle(v, layout):
+    v = oracles.laid_out(v, layout)
+    assert np.array_equal(simplex_project(v), oracles.simplex_project_stacked(v))
+    for row in v:
+        assert np.array_equal(simplex_project(row), oracles.simplex_project_stacked(row))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    w=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(2, 20)),
+        elements=st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 5e-324, 1e-310))),
+    ),
+    layout=st.sampled_from(oracles.LAYOUTS),
+)
+def test_tv_value_is_bit_identical_to_stacked_oracle(w, layout):
+    w = oracles.laid_out(w, layout)
+    assert np.array_equal(tv_value(w), oracles.tv_value_stacked(w))
+    assert np.array_equal(tv_value(w[0]), oracles.tv_value_stacked(w[0]))
+
+
 def test_tv_value_fortran_ordered_stacks_match_single_rows():
     # a column-major stack is summed as its rows alone would be, too
     rng = np.random.default_rng(3)

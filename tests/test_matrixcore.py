@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -407,6 +407,71 @@ def test_defect_bound_validates_arguments():
         exp_product_defect_bound(math.nan, 1.0)
     with pytest.raises(ValueError):
         exp_product_defect_bound(math.inf, 1.0)
+
+
+
+# norms at and next to the branch point |y| = 1, zero, subnormal, the
+# smallest normal, past exp's overflow at 709.78, near the top and +inf
+_ONE_DOWN, _ONE_UP = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+_DEFECT_NORMS = (
+    0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300, 1e-8, 0.5, _ONE_DOWN, 1.0,
+    _ONE_UP, 2.0, 700.0, 709.78, 710.0, 1e300, math.inf,
+)
+_norms = st.one_of(
+    st.sampled_from(_DEFECT_NORMS),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 1e3),
+    st.floats(0.0, 1e308),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    m=st.integers(1, 6),
+    k=st.integers(1, 6),
+    a=st.lists(_norms, min_size=36, max_size=36),
+    b=st.lists(_norms, min_size=36, max_size=36),
+    gap=st.sampled_from((None, 1.0, _ONE_DOWN, _ONE_UP)),
+    layouts=st.tuples(st.sampled_from(oracles.LAYOUTS), st.sampled_from(oracles.LAYOUTS)),
+)
+@example(
+    m=2, k=3, a=[1.0, _ONE_DOWN, _ONE_UP, 0.0, 5e-324, 710.0] + [0.5] * 30,
+    b=[1.0, 0.25, 3.0, 1e-310, 1.0, 1e300] + [0.5] * 30, gap=None, layouts=("F", "strided"),
+)
+@example(m=3, k=2, a=[0.25] * 36, b=[0.0] * 36, gap=1.0, layouts=("C", "C"))
+def test_defect_series_is_bit_identical_to_stacked_oracle(m, k, a, b, gap, layouts):
+    # gap: b = a + gap on every other entry, so -d sits at or next to -1
+    a, b = (np.array(x[: m * k]).reshape(m, k) for x in (a, b))
+    if gap is not None:
+        b.reshape(-1)[::2] = a.reshape(-1)[::2] + gap
+    a, b = (oracles.laid_out(x, lay) for x, lay in zip((a, b), layouts))
+    got = matrixcore._defect_series_batch(a, b)
+    # a = b = inf gives inf - inf in d and NaN in both; the oracle forms d
+    # outside its np.errstate, so it warns there, and the package does not
+    with np.errstate(invalid="ignore"):
+        want = oracles.defect_series_stacked(a, b)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_defect_series_peak_memory_at_16384_by_5():
+    # lo and d fall on both sides of 1, so both phi2 branches run on
+    # copies of their entries; 16,384 x 5 float64 is 0.625 MiB per array
+    import tracemalloc
+
+    rng = np.random.default_rng(29)
+    a = rng.uniform(0.0, 2.0, (16384, 5))
+    b = rng.uniform(0.0, 2.0, (16384, 5))
+    lo, d = np.minimum(a, b), np.abs(a - b)
+    for y in (lo, d):
+        assert (y < 1.0).any() and (y >= 1.0).any()
+    tracemalloc.start()
+    try:
+        out = matrixcore._defect_series_batch(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, oracles.defect_series_stacked(a, b))
+    assert peak <= 5.8 * 2**20, peak / 2**20
 
 
 # --------------------------------------------------------- random_unitary

@@ -330,15 +330,20 @@ def test_minimize_bound_rhs_beats_or_ties_lopsided_rows(seeded=3):
         assert res.value <= schedule_bound_rhs(sys, row).total_rhs + 1e-9
 
 
-@pytest.mark.parametrize(
-    "n, scale", [(2, 1.0), (3, 0.7), (3, 1.4), (4, 0.8), (3, 0.0), (9, 1.0)]
-)
-def test_lockstep_fd_descent_matches_per_start_oracle(n, scale):
+def _bound_objective(scale):
     # the bound objective of minimize_bound_rhs at scale = |t| ||Y||
     def objective(w):
         rows = np.minimum(np.asarray(w, dtype=np.float64), 1.0 - 1e-12)
         return _schedule_series_terms(rows / rows.sum(axis=1, keepdims=True), scale)[2]
 
+    return objective
+
+
+@pytest.mark.parametrize(
+    "n, scale", [(2, 1.0), (3, 0.7), (3, 1.4), (4, 0.8), (3, 0.0), (9, 1.0)]
+)
+def test_lockstep_fd_descent_matches_per_start_oracle(n, scale):
+    objective = _bound_objective(scale)
     starts = _starts(n, OptimizerConfig(restarts=5, seed=n))
     # step_tol 1e-2 stops rows at different iterations; scale 0 gives a
     # flat objective whose zero gradient stops every row at once;
@@ -351,6 +356,67 @@ def test_lockstep_fd_descent_matches_per_start_oracle(n, scale):
         assert np.array_equal(got_w, want_w)
         assert got_v == want_v
         assert got_iters == want_iters
+
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 5),
+    restarts=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+    scale=st.sampled_from([0.0, 0.3, 0.7, 1.4, 3.0]),
+    max_iters=st.integers(1, 40),
+    step_tol=st.sampled_from([1e-12, 1e-4, 1e-2]),
+)
+def test_fd_descent_is_bit_identical_to_stacked_oracle(
+    n, restarts, seed, scale, max_iters, step_tol
+):
+    # the same rows in the same order reach the objective, so the stacked
+    # oracle's objective may be the package's own
+    objective = _bound_objective(scale)
+    starts = _starts(n, OptimizerConfig(restarts=restarts, seed=seed))
+    got_w, got_v, got_iters = _descend_fd(objective, starts, max_iters, step_tol)
+    want_w, want_v, want_iters = oracles.descend_fd_stacked(
+        objective, starts, max_iters, step_tol
+    )
+    assert got_w.tobytes() == want_w.tobytes()
+    assert got_v == want_v
+    assert got_iters == want_iters
+
+
+@pytest.mark.parametrize("t, n", list(iter_product((0.5, 1.0, 2.0), (2, 3, 5))))
+def test_minimize_bound_rhs_is_bit_identical_to_stacked_oracles(t, n):
+    sys = PRESETS["qubit-z-x"](t)
+    cfg = OptimizerConfig()
+    res = minimize_bound_rhs(sys, n, cfg)
+    value, weights, iters, certified = oracles.minimize_bound_rhs_stacked(sys, n, cfg)
+    assert res.value == value
+    assert res.minimizer.weights.tobytes() == weights.tobytes()
+    assert res.iterations_used == iters
+    assert res.certified_by_grid == certified
+
+
+# iterations_used of the descent that stepped rows with an infinite or NaN
+# gradient norm: a row with overflowing squares took a zero step, and a
+# row with inf - inf values kept stepping through NaN weights
+_OVERFLOW_ITERATIONS_BEFORE = {150.0: 278, 300.0: 2254, 600.0: 3250}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t", sorted(_OVERFLOW_ITERATIONS_BEFORE))
+def test_minimize_bound_rhs_stops_rows_whose_gradient_overflows(t):
+    # at t = 150 (|t| ||Y|| = 106) the squared gradient overflows; at
+    # t = 300 and 600 the objective itself does, and +-h values give
+    # inf - inf
+    sys = PRESETS["qubit-z-x"](t)
+    res = minimize_bound_rhs(sys, 3)
+    even = schedule_bound_rhs(sys, equidistant(3)).total_rhs
+    assert res.value <= even or res.value == even == math.inf
+    assert not np.isnan(res.minimizer.weights).any()
+    assert res.iterations_used <= _OVERFLOW_ITERATIONS_BEFORE[t]
+    if t >= 300.0:
+        # every start's +-h values overflow: each row stops at once
+        assert res.iterations_used == OptimizerConfig().restarts + 1
 
 
 def test_minimize_bound_rhs_makes_one_objective_call_per_iteration(monkeypatch):
