@@ -78,17 +78,19 @@ def _parse_pulse_counts(text: str) -> list[int]:
             counts.append(n)
             n *= ratio
         return counts
-    counts = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not counts:
-        raise ValueError("--n lists no pulse counts")
-    return counts
+    return _parse_int_list(text, "--n")
 
 
-def _parse_k_grid(text: str) -> list[int]:
-    ks = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not ks:
-        raise ValueError("--kgrid lists no values")
-    return ks
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """The comma list of integers given through flag, which the error
+    messages name."""
+    try:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} must list integers, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} lists no values")
+    return values
 
 
 def _load_system(spec: str, t: complex) -> PulseSystem:
@@ -122,19 +124,16 @@ def _load_family(spec: str) -> ScheduleFamily:
     try:
         return family_by_name(spec)
     except ValueError:
-        if not os.path.exists(spec):
-            raise ValueError(
-                f"--family {spec!r} is neither a built-in family name nor "
-                "an existing density-table file"
-            ) from None
-    return _load_density(spec, "--family")
+        return _load_density(spec, "--family")
 
 
 def _load_density(path: str, flag: str) -> ScheduleFamily:
     """The density-table file path, which came in through the
-    command-line flag that the error messages name."""
+    command-line flag that the error messages name: --density, or
+    --family, which takes a built-in family name first."""
     if not os.path.exists(path):
-        raise ValueError(f"{flag} {path!r} is not an existing density-table file")
+        names = "neither a built-in family name nor" if flag == "--family" else "not"
+        raise ValueError(f"{flag} {path!r} is {names} an existing density-table file")
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     json_object(obj, f"{flag} file {path!r}", ("xs", "ys"), ("name",))
@@ -245,7 +244,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_probe(args) -> int:
     family = _load_family(args.family)
-    report = cohen_uniformity_probe(family, args.nmax, _parse_k_grid(args.kgrid))
+    ks = _parse_int_list(args.kgrid, "--kgrid")
+    report = cohen_uniformity_probe(family, args.nmax, ks)
     _write_json(
         {
             "family": report.family_name,

@@ -45,10 +45,10 @@ class OptimizerConfig:
     restarts, max_iters and seed drive the descent of minimize_bound_rhs:
     the barycenter start plus restarts random rows drawn from seed, each
     stopped after max_iters iterations or once a step moves less than
-    STEP_TOL.  grid_resolution is the spacing of the certifying lattice.
-    minimize_tv is a closed form and reads only grid_resolution: its
-    result is certified wherever that lattice fits within LATTICE_LIMIT.
-    restarts and seed are counts >= 0, max_iters one >= 1.
+    STEP_TOL.  grid_resolution is the spacing of the certifying lattice,
+    by the rule of _lattice_size.  minimize_tv reads only grid_resolution:
+    its result is certified wherever that lattice fits within
+    LATTICE_LIMIT.  restarts and seed are counts >= 0, max_iters one >= 1.
     """
 
     restarts: int = 12
@@ -60,14 +60,15 @@ class OptimizerConfig:
         require_count(self.restarts, "restarts", 0)
         require_count(self.max_iters, "max_iters", 1)
         require_count(self.seed, "seed", 0)
-        resolution = require_real(self.grid_resolution, "grid_resolution")
-        if not 0 < resolution <= 0.5:
-            raise ValueError(f"grid_resolution must be in (0, 0.5], got {resolution!r}")
-        _lattice_size(2, resolution)
+        _lattice_size(2, self.grid_resolution)
 
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
+    """certified_by_grid: no row of the lattice at grid_resolution beats
+    value by more than 4 grid_resolution max(1, |value|), and that lattice
+    fits within LATTICE_LIMIT.  It does not prove a global optimum."""
+
     minimizer: Schedule
     value: float
     iterations_used: int
@@ -111,13 +112,16 @@ def _canonical_orientation(w, value, objective, tie_tol):
 
 
 def _lattice_size(n: int, resolution: float) -> tuple[int, int]:
-    """(steps, points) of the n-weight simplex lattice with the given
-    spacing: steps = 1/resolution, refusing spacings that do not divide 1,
-    and points = binom(steps + n - 1, n - 1), for a count n >= 2."""
+    """(steps, points) of the n-weight simplex lattice, for a count n >= 2:
+    steps = 1/resolution and points = binom(steps + n - 1, n - 1).  The one
+    rule for a spacing: positive, not subnormal (1/resolution may overflow)
+    and dividing 1 into steps >= 2 parts within 1e-9."""
     n = require_count(n, "n", 2)
     resolution = require_real(resolution, "resolution")
-    if resolution <= 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution!r}")
+    if not resolution >= np.finfo(np.float64).tiny:
+        raise ValueError(
+            f"resolution must be positive and not subnormal, got {resolution!r}"
+        )
     steps = round(1.0 / resolution)
     if steps < 2 or abs(steps * resolution - 1.0) > 1e-9:
         raise ValueError(
@@ -127,22 +131,30 @@ def _lattice_size(n: int, resolution: float) -> tuple[int, int]:
     return steps, math.comb(steps + n - 1, n - 1)
 
 
-def _lattice_chunks(n: int, resolution: float):
-    """Yield the simplex lattice as (m, n) arrays of weight rows, one chunk
-    per leading count, with rows in lexicographic order throughout.
+def _lattice_groups(n: int, resolution: float):
+    """Yield the simplex lattice as (m, n) arrays of weight rows, in
+    lexicographic order throughout, refusing lattices above LATTICE_LIMIT.
 
-    Each chunk holds the compositions of the remaining count built column
-    by column: every partial row with r left repeats r + 1 times, once
-    per next count 0..r.  Chunking, and keeping the integer counts as
-    separate columns, holds memory near one float copy of the largest
-    chunk.
+    A group is a run of whole leading counts [lo, hi): as many as fit
+    within CERTIFY_ROWS rows, or one alone when its rows exceed that.
+    Lead k has binom(steps - k + n - 2, n - 2) rows, so the runs are found
+    before any array is built.  Rows are built column by column: every
+    partial row with r left repeats r + 1 times, once per next count
+    0..r.  A group thus bounds the objective's (m, n) temporaries, and
+    the whole lattice is never held at once.
     """
     steps, size = _lattice_size(n, resolution)
     if size > LATTICE_LIMIT:
         raise TooLargeInstanceError(size, LATTICE_LIMIT)
-    for lead in range(steps + 1):
-        cols = [np.array([lead], dtype=np.int32)]
-        left = np.array([steps - lead], dtype=np.int32)
+    sizes = [math.comb(steps - k + n - 2, n - 2) for k in range(steps + 1)]
+    lo = 0
+    while lo <= steps:
+        hi, m = lo + 1, sizes[lo]
+        while hi <= steps and m + sizes[hi] <= CERTIFY_ROWS:
+            m += sizes[hi]
+            hi += 1
+        cols = [np.arange(lo, hi, dtype=np.int32)]
+        left = steps - cols[0]
         for _ in range(n - 2):
             reps = left + 1
             first = np.repeat(np.cumsum(reps, dtype=np.int32) - reps, reps)
@@ -150,10 +162,11 @@ def _lattice_chunks(n: int, resolution: float):
             cols = [np.repeat(c, reps) for c in cols] + [nxt]
             left = np.repeat(left, reps) - nxt
         cols.append(left)
-        rows = np.empty((left.shape[0], n))
+        rows = np.empty((m, n))
         for j, c in enumerate(cols):
             np.divide(c, steps, out=rows[:, j])
         yield rows
+        lo = hi
 
 
 def simplex_lattice(n: int, resolution: float):
@@ -163,8 +176,8 @@ def simplex_lattice(n: int, resolution: float):
     The spacing must divide 1; the lattice has binom(R + n - 1, n - 1)
     points for R = 1/resolution and is refused above LATTICE_LIMIT.
     """
-    for chunk in _lattice_chunks(n, resolution):
-        yield from chunk
+    for rows in _lattice_groups(n, resolution):
+        yield from rows
 
 
 def brute_force_simplex_grid(n: int, resolution: float, objective):
@@ -185,34 +198,16 @@ def brute_force_simplex_grid(n: int, resolution: float, objective):
     return best_w, best_v
 
 
-def _lattice_groups(n: int, resolution: float):
-    """Yield the simplex lattice as consecutive _lattice_chunks joined up to
-    CERTIFY_ROWS rows per group; a chunk larger than that is a group alone.
-    A group therefore holds at most max(CERTIFY_ROWS, largest chunk) rows,
-    which bounds the objective's (m, n) temporaries, and the whole lattice
-    is never held at once."""
-    group, rows = [], 0
-    for chunk in _lattice_chunks(n, resolution):
-        if group and rows + chunk.shape[0] > CERTIFY_ROWS:
-            yield np.concatenate(group)
-            group, rows = [], 0
-        group.append(chunk)
-        rows += chunk.shape[0]
-    if group:
-        yield np.concatenate(group)
-
-
 def _certify(n, resolution, objective, value) -> bool:
-    """Grid certification: no lattice point beats the reported value by
-    more than a lattice-scaled slack.  objective scores a stack of rows;
-    it is called once per group of _lattice_groups, so a lattice of at
-    most CERTIFY_ROWS rows costs one call."""
-    try:
-        grid_v = min(
-            float(objective(rows).min()) for rows in _lattice_groups(n, resolution)
-        )
-    except TooLargeInstanceError:
+    """Whether no lattice row beats value by more than the slack
+    4 resolution max(1, |value|); False for a lattice above LATTICE_LIMIT.
+    It does not prove a global optimum.  objective scores a stack of rows,
+    once per group of _lattice_groups."""
+    if _lattice_size(n, resolution)[1] > LATTICE_LIMIT:
         return False
+    grid_v = min(
+        float(objective(rows).min()) for rows in _lattice_groups(n, resolution)
+    )
     slack = 4.0 * resolution * max(1.0, abs(value))
     return grid_v >= value - slack
 

@@ -31,13 +31,13 @@ DENSITY_NORMALIZATION_TOL = 1e-6
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """A row of n weights with 0 <= a_i < 1 and sum exactly 1 (within
-    WEIGHT_SUM_TOL), n a count >= 1."""
+    WEIGHT_SUM_TOL), n a count >= 2, since one weight would have to be 1."""
 
     n: int
     weights: np.ndarray
 
     def __post_init__(self):
-        n = require_count(self.n, "n", 1)
+        n = require_count(self.n, "n", 2)
         arr = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         if arr.ndim != 1 or arr.shape[0] != n:
             raise ValueError(
@@ -295,7 +295,7 @@ def schedule_to_json_dict(s: Schedule) -> dict:
 
 def schedule_from_json_dict(obj) -> Schedule:
     json_object(obj, "schedule JSON", ("n", "weights"))
-    n = require_count(obj["n"], '"n"', 1)
+    n = require_count(obj["n"], "schedule JSON n", 2)
     weights = obj["weights"]
     if not isinstance(weights, list) or len(weights) != n:
         raise ValueError('"weights" must be a list of exactly n numbers')

@@ -610,6 +610,42 @@ def test_optimize_rejects_resolution_that_does_not_divide_one(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("resolution", ["5e-324", "1e-310", "1e-320"])
+def test_optimize_rejects_subnormal_resolution(tmp_path, capsys, resolution):
+    # 1/resolution overflows to inf there
+    out = tmp_path / "x.json"
+    argv = ["optimize", "--mode", "tv", "--n", "3", "--resolution", resolution]
+    code, _, err = _run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert "resolution must be positive and not subnormal" in err
+    assert not out.exists()
+
+
+BOUND_ARGV = ["optimize", "--mode", "bound", "--system", "qubit-z-x", "--n", "2"]
+# --restarts and --max-iters stay small: the bound runs for real whenever
+# --t is a valid time
+NUMERIC_FLAG_ARGV = {
+    "resolution": ["optimize", "--mode", "tv", "--n", "3", "--resolution={}"],
+    "t": BOUND_ARGV + ["--restarts", "0", "--max-iters", "2", "--t={}"],
+    "t re,im": BOUND_ARGV + ["--restarts", "0", "--max-iters", "2", "--t=1,{}"],
+    "optimize n": ["optimize", "--mode", "tv", "--n={}"],
+    "sweep n": ["sweep", "--system", "qubit-z-x", "--n={}"],
+    "kgrid": ["probe", "--family", "uniform", "--nmax", "16", "--kgrid={}"],
+}
+NUMERIC_VALUES = [
+    "nan", "inf", "-inf", "0", "-1", "5e-324", "1e-310", "1e400", "1e308", "abc", ""
+]
+
+
+@pytest.mark.parametrize("value", NUMERIC_VALUES)
+@pytest.mark.parametrize("flag", sorted(NUMERIC_FLAG_ARGV))
+def test_bad_numeric_flags_never_show_a_traceback(tmp_path, capsys, flag, value):
+    argv = [a.format(value) for a in NUMERIC_FLAG_ARGV[flag]]
+    code, _, err = _run(capsys, *argv, "--out", str(tmp_path / "x.out"))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- probe
 
 

@@ -75,11 +75,17 @@ REAL_SITES = {
     "random_unitary min_phase_gap": lambda v: random_unitary(2, v),
     "defect bound a": lambda v: exp_product_defect_bound(v, 1.0),
     "defect bound b": lambda v: exp_product_defect_bound(1.0, v),
+    "json entry": lambda v: matrix_from_json_dict({"dim": 1, "entries": [[v, 0]]}),
+    "json weight": lambda v: schedule_from_json_dict({"n": 2, "weights": [v, 0.5]}),
+}
+
+# a lattice spacing is a real that is also positive, not subnormal (where
+# 1/resolution overflows) and divides 1
+SPACING_SITES = {
     "grid_resolution": lambda v: OptimizerConfig(grid_resolution=v),
     "simplex_lattice resolution": lambda v: list(simplex_lattice(3, v)),
-    "json entry": lambda v: matrix_from_json_dict({"dim": 1, "entries": [[v, 0]]}),
-    "json weight": lambda v: schedule_from_json_dict({"n": 1, "weights": [v]}),
 }
+BAD_SPACINGS = BAD_REALS + (0.0, -0.5, 0.6, 0.03, 5e-324, 1e-310, 1e-320)
 
 # inputs that a check written per site lets through as a number: int()
 # rounds 4.7 and parses "4", float() parses "0.1" and takes True as 1.0,
@@ -112,6 +118,7 @@ def _cases(sites, values):
 TABLE = (
     _cases(COUNT_SITES, BAD_COUNTS)
     + _cases(REAL_SITES, BAD_REALS)
+    + _cases(SPACING_SITES, BAD_SPACINGS)
     + _cases({"t": lambda v: PulseSystem(U, X, t=v)}, BAD_TIMES)
     + [(name, lambda _v, call=call: call(), None) for name, call in DRIFT_CASES.items()]
 )

@@ -19,7 +19,6 @@ from ergopulse.optimizer import (
     OptimizerConfig,
     _certify,
     _descend_fd,
-    _lattice_chunks,
     _lattice_groups,
     _starts,
     brute_force_simplex_grid,
@@ -96,17 +95,35 @@ def test_simplex_lattice_rejects_bad_resolution():
         list(simplex_lattice(1, 0.5))
 
 
+def _checked_lattice_groups(n, steps):
+    """The groups of _lattice_groups(n, 1/steps), joined, after checking
+    that each is a run of whole leading counts [lo, hi) within the row
+    budget, or one lead alone, and that the next lead would not fit."""
+    groups = list(_lattice_groups(n, 1.0 / steps))
+    leads = [math.comb(steps - k + n - 2, n - 2) for k in range(steps + 1)]
+    lo = 0
+    for k, g in enumerate(groups):
+        first = np.rint(g[:, 0] * steps)
+        hi = int(first[-1]) + 1
+        # rows of leads lo..hi-1 only, and as many as those leads have
+        assert first[0] == lo and (np.diff(first) >= 0).all()
+        assert g.shape[0] == sum(leads[lo:hi])
+        assert hi - lo == 1 or g.shape[0] <= CERTIFY_ROWS
+        if k + 1 < len(groups):  # the next lead did not fit
+            assert g.shape[0] + leads[hi] > CERTIFY_ROWS
+        lo = hi
+    assert lo == steps + 1
+    return np.concatenate(groups)
+
+
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(2, 6), steps=st.sampled_from([2, 4, 5, 8, 10, 20, 25, 50]))
 def test_chunked_lattice_matches_itertools_oracle(n, steps):
-    if math.comb(steps + n - 1, n - 1) > 30_000:
+    # up to 60,000 rows: (5, 25) has a lead of 3,276 rows, above the budget
+    if math.comb(steps + n - 1, n - 1) > 60_000:
         return
     want = np.array(list(oracles.simplex_lattice(n, steps)))
-    chunks = list(_lattice_chunks(n, 1.0 / steps))
-    # one chunk per leading count, rows in the oracle's order
-    assert len(chunks) == steps + 1
-    assert all(np.all(c[:, 0] == k / steps) for k, c in enumerate(chunks))
-    assert np.array_equal(np.concatenate(chunks), want)
+    assert np.array_equal(_checked_lattice_groups(n, steps), want)
     assert np.array_equal(np.array(list(simplex_lattice(n, 1.0 / steps))), want)
 
 
@@ -174,7 +191,7 @@ def test_minimize_tv_certifies_small_instances(monkeypatch):
     def refuse(*_args):
         raise AssertionError("minimize_tv scored the lattice")
 
-    monkeypatch.setattr(ergopulse.optimizer, "_lattice_chunks", refuse)
+    monkeypatch.setattr(ergopulse.optimizer, "_lattice_groups", refuse)
     assert minimize_tv(3, LIGHT).certified_by_grid
     assert minimize_tv(5, LIGHT).certified_by_grid  # 316,251 points
     # default 0.02 spacing overflows the lattice limit at n = 6
@@ -219,6 +236,24 @@ def test_config_rejects_resolution_that_does_not_divide_one():
     with pytest.raises(ValueError, match="resolution must divide 1"):
         OptimizerConfig(grid_resolution=0.03)
     assert OptimizerConfig(grid_resolution=0.04).grid_resolution == 0.04
+
+
+@pytest.mark.parametrize(
+    "resolution", [0.5000000001, 0.6, 0.03, 0.0, -0.5, 5e-324, 1e-310, 1e308]
+)
+def test_config_and_lattice_share_one_spacing_rule(resolution):
+    # OptimizerConfig refuses exactly the spacings that simplex_lattice
+    # refuses, with the same message; a spacing within 1e-9 of 1/2 is the
+    # 1/2 lattice for both
+    try:
+        rows = list(simplex_lattice(3, resolution))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            OptimizerConfig(grid_resolution=resolution)
+        assert str(info.value) == str(exc)
+    else:
+        assert np.array_equal(rows, list(simplex_lattice(3, 0.5)))
+        OptimizerConfig(grid_resolution=resolution)
 
 
 def test_minimize_tv_validation():
@@ -450,10 +485,7 @@ def test_certify_scores_a_lattice_within_the_row_budget_in_one_call():
     for n, resolution in ((3, 0.02), (4, 0.05), (5, 0.1)):
         size = math.comb(round(1 / resolution) + n - 1, n - 1)
         assert size <= CERTIFY_ROWS
-        # the per-chunk loop that certification groups
-        grid_v = min(
-            float(objective(rows).min()) for rows in _lattice_chunks(n, resolution)
-        )
+        grid_v = float(objective(np.stack(list(simplex_lattice(n, resolution)))).min())
         for value in (grid_v, 2.0 * grid_v + 1.0):
             calls.clear()
             got = _certify(n, resolution, objective, value)
@@ -466,22 +498,20 @@ def test_certify_scores_a_lattice_within_the_row_budget_in_one_call():
 
 @pytest.mark.parametrize("n, resolution", [(4, 0.01), (5, 0.02)])
 def test_lattice_groups_join_whole_chunks_up_to_the_row_budget(n, resolution):
-    # (4, 0.01): 176,851 rows in chunks of 1 to 5,151 rows; (5, 0.02):
-    # 316,251 rows in chunks of 1 to 23,426 rows; the larger chunks
-    # exceed the budget alone
-    chunks = list(_lattice_chunks(n, resolution))
-    groups = list(_lattice_groups(n, resolution))
-    assert np.array_equal(np.concatenate(groups), np.concatenate(chunks))
-    sizes = [c.shape[0] for c in chunks]
-    start = 0
-    for k, g in enumerate(groups):
-        count = int(np.searchsorted(np.cumsum(sizes[start:]), g.shape[0])) + 1
-        assert sum(sizes[start : start + count]) == g.shape[0]  # whole chunks
-        assert count == 1 or g.shape[0] <= CERTIFY_ROWS
-        if k + 1 < len(groups):  # the next chunk did not fit
-            assert g.shape[0] + sizes[start + count] > CERTIFY_ROWS
-        start += count
-    assert start == len(chunks)
+    # (4, 0.01): 176,851 rows in leads of 1 to 5,151 rows; (5, 0.02):
+    # 316,251 rows in leads of 1 to 23,426 rows; the larger leads exceed
+    # the budget alone
+    steps = round(1 / resolution)
+    rows = _checked_lattice_groups(n, steps)
+    # every composition of steps into n counts, once each, in strictly
+    # increasing lexicographic order: the whole lattice, in order
+    counts = np.rint(rows * steps).astype(np.int64)
+    assert np.array_equal(counts / steps, rows)
+    assert (counts >= 0).all() and (counts.sum(axis=1) == steps).all()
+    assert rows.shape[0] == math.comb(steps + n - 1, n - 1)
+    step = np.diff(counts, axis=0)
+    lead = (step != 0).argmax(axis=1)
+    assert (step[np.arange(step.shape[0]), lead] > 0).all()
 
 
 def test_minimize_bound_rhs_cli_defaults_keep_known_optimum():

@@ -77,6 +77,14 @@ def test_equidistant_needs_two_weights():
         equidistant(1)
 
 
+def test_schedule_needs_two_weights():
+    # one weight would have to be 1, which no weight may reach
+    with pytest.raises(ValueError, match="n must be an integer >= 2"):
+        Schedule(1, [1.0])
+    with pytest.raises(ValueError, match="n must be an integer >= 2"):
+        schedule_from_json_dict({"n": 1, "weights": [1.0]})
+
+
 # ------------------------------------------------------------- densities
 
 
