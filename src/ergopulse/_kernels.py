@@ -1,7 +1,8 @@
 """Hot numerical kernels in plain numpy.
 
 conj_weighted_sum sums a weighted conjugation orbit in the eigenbasis of
-u, as a blocked sqrt(N) split on d^2 scalars: no matrix power drifts.
+u that matrixcore.unitary_eig gives, as a blocked sqrt(N) split on d^2
+scalars: no matrix power drifts.
 
 chain_product forms u F_k for the distinct factors in one stacked matmul,
 then walks the index row in blocks of CHAIN_BLOCK: each block is reduced
@@ -32,7 +33,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
+
+from .matrixcore import unitary_eig
 
 
 # Pulses per block of the pairwise chain product: memory is
@@ -45,7 +47,7 @@ CHAIN_BLOCK = 256
 def conj_weighted_sum(u, x, w):
     """sum of w[k-1] * u^k x (u^k)* over k = 1..len(w), for real weights w.
 
-    With u = V diag(lam) V* from the complex Schur form, the sum is
+    With u = V diag(lam) V* from matrixcore.unitary_eig, the sum is
     V (V* x V o G) V*, o the entrywise product, G_ij = sum_k w_k z_ij^k
     and z_ij = lam_i conj(lam_j).  With B = ceil(sqrt(N)) and k = qB + r
     (1 <= r <= B), G = sum_q z^(qB) sum_r w_{qB+r} z^r: the inner sums of
@@ -53,18 +55,17 @@ def conj_weighted_sum(u, x, w):
     weights, and the Q = ceil(N / B) outer terms one entrywise product.
     Besides w it holds O(sqrt(N) d^2) memory.
 
-    The strictly upper part of the Schur form is dropped and every lam
-    scaled to modulus one, so the result is the exact mean of the
-    unitary V diag(lam/|lam|) V*, which is u to within u's own distance
-    from the unitary group.
+    Every lam is scaled to modulus one, so the result is the exact mean
+    of the unitary V diag(lam/|lam|) V*, which is u to within
+    unitary_eig's residual and u's own distance from the unitary group.
     """
     d = u.shape[0]
     n = w.shape[0]
     b = math.isqrt(n - 1) + 1
     q_count = -(-n // b)
 
-    tri, vecs = scipy.linalg.schur(u, output="complex")
-    lam = np.diag(tri) / np.abs(np.diag(tri))
+    lam, vecs = unitary_eig(u)
+    lam /= np.abs(lam)
     z = np.outer(lam, lam.conj()).reshape(d * d)
     # running products, not exp(i k phase): powers of exact roots of
     # unity such as 1j stay exact, so periodic orbits cancel exactly

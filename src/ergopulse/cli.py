@@ -68,8 +68,8 @@ def _parse_pulse_counts(text: str) -> list[int]:
             raise ValueError(
                 f"--n range must be start:stop:geometric[:ratio], got {text!r}"
             )
-        start, stop = int(parts[0]), int(parts[1])
-        ratio = int(parts[3]) if len(parts) == 4 else 2
+        start, stop, *rest = _parse_ints(parts[:2] + parts[3:], "--n", text)
+        ratio = rest[0] if rest else 2
         if start < 2 or stop < start or ratio < 2:
             raise ValueError("--n range needs 2 <= start <= stop and ratio >= 2")
         counts = []
@@ -84,13 +84,18 @@ def _parse_pulse_counts(text: str) -> list[int]:
 def _parse_int_list(text: str, flag: str) -> list[int]:
     """The comma list of integers given through flag, which the error
     messages name."""
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} must list integers, got {text!r}") from None
+    values = _parse_ints([tok for tok in text.split(",") if tok.strip()], flag, text)
     if not values:
         raise ValueError(f"{flag} lists no values")
     return values
+
+
+def _parse_ints(tokens: list[str], flag: str, text: str) -> list[int]:
+    """tokens as ints, or ValueError naming flag and its whole value text."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"{flag} must list integers, got {text!r}") from None
 
 
 def _load_system(spec: str, t: complex) -> PulseSystem:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import matrixcore
 from ._kernels import conj_weighted_sum
@@ -29,7 +28,7 @@ COBOUNDARY_TOL = 1e-8
 @dataclass(frozen=True, eq=False)
 class UnitarySpectrum:
     """Clustered eigenstructure of a unitary, as arrays: orthonormal
-    eigenvector columns (basis, from the complex Schur form), their phases
+    eigenvector columns (basis, from matrixcore.unitary_eig), their phases
     in [0, 2pi) and cluster labels, and cluster_phases[k], the increasing
     representative phase of label k.  Cluster k's spectral projector is
     V_k V_k*, V_k = basis[:, col_labels == k].
@@ -63,8 +62,8 @@ def spectrum(u, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> UnitarySpectrum:
 def _spectrum(arr: np.ndarray, cluster_tol: float) -> UnitarySpectrum:
     """spectrum of an operator already checked unitary, at a cluster_tol
     already checked positive and finite."""
-    tri, vecs = scipy.linalg.schur(arr, output="complex")
-    phases = np.angle(np.diag(tri)) % (2 * np.pi)
+    lam, vecs = matrixcore.unitary_eig(arr)
+    phases = np.angle(lam) % (2 * np.pi)
     d = arr.shape[0]
     order = np.argsort(phases, kind="stable")
     sorted_phases = phases[order]

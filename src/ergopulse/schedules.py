@@ -85,12 +85,12 @@ def uhrig(n: int) -> Schedule:
     """Panel integrals of the Uhrig density (pi/2) sin(pi x) in closed form:
     a_i = sin(pi/2n) sin(pi m_i/2n) with m_i = min(2i-1, 2(n-i)+1).  The min
     keeps the sine argument at most pi/2, so the right end has no
-    cancellation and the row is an exact palindrome."""
+    cancellation and the row is an exact palindrome: the sines are taken
+    for the left ceil(n/2) panels, where m_i = 2i-1, and mirrored."""
     n = require_count(n, "uhrig n", 2)
-    i = np.arange(1, n + 1)
-    m = np.minimum(2 * i - 1, 2 * (n - i) + 1)
     half = math.pi / (2 * n)
-    return Schedule(n, math.sin(half) * np.sin(m * half))
+    left = math.sin(half) * np.sin(np.arange(1, n + 1, 2) * half)
+    return Schedule(n, np.concatenate((left, left[n // 2 - 1 :: -1])))
 
 
 def from_cdf(cdf: Callable[[np.ndarray], np.ndarray], n: int) -> Schedule:

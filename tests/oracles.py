@@ -12,7 +12,9 @@ cross-cluster entries of V* w V by 1 - lambda_i conj(lambda_j), which
 ergopulse.ergodic replaced by one entrywise multiplier step.
 spectrum_clusters is the per-chain loop that labelled the eigenphase
 clusters and took their phases before ergopulse.ergodic._spectrum did it
-with one reduceat per quantity; the two must agree bit for bit.
+with one reduceat per quantity; the two must agree bit for bit.  It is
+the oracle for that walk, not for the factorisation, so it reads its
+eigenphases from matrixcore.unitary_eig, as _spectrum does.
 conj_weighted_sum is no earlier version: it is the literal per-term sum
 in extended precision, an independent reference for the eigenbasis
 kernel.  chain_product is the per-pulse loop that the blocked pairwise
@@ -310,14 +312,19 @@ def _rate_constants(norm_x, norm_x0, norm_y, abs_t):
 
 
 def spectrum_clusters(u, cluster_tol):
-    """(col_labels, cluster_phases) of a unitary u, chain by chain: walk
-    the sorted eigenphases from just past the first gap wider than
+    """(col_labels, cluster_phases) of a unitary u: phase_clusters of the
+    eigenphases matrixcore.unitary_eig gives."""
+    lam, _vecs = matrixcore.unitary_eig(np.asarray(u, dtype=np.complex128))
+    return phase_clusters(np.angle(lam) % (2 * np.pi), cluster_tol)
+
+
+def phase_clusters(phases, cluster_tol):
+    """(col_labels, cluster_phases) of eigenphases in [0, 2 pi), chain by
+    chain: walk the sorted phases from just past the first gap wider than
     cluster_tol, start a chain at each such gap, refuse the first chain
     that spans more than cluster_tol, and take base + mean offset as its
     phase.  Raises ClusteringAmbiguityError as ergopulse.ergodic.spectrum
     does."""
-    tri, _vecs = scipy.linalg.schur(np.asarray(u, dtype=np.complex128), output="complex")
-    phases = np.angle(np.diag(tri)) % (2 * np.pi)
     d = phases.shape[0]
     order = np.argsort(phases, kind="stable")
     sorted_phases = phases[order]

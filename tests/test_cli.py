@@ -307,13 +307,23 @@ def test_sweep_rejects_unknown_system_and_family(tmp_path, capsys):
 
 
 def test_sweep_rejects_malformed_pulse_counts(tmp_path, capsys):
+    # every message names the flag, a range with a non-integer bound too
     out = str(tmp_path / "x.csv")
-    for bad in ("", "4:2:geometric", "4:64:linear", "abc"):
+    for bad in (
+        "",
+        "4:2:geometric",
+        "4:64:linear",
+        "abc",
+        "a:4:geometric",
+        "4:b:geometric",
+        ":64:geometric",
+        "4:64:geometric:x",
+    ):
         code, _, err = _run(
             capsys, "sweep", "--system", "qubit-z-x", "--n", bad, "--out", out
         )
         assert code == 2, bad
-        assert err.startswith("error:")
+        assert err.startswith("error: --n "), (bad, err)
 
 
 def test_sweep_rejects_malformed_time(tmp_path, capsys):

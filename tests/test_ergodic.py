@@ -187,7 +187,7 @@ def _phase_cluster_unitary(rng, dim, kind, groups, rotate):
     0.8 tol ("spread", often an ambiguous chain) or up to 0.9 tol above a
     centre at 0 ("above_zero": a chain starts at a tiny phase, so the last
     bits of its mean offset show in its phase).  Diagonal, or in a random
-    basis, where the Schur form moves each phase by rounding."""
+    basis, where the eigensolver moves each phase by rounding."""
     if kind == "random":
         phases = rng.uniform(0.0, 2 * np.pi, dim)
     else:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ergopulse import matrixcore
+from ergopulse.ergodic import DEFAULT_CLUSTER_TOL, spectrum
+from ergopulse.errors import ClusteringAmbiguityError
 from ergopulse.matrixcore import (
     exp_product_defect_bound,
     expm,
@@ -513,6 +515,127 @@ def test_random_unitary_rejects_infeasible_gap():
         random_unitary(0, 0.1, seed=0)
     with pytest.raises(ValueError):
         random_unitary(3, -0.5, seed=0)
+
+
+# ------------------------------------------------------------ unitary_eig
+
+EIG_KINDS = (
+    "random",
+    "identity",
+    "degenerate",
+    "conjugate pairs",
+    "clusters 1e-9",
+    "gaps 1e-7",
+    "ambiguous chain",
+    "unitary to 1e-10",
+)
+
+
+def _eig_case(kind, d, seed):
+    """(u, delta): a d x d u of the given kind and a bound delta on its
+    distance from the unitary group beyond rounding.  Phases are uniform
+    ("random"), the identity exactly ("identity"), diag(1, 1, -1, i)
+    repeated to d ("degenerate"), pairs +-theta that share the eigenvalue
+    cos(theta) of the Hermitian part ("conjugate pairs"), up to three
+    centres spread by 1e-9 ("clusters 1e-9"), one run of phases 1e-7
+    apart ("gaps 1e-7") or 0.6e-8 apart, which chains past
+    DEFAULT_CLUSTER_TOL from d = 3 on ("ambiguous chain"), or uniform
+    with an error of norm 4e-11 added ("unitary to 1e-10", so that u u*
+    is I within 1e-10).  All but the identity are set in a random
+    basis."""
+    if kind == "identity":
+        return np.eye(d, dtype=np.complex128), 0.0
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 2 * np.pi, 3)
+    if kind in ("random", "unitary to 1e-10"):
+        phases = rng.uniform(0.0, 2 * np.pi, d)
+    elif kind == "degenerate":
+        phases = np.resize([0.0, 0.0, np.pi, np.pi / 2], d)
+    elif kind == "conjugate pairs":
+        half = rng.uniform(0.0, np.pi, (d + 1) // 2)
+        phases = np.concatenate((half, -half))[:d]
+    elif kind == "clusters 1e-9":
+        phases = centres[rng.integers(0, 3, d)] + 1e-9 * rng.uniform(-1.0, 1.0, d)
+    elif kind == "gaps 1e-7":
+        phases = centres[0] + 1e-7 * rng.permutation(d)
+    else:
+        phases = centres[0] + 0.6e-8 * np.arange(d)
+    q = random_unitary(d, seed=seed)
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    if kind != "unitary to 1e-10":
+        return u, 0.0
+    noise = _random_complex(rng, d)
+    return u + noise * (4e-11 / op_norm(noise)), 4e-11
+
+
+def _schur_eig(u):
+    tri, vecs = scipy.linalg.schur(u, output="complex")
+    return np.diag(tri), vecs
+
+
+def _phases_from_gap(lam, ref):
+    """The phases of lam in increasing order, in (-pi, pi] after turning
+    the centre of the widest gap between the phases of ref to -1, so no
+    wrap splits two lists that agree."""
+    p = np.sort(np.angle(ref))
+    gaps = np.diff(np.append(p, p[0] + 2 * np.pi))
+    k = int(np.argmax(gaps))
+    return np.sort(np.angle(-lam * np.exp(-1j * (p[k] + gaps[k] / 2))))
+
+
+@pytest.mark.parametrize("kind", EIG_KINDS)
+def test_unitary_eig_is_an_orthonormal_eigenbasis_matching_schur(kind):
+    for d in range(1, matrixcore.MAX_DIM + 1):
+        u, delta = _eig_case(kind, d, seed=d)
+        assert is_unitary(u)
+        lam, vecs = matrixcore.unitary_eig(u)
+        eye = np.eye(d)
+        assert op_norm(vecs.conj().T @ vecs - eye) <= 8 * d * EPS, d
+        assert op_norm((vecs * lam) @ vecs.conj().T - u) <= 8 * d * EPS + 2 * delta, d
+        want, _ = _schur_eig(u)
+        err = np.abs(_phases_from_gap(lam, want) - _phases_from_gap(want, want))
+        assert err.max() <= 4 * d * EPS + delta, d
+
+
+@pytest.mark.parametrize("kind", EIG_KINDS)
+def test_unitary_eig_clusters_match_schur(kind):
+    # spectrum reads unitary_eig; the same clustering walk on the Schur
+    # phases must give the same verdict, cluster phases and projectors
+    for d in range(1, matrixcore.MAX_DIM + 1):
+        u, delta = _eig_case(kind, d, seed=d)
+        tri_lam, schur_vecs = _schur_eig(u)
+        try:
+            labels, reps = oracles.phase_clusters(
+                np.angle(tri_lam) % (2 * np.pi), DEFAULT_CLUSTER_TOL
+            )
+        except ClusteringAmbiguityError:
+            with pytest.raises(ClusteringAmbiguityError):
+                spectrum(u)
+            continue
+        spec = spectrum(u)
+        assert spec.cluster_phases.shape == reps.shape, d
+        circle = np.abs(np.angle(np.exp(1j * (spec.cluster_phases - reps))))
+        assert circle.max() <= 4 * d * EPS + delta, d
+        gap = np.diff(np.append(reps, reps[0] + 2 * np.pi)).min()
+        for k, got in enumerate(oracles.cluster_projectors(spec)):
+            block = schur_vecs[:, labels == k]
+            err = op_norm(got - block @ block.conj().T)
+            assert err <= (32 * d * EPS + 2 * delta) / gap, (d, k)
+    if kind == "ambiguous chain":
+        # the chain spans 0.6e-8 (d - 1) > DEFAULT_CLUSTER_TOL from d = 3 on
+        with pytest.raises(ClusteringAmbiguityError):
+            spectrum(_eig_case(kind, 3, seed=3)[0])
+
+
+def test_unitary_eig_of_a_diagonal_u_is_its_diagonal():
+    # the Cayley transform of a diagonal u is diagonal, so the basis is a
+    # permutation and the Rayleigh quotients are u's entries, bit for bit
+    u = np.diag(np.exp(1j * np.array([0.3, 2.0, -1.0, 0.3, np.pi])))
+    lam, vecs = matrixcore.unitary_eig(u)
+    perm = np.abs(vecs)
+    assert set(np.unique(perm)) <= {0.0, 1.0}
+    assert np.array_equal(perm @ perm.T, np.eye(5))
+    assert np.array_equal(lam, np.diag(u)[perm.argmax(axis=0)])
 
 
 # -------------------------------------------------------------- JSON I/O
