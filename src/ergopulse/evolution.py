@@ -116,7 +116,9 @@ class PulseSystem:
 
     @cached_property
     def limit_factor(self) -> np.ndarray:
-        """e^{P(X) t}, the factor in front of u^n in the limit object."""
+        """e^{P(X) t}, the factor in front of u^n in the limit object, by
+        matrixcore.expm's single form: scaling and squaring around its
+        Taylor sum, numpy alone.  ValueError if it overflows."""
         return matrixcore.expm(self.fixed_part * self.t)
 
     @property
@@ -204,8 +206,11 @@ def limit_evolution(sys: PulseSystem, n: int) -> np.ndarray:
 
 def control_error(sys: PulseSystem, s: Schedule) -> float:
     """Operator-norm distance between the pulse product and its limit
-    object at the same pulse count."""
-    return matrixcore.op_norm(pulse_product(sys, s) - limit_evolution(sys, s.n))
+    object at the same pulse count.  The limit comes first, so a limit
+    factor that overflows raises its ValueError before the product is
+    multiplied out."""
+    limit = limit_evolution(sys, s.n)
+    return matrixcore.op_norm(pulse_product(sys, s) - limit)
 
 
 def _or_inf(f, *args) -> float:

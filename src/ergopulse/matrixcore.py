@@ -7,13 +7,15 @@ matrices.
 Everything operates on square complex128 arrays of dimension at most
 MAX_DIM.  expm also takes one matrix and many scalar multiples; the
 small multiples share a truncated Taylor sum evaluated for all of them
-at once, one matrix product per Horner level.  Public entry points
-validate and normalize their inputs with as_operator, require_count,
-require_real and require_pair, so downstream code can assume clean,
-C-contiguous data and plain ints and finite floats.
+at once, one matrix product per Horner level, and one matrix of any
+norm is scaled into that sum's radius and squared back.  Public entry
+points validate and normalize their inputs with as_operator,
+require_count, require_real and require_pair, so downstream code can
+assume clean, C-contiguous data and plain ints and finite floats.
 
-The module needs numpy alone on import: expm imports scipy.linalg on the
-first call that takes one of its scipy routes.
+The module needs numpy alone on import, and expm(m) numpy alone at any
+norm: only expm's scalar multiples past the Taylor radius import
+scipy.linalg, on the first call that has one.
 """
 
 from __future__ import annotations
@@ -167,27 +169,20 @@ def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expm(m, scalars=None) -> np.ndarray:
-    """Matrix exponential e^m, by scipy.linalg.expm.  Given also a 1-D
-    array of k complex scalars c, the (k, d, d) stack of the e^(c_k m).
+    """Matrix exponential e^m.  Given also a 1-D array of k complex
+    scalars c, the (k, d, d) stack of the e^(c_k m).
 
-    scipy.linalg.expm is one route for every input, normal or not and at
-    any scale: scaling and squaring around a Pade approximant whose degree
-    and scaling are chosen from 1-norm estimates (Al-Mohy & Higham, SIMAX
-    31(3), 2009).  No normality test picks a method, so a small non-normal
-    matrix keeps its off-diagonal first-order term.
-
-    The scalar-multiples form sends every c_k with r_k = |c_k| ||m||_1 > 1
-    to scipy.linalg.expm as above, in one call on their stack.  The
-    others share one truncated Taylor sum
+    Taylor side.  Both forms share one truncated Taylor sum
     T_n(c m) = sum_{j<=n} (c m)^j / j!, by Horner, E <- I + (c/j) m E
-    for j = n..1 (Moler & Van Loan, SIAM Rev. 45(1), 2003, sec. 3).
-    E is held as a (d, d, k) array, so m E for all k slices is one
-    (d x d) @ (d x dk) product per level, then a scale by c/j and + I.
-    The degree n is the smallest with r^(n+1)/(n+1)! e^r <= 2^-53 at the
-    largest of those r, plus 3; the result of a slice therefore depends
-    on the other slices of the call.
+    for j = n..1 (Moler & Van Loan, SIAM Rev. 45(1), 2003, sec. 3), at
+    radii r = |c| ||m||_1 <= 1.  E is held as a (d, d, k) array, so m E
+    for all k slices is one (d x d) @ (d x dk) product per level, then a
+    scale by c/j and + I.  The degree n is the smallest with
+    r^(n+1)/(n+1)! e^r <= 2^-53 at the largest r of the call, plus 3;
+    the result of a slice therefore depends on the other slices of the
+    call.
 
-    Error, in the 1-norm, with u = 2^-53 and r = r_k <= 1.  Truncation:
+    Its error, in the 1-norm, with u = 2^-53 and r <= 1.  Truncation:
     ||e^(cm) - T_n|| <= r^(n+1)/(n+1)! e^r, and the 3 extra terms cut the
     rule's 2^-53 by (n-1)n(n+1) >= 24, which also covers r being rounded
     low by a few ulps.  Rounding, to first order in u: one level adds
@@ -196,21 +191,68 @@ def expm(m, scalars=None) -> np.ndarray:
     product (sqrt(2) gamma_(d+2)), c/j (u) and the scaling (sqrt(2)
     gamma_2), and u is the + I.  The later levels carry F_j to the result
     through c^(j-1) m^(j-1) / (j-1)!, and every ||E_j|| <= e^r, so the
-    rounding error is at most u e^r (kappa (e^r - 1) + e^r): 52u at
-    r = 1 and d = 2, about (kappa r + 1) u as r -> 0.  Measured, the slices
-    lie within 2 eps of scipy.linalg.expm in the spectral norm.
+    rounding error is at most eps0 = u e^r (kappa (e^r - 1) + e^r): 52u
+    at r = 1 and d = 2, about (kappa r + 1) u as r -> 0.  Measured, the
+    slices lie within 2 eps of scipy.linalg.expm in the spectral norm.
 
-    A scalar array that is not 1-D, is empty or holds a non-finite
-    value, and a product c_k m that overflows, raise ValueError.
+    expm(m): scaling and squaring around the Taylor side (Moler & Van
+    Loan, sec. 3; Higham, SIMAX 26(4), 2005).  With r = ||m||_1, s is the
+    smallest integer >= 0 with r 2^-s <= 1 (_squarings, exact), X_0 is
+    T_n(2^-s m), the Taylor side with c = 1 on 2^-s m, a matrix of
+    1-norm r 2^-s <= 1 (above 1/2 if s > 0), and X_(i+1) = X_i X_i for
+    i < s.  The scaling by 2^-s is exact but for entries it takes below
+    the normal range, which move X_0 by under 2^-1074 each.  For r <= 1,
+    s = 0 and expm(m) equals expm(m, [1.0])[0] bit for bit.  No
+    normality test picks a method, so a small non-normal matrix keeps
+    its off-diagonal first-order term.
 
-    scipy.linalg is imported by the first call that reaches it, so a
-    process whose slices all have r_k <= 1 never loads scipy.
+    Error of the squarings, to first order in u.  Let beta = e^(r 2^-s),
+    so ||e^(2^(i-s) m)|| <= beta^(2^i), and let gamma = sqrt(2) gamma_(d+2)
+    bound the rounding of one complex product relative to the product
+    of the norms of its factors.  An error e_i of X_i grows to
+    e_(i+1) <= 2 beta^(2^i) e_i + gamma beta^(2^(i+1)), so
+    ||X_s - e^m|| <= (2^s eps0 / beta + (2^s - 1) gamma) beta^(2^s)
+    <= 2r (eps0 + gamma) e^r for s >= 1, as 2^s < 2r and beta >= 1;
+    for s = 0 it is eps0.  Relative to ||e^m|| that is about
+    2r (eps0 + gamma) where ||e^m|| is near e^||m||; where it is far
+    smaller (a skew-Hermitian m, say) the squarings may lose more, as
+    with any squaring method (Moler & Van Loan, sec. 3), and the bound
+    is loose.  Measured against 40-digit
+    mpmath, on dense, strictly upper-triangular and skew-Hermitian m
+    with d <= 8 and r <= 32, the spectral-norm error relative to
+    ||e^m|| was at most 22 eps (scipy.linalg.expm: 13 eps), and the
+    tests hold it to 64 eps.
+
+    The scalar-multiples form sends every c_k with r_k > 1 to
+    scipy.linalg.expm, in one call on their stack: scaling and squaring
+    around a Pade approximant whose degree and scaling are chosen from
+    1-norm estimates (Al-Mohy & Higham, SIMAX 31(3), 2009).  scipy.linalg
+    is imported by the first call that reaches it, so a process that
+    calls expm(m) and expm(m, scalars) with r_k <= 1 only never loads
+    scipy.
+
+    A scalar array that is not 1-D, is empty or holds a non-finite value,
+    and a product c_k m that overflows, raise ValueError.  So does an
+    exponential that overflows: an ||m||_1 that is not finite, or a
+    result with a non-finite entry.
     """
-    if scalars is None:
-        import scipy.linalg
-
-        return scipy.linalg.expm(as_operator(m))
     a = as_operator(m)
+    if scalars is None:
+        # |z| of finite entries may still overflow, and so may their sum
+        with np.errstate(over="ignore"):
+            r = float(np.abs(a).sum(axis=0).max())
+        if not math.isfinite(r):
+            raise ValueError(
+                "the matrix exponential overflows: ||m||_1 is not finite"
+            )
+        s = _squarings(r)
+        degree = _taylor_degree(math.ldexp(r, -s))
+        one = np.ones(1, dtype=np.complex128)
+        e = _taylor_horner(a * math.ldexp(1.0, -s), one, degree)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(s):
+                e = e @ e
+        return _finite(e, "e^m")
     c = np.asarray(scalars, dtype=np.complex128)
     if c.ndim != 1 or c.shape[0] == 0 or not np.isfinite(c).all():
         raise ValueError("scalars must be a nonempty 1-D array of finite numbers")
@@ -224,19 +266,40 @@ def expm(m, scalars=None) -> np.ndarray:
         big = c[~small, None, None] * a
     if not np.isfinite(big).all():
         raise ValueError("c_k m contains non-finite entries")
-    if big.shape[0]:
-        import scipy.linalg
+    # m E in the Taylor sum may overflow where |c_k| is tiny and ||m||_1
+    # near the float range, as may e^(c_k m) itself past the radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        if big.shape[0]:
+            import scipy.linalg
 
-        big = scipy.linalg.expm(big)
-    if not small.any():
-        return big
-    # out is filled after the Horner work buffers are freed, so a call
-    # holds at most two stacks at once, like one scipy call on all of them
-    taylor = _taylor_horner(a, c[small], _taylor_degree(r[small].max()))
+            big = scipy.linalg.expm(big)
+        if not small.any():
+            return _finite(big, "e^(c_k m)")
+        # out is filled after the Horner work buffers are freed, so a call
+        # holds at most two stacks at once, like one scipy call on all of
+        # them
+        taylor = _taylor_horner(a, c[small], _taylor_degree(r[small].max()))
     out = np.empty((k, d, d), dtype=np.complex128)
     out[~small] = big
     out[small] = taylor
-    return out
+    return _finite(out, "e^(c_k m)")
+
+
+def _finite(e: np.ndarray, what: str) -> np.ndarray:
+    """e, or ValueError naming the overflow unless every entry is finite."""
+    if not np.isfinite(e).all():
+        raise ValueError(
+            f"the matrix exponential overflows: {what} came out non-finite"
+        )
+    return e
+
+
+def _squarings(r: float) -> int:
+    """Smallest integer s >= 0 with r 2^-s <= 1, for a finite r >= 0,
+    exactly: r = f 2^e with 1/2 <= f < 1 (math.frexp), and f = 1/2 is
+    r = 2^(e-1), which needs one squaring fewer."""
+    f, e = math.frexp(r)
+    return max(0, e - (f == 0.5))
 
 
 def _taylor_degree(r: float) -> int:
@@ -253,19 +316,26 @@ def _taylor_horner(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     """(k, d, d) stack of sum_{j<=n} (c_k a)^j / j!, n >= 1, by Horner on
     E[i, l, slice]: the slice axis last makes the scale by c/j a
     contiguous broadcast and the diagonals E[i, i, :] the rows 0, d + 1,
-    2(d + 1), ... of the (d^2, k) view."""
+    2(d + 1), ... of the (d^2, k) view.  Each work buffer's (d, dk) and
+    diagonal views are taken once, and c/j is written into one k-array,
+    so a level is four numpy calls."""
     d = a.shape[0]
     k = c.shape[0]
     # the top level, I + (c/n) a I, needs no product
-    e = a[:, :, None] * (c / n)
-    e.reshape(d * d, k)[:: d + 1] += 1.0
-    nxt = np.empty_like(e)
+    scale = c / n
+    e = a[:, :, None] * scale
+    bufs = [
+        (x, x.reshape(d, d * k), x.reshape(d * d, k)[:: d + 1])
+        for x in (e, np.empty_like(e))
+    ]
+    bufs[0][2][...] += 1.0
     for j in range(n - 1, 0, -1):
-        np.matmul(a, e.reshape(d, d * k), out=nxt.reshape(d, d * k))
-        nxt *= c / j
-        nxt.reshape(d * d, k)[:: d + 1] += 1.0
-        e, nxt = nxt, e
-    return e.transpose(2, 0, 1)
+        (_, prev, _), (nxt, flat, diag) = bufs
+        np.matmul(a, prev, out=flat)
+        nxt *= np.divide(c, j, out=scale)
+        diag += 1.0
+        bufs.reverse()
+    return bufs[0][0].transpose(2, 0, 1)
 
 
 # Taylor coefficients 1/(k+2)! of phi2, k = 16 down to 0, for Horner

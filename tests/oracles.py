@@ -24,7 +24,10 @@ pair, and the shared tree must match it bit for bit.
 expm_pade13 and pulse_product_taylor are independent references for
 matrixcore.expm and pulse_product: the former is the hand-written
 Pade-13 kernel that matrixcore.expm used before it became
-scipy.linalg.expm, the latter builds every factor from its Taylor sum.
+scipy.linalg.expm (and, for one matrix, a squared Taylor sum after
+that), the latter builds every factor from its Taylor sum.
+limit_evolution takes its factor from scipy.linalg.expm, so the limit
+oracle shares no exponential with the package.
 expm_multiples is the reference for the scalar-multiples form of
 matrixcore.expm: scipy.linalg.expm on each c a in turn.
 tv_value adds one difference at a time, so it rounds unlike the
@@ -384,9 +387,10 @@ def solve_coboundary(spec, w):
 
 
 def limit_evolution(sys, n):
-    """e^{P(X) t} u^n, with P(X) projected afresh."""
+    """e^{P(X) t} u^n, with P(X) projected afresh and exponentiated by
+    scipy.linalg.expm, not by the matrixcore.expm under test."""
     projected = commutant_project(spectrum(sys.u), sys.generator)
-    return matrixcore.expm(projected * sys.t) @ np.linalg.matrix_power(sys.u, n)
+    return scipy.linalg.expm(projected * sys.t) @ np.linalg.matrix_power(sys.u, n)
 
 
 def equidistant_bound_constants(sys):

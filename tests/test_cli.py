@@ -283,6 +283,21 @@ def test_sweep_of_huge_hamiltonian_matches_its_rescaled_twin(tmp_path, capsys):
     assert_allclose(huge["errors"], small["errors"], rtol=1e-6)
 
 
+@pytest.mark.parametrize("family", ["uniform", "uhrig", "pathological"])
+def test_sweep_with_an_overflowing_limit_factor_exits_2(tmp_path, capsys, family):
+    # u diagonal and X = diag(1, 0): P(X) = X, and e^{P(X) t} overflows at
+    # t = 800; a warning would fail the test, a wrong number the message
+    system = _write_system(
+        tmp_path / "system.json", np.diag([1.0, 1j]), generator=np.diag([1.0, 0.0])
+    )
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--system", system, "--family", family, "--t", "800"]
+    code, stdout, err = _run(capsys, *argv, "--n", "4,8,16", "--out", str(out))
+    assert code == 2
+    assert err == "error: the matrix exponential overflows: e^m came out non-finite\n"
+    assert stdout == "" and not out.exists()
+
+
 def test_sweep_rejects_unknown_system_and_family(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     code, _, err = _run(
