@@ -97,16 +97,20 @@ def chain_product(u, factors, idx):
     or dot call, as in the tree that multiplies every pair, so the result
     is bit-identical to it.  Besides the stack u @ factors and the memo
     it holds O(CHAIN_BLOCK d^2) memory, never an (N, d, d) stack.
+
+    A product that overflows gives inf or nan entries without a warning;
+    the caller checks the result (pulse_product raises ValueError).
     """
-    uf = np.matmul(u, factors)
-    out = np.eye(u.shape[0], dtype=np.complex128)
-    blocks = {}
-    for start in range(0, idx.shape[0], CHAIN_BLOCK):
-        ids = idx[start : start + CHAIN_BLOCK]
-        key = ids.tobytes()
-        if key not in blocks:
-            blocks[key] = _block_product(uf, ids)
-        out = np.dot(out, blocks[key])
+    with np.errstate(over="ignore", invalid="ignore"):
+        uf = np.matmul(u, factors)
+        out = np.eye(u.shape[0], dtype=np.complex128)
+        blocks = {}
+        for start in range(0, idx.shape[0], CHAIN_BLOCK):
+            ids = idx[start : start + CHAIN_BLOCK]
+            key = ids.tobytes()
+            if key not in blocks:
+                blocks[key] = _block_product(uf, ids)
+            out = np.dot(out, blocks[key])
     return out
 
 

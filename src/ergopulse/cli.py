@@ -7,11 +7,15 @@ bound over schedules), and probe (collect uniformity evidence for a
 family).  Exit codes: 0 on success, 2 for bad input or configuration,
 3 when a numerical-domain precondition fails (for example a generator
 that is not a coboundary).
+
+main(argv) may be called repeatedly in one process: the parser is built
+on the first call and reused, since parse_args changes nothing in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -354,10 +358,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built by the first call in the process
+    and reused after it.  Building takes about 1 ms (each add_argument
+    makes a HelpFormatter, which reads the terminal size); it waits for
+    the first call so that importing the CLI stays cheap."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

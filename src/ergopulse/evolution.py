@@ -187,7 +187,13 @@ def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
     repeated block once, so an equidistant row of N pulses costs about
     log2(CHAIN_BLOCK) + N / CHAIN_BLOCK matrix products.  The result is
     bit-identical to the tree that multiplies every pair, and memory
-    stays O(CHAIN_BLOCK d^2) besides the distinct factors and the memo."""
+    stays O(CHAIN_BLOCK d^2) besides the distinct factors and the memo.
+
+    ValueError if a factor or a product of factors overflows.  The tree's
+    products can overflow where the exact product is finite: u = diag(1,
+    -1) and X = [[0, 2000], [2000, 0]] give u e^{aX} u e^{aX} = I, yet at
+    a = 1/4 the matmul of that pair adds terms of size about e^{1000}/4,
+    past the float range."""
     if not isinstance(s, Schedule):
         raise ValueError("s must be a Schedule")
     # searchsorted rather than return_inverse: np.unique's inverse holds
@@ -195,7 +201,13 @@ def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
     values = np.unique(s.weights)
     idx = np.searchsorted(values, s.weights)
     factors = matrixcore.expm(sys.generator, values * sys.t)
-    return chain_product(sys.u, factors, idx)
+    p = chain_product(sys.u, factors, idx)
+    if not np.isfinite(p).all():
+        raise ValueError(
+            "the pulse product overflows: a product of its factors came out "
+            "non-finite"
+        )
+    return p
 
 
 def limit_evolution(sys: PulseSystem, n: int) -> np.ndarray:

@@ -21,6 +21,7 @@ scipy.linalg, on the first call that has one.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import numbers
@@ -512,6 +513,10 @@ def matrix_from_json_dict(obj) -> np.ndarray:
             '"entries" must list exactly dim*dim [re, im] pairs (%d expected, got %s)'
             % (dim * dim, len(entries) if isinstance(entries, list) else type(entries))
         )
+    parts = _plain_parts(entries)
+    if parts is not None:
+        return parts.view(np.complex128).reshape(dim, dim)
+    # another numbers.Real type, or a bad entry, which the loop names
     flat = np.empty(dim * dim, dtype=np.complex128)
     for k, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -521,6 +526,28 @@ def matrix_from_json_dict(obj) -> np.ndarray:
             require_real(pair[1], f"entry {k} imaginary part"),
         )
     return flat.reshape(dim, dim)
+
+
+def _plain_parts(entries: list) -> np.ndarray | None:
+    """The [re, im] pairs' parts as one float64 array, or None unless every
+    pair is a list of two floats or ints (what json.load gives; bools are
+    not ints here) whose floats are finite.  The parts convert as float()
+    converts them, so the result equals the per-entry require_real's."""
+    if not all(
+        type(pair) is list
+        and len(pair) == 2
+        and type(pair[0]) in (float, int)
+        and type(pair[1]) in (float, int)
+        for pair in entries
+    ):
+        return None
+    try:
+        parts = np.fromiter(
+            itertools.chain.from_iterable(entries), np.float64, 2 * len(entries)
+        )
+    except OverflowError:  # an int past the float range, such as 10**400
+        return None
+    return parts if np.isfinite(parts).all() else None
 
 
 def save_matrix(m, path: str | PathLike) -> None:

@@ -109,6 +109,23 @@ def test_import_and_scipy_free_paths_load_no_scipy(tmp_path, call):
     assert _fresh(code, tmp_path).splitlines()[-1] == "[]"
 
 
+def test_importing_the_cli_builds_no_parser(tmp_path):
+    # main builds the parser on its first call, so an import (perfbench's
+    # set-up among them) pays nothing for it
+    code = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    made.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import ergopulse.cli\n"
+        "print(len(made), ergopulse.cli._parser.cache_info().currsize)\n"
+    )
+    assert _fresh(code, tmp_path) == "0 0\n"
+
+
 # expm(m) past the radius squares its Taylor sum (see "expm(m)" above); the
 # scalar form still sends its large slices to scipy
 @pytest.mark.parametrize("form", ["expm(m, [1.0, 0.1])[0]"])

@@ -298,6 +298,26 @@ def test_sweep_with_an_overflowing_limit_factor_exits_2(tmp_path, capsys, family
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("family", ["uniform", "uhrig", "pathological"])
+def test_sweep_with_an_overflowing_pulse_product_exits_2(tmp_path, capsys, family):
+    # u = diag(1, -1), X = 2000 s_x: u e^{aX} u e^{aX} = I exactly, every
+    # factor e^{aX} is finite (a <= 0.24), and the chain's products are not
+    system = _write_system(
+        tmp_path / "system.json",
+        np.diag([1.0, -1.0]),
+        generator=np.array([[0.0, 2000.0], [2000.0, 0.0]]),
+    )
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--system", system, "--family", family, "--n", "8,16,32"]
+    code, stdout, err = _run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err == (
+        "error: the pulse product overflows: a product of its factors came "
+        "out non-finite\n"
+    )
+    assert stdout == "" and not out.exists()
+
+
 def test_sweep_rejects_unknown_system_and_family(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     code, _, err = _run(
@@ -764,3 +784,69 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- parser
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def spy():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        out = str(tmp_path / "row.json")
+        for _ in range(3):
+            assert main(["schedule", "--kind", "uhrig", "--n", "4", "--out", out]) == 0
+            assert main(["--version"]) == 0
+            assert main(["frobnicate"]) == 2
+        capsys.readouterr()
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def _outcomes(capsys, calls, out, fresh):
+    """(exit code, stdout, stderr, --out bytes or None) of each call in
+    turn; with fresh, each call builds its parser anew."""
+    results = []
+    for argv in calls:
+        if fresh:
+            cli._parser.cache_clear()
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else None
+        results.append((code, captured.out, captured.err, written))
+    return results
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    commutant = _write_system(
+        tmp_path / "commutant.json",
+        np.diag([1.0, -1.0]),
+        generator=np.diag([1.0j, -1.0j]),
+    )
+    out = tmp_path / "out.json"
+    sweep = ["sweep", "--system", "qubit-z-x", "--family", "uhrig", "--n", "4,8,16"]
+    sweep += ["--format", "json", "--out", str(out)]
+    optimize = ["optimize", "--mode", "bound", "--system", commutant, "--n", "3"]
+    calls = [
+        sweep,
+        ["sweep", "--system", "qubit-z-x", "--n", "4", "--format", "xml"],
+        ["--version"],
+        optimize + ["--out", str(out)],
+        sweep,
+    ]
+    cli._parser.cache_clear()
+    reused = _outcomes(capsys, calls, out, fresh=False)
+    fresh = _outcomes(capsys, calls, out, fresh=True)
+    assert [r[0] for r in reused] == [0, 2, 0, 3, 0]
+    assert reused[0] == reused[-1] and reused[0][3] is not None
+    assert "invalid choice: 'xml'" in reused[1][2]
+    assert reused == fresh

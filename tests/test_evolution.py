@@ -217,6 +217,17 @@ def test_pulse_product_requires_schedule():
         pulse_product(sys, [0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "family", [equidistant_family(), uhrig_family(), pathological_family()]
+)
+def test_pulse_product_overflow_is_a_value_error(family):
+    # u e^{aX} u e^{aX} = I exactly, but every factor is finite and the
+    # tree's first products overflow; a warning would fail the test
+    sys = PulseSystem(u=SZ, generator=2000.0 * SX)
+    with pytest.raises(ValueError, match="the pulse product overflows"):
+        pulse_product(sys, family(8))
+
+
 def test_pulse_product_unitary_for_skew_hermitian_generator():
     sys = PRESETS["qubit-z-x"](1.0)
     assert is_unitary(pulse_product(sys, uhrig_family()(8)), tol=1e-12)

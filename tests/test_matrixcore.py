@@ -773,6 +773,47 @@ def test_matrix_json_rejects_malformed(obj):
         matrix_from_json_dict(obj)
 
 
+@pytest.mark.parametrize(
+    "bad, part",
+    [
+        ([True, 0.0], "real part"),
+        ([0.0, "1"], "imaginary part"),
+        ([None, 0.0], "real part"),
+        ([0.0, math.nan], "imaginary part"),
+        ([-math.inf, 0.0], "real part"),
+        ([0.0, 10**400], "imaginary part"),
+        ([1.0], None),
+        ([1.0, 0.0, 0.0], None),
+        ((1.0, 0.0), None),
+    ],
+)
+@pytest.mark.parametrize("k", [37, 63])
+def test_matrix_json_names_a_deep_bad_entry_by_index(bad, part, k):
+    # the entries before and after the bad one are valid, so the message
+    # must come from entry k alone
+    entries = [[float(j), -0.5] for j in range(64)]
+    entries[k] = bad
+    if part is None:
+        match = f"^entry {k} must be a \\[re, im\\] pair"
+    else:
+        match = f"^entry {k} {part} must be a finite real number"
+    with pytest.raises(ValueError, match=match):
+        matrix_from_json_dict({"dim": 8, "entries": entries})
+
+
+def test_matrix_json_entries_convert_as_float_does():
+    # ints and floats, as json.load gives them, including ints past 2**53
+    # and 2**64 that float() rounds, signed zeros and subnormals; numpy
+    # reals and Fractions are numbers.Real too and convert the same way
+    plain = [[2**53 + 1, -0.0], [-(2**64) - 3, 5e-324], [10**300, 1], [0, -7.5]]
+    mixed = plain[:3] + [[Fraction(1, 3), np.float32(0.1)]]
+    for parts in (plain, mixed):
+        want = np.array([complex(float(re), float(im)) for re, im in parts])
+        got = matrix_from_json_dict({"dim": 2, "entries": parts})
+        assert got.shape == (2, 2) and got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+
+
 def test_matrix_json_rejects_non_finite_serialization():
     with pytest.raises(ValueError):
         matrix_to_json_dict(np.array([[np.inf, 0], [0, 1]]))
