@@ -4,9 +4,11 @@ Four subcommands: sweep (measure control error over pulse counts and
 write a CSV/JSON report), schedule (emit one schedule row as JSON),
 optimize (minimize the total-variation functional or a concrete error
 bound over schedules), and probe (collect uniformity evidence for a
-family).  Exit codes: 0 on success, 2 for bad input or configuration,
-3 when a numerical-domain precondition fails (for example a generator
-that is not a coboundary).
+family).  sweep, schedule and probe take --family NAME|PATH: a built-in
+name, else a density-table file (./uhrig for a file named uhrig).  JSON
+output is strict, with null for a float that is not finite.  Exit codes:
+0 on success, 2 for bad input or configuration, 3 when a numerical-domain
+precondition fails (for example a generator that is not a coboundary).
 
 main(argv) may be called repeatedly in one process: the parser is built
 on the first call and reused, since parse_args changes nothing in it.
@@ -30,7 +32,7 @@ from .evolution import (
     report_to_json_dict,
     write_report_csv,
 )
-from .matrixcore import json_object, matrix_from_json_dict
+from .matrixcore import json_number, json_object, matrix_from_json_dict
 from .optimizer import OptimizerConfig, minimize_bound_rhs, minimize_tv
 from .schedules import (
     ScheduleFamily,
@@ -50,7 +52,7 @@ def _preset_qubit_zx(t: complex) -> PulseSystem:
 
 
 PRESETS = {"qubit-z-x": _preset_qubit_zx}
-SCHEDULE_KINDS = ("uniform", "uhrig", "pathological", "density-file")
+FAMILY_HELP = "family name (uniform, uhrig, pathological) or density-table path"
 
 
 def _parse_time(text: str) -> complex:
@@ -129,30 +131,28 @@ def _load_system(spec: str, t: complex) -> PulseSystem:
 
 
 def _load_family(spec: str) -> ScheduleFamily:
-    """The --family spec: a built-in family name, else a density-table file."""
+    """The --family spec: a built-in family name, else a density-table path."""
     try:
         return family_by_name(spec)
     except ValueError:
-        return _load_density(spec, "--family")
-
-
-def _load_density(path: str, flag: str) -> ScheduleFamily:
-    """The density-table file path, which came in through the
-    command-line flag that the error messages name: --density, or
-    --family, which takes a built-in family name first."""
-    if not os.path.exists(path):
-        names = "neither a built-in family name nor" if flag == "--family" else "not"
-        raise ValueError(f"{flag} {path!r} is {names} an existing density-table file")
-    with open(path, "r", encoding="utf-8") as fh:
+        if not os.path.exists(spec):
+            raise ValueError(
+                f"--family {spec!r} is neither a built-in family name nor an "
+                "existing density-table file"
+            ) from None
+    with open(spec, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    json_object(obj, f"{flag} file {path!r}", ("xs", "ys"), ("name",))
-    name = obj.get("name", os.path.splitext(os.path.basename(path))[0])
-    return table_density_family(obj["xs"], obj["ys"], name=str(name))
+    what = f"--family file {spec!r}"
+    json_object(obj, what, ("xs", "ys"), ("name",))
+    name = obj.get("name", os.path.splitext(os.path.basename(spec))[0])
+    if not isinstance(name, str):
+        raise ValueError(f'{what}: "name" must be a string, got {json.dumps(name)}')
+    return table_density_family(obj["xs"], obj["ys"], name=name)
 
 
 def _write_json(obj, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -192,17 +192,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    if args.kind == "density-file":
-        if not args.density:
-            raise ValueError("--kind density-file needs --density <path>")
-        family = _load_density(args.density, "--density")
-    else:
-        family = family_by_name(args.kind)
+    family = _load_family(args.family)
     row = family(args.n)
     save_schedule(row, args.out)
     print(
-        "schedule: kind=%s n=%d tv=%s -> %s"
-        % (args.kind, args.n, repr(tv_functional(row)), args.out)
+        "schedule: family=%s n=%d tv=%s -> %s"
+        % (family.name, args.n, repr(tv_functional(row)), args.out)
     )
     return 0
 
@@ -227,7 +222,7 @@ def cmd_optimize(args) -> int:
             "n": args.n,
             "seed": args.seed,
             "weights": [float(w) for w in result.minimizer.weights],
-            "value": result.value,
+            "value": json_number(result.value),
             "iterations_used": result.iterations_used,
             "certified_by_grid": result.certified_by_grid,
             "max_deviation_from_uniform": result.max_deviation_from_uniform,
@@ -291,11 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="preset name (qubit-z-x) or path to a system JSON file",
     )
-    sweep.add_argument(
-        "--family",
-        default="uniform",
-        help="family name (uniform, uhrig, pathological) or density-table path",
-    )
+    sweep.add_argument("--family", default="uniform", help=FAMILY_HELP)
     sweep.add_argument(
         "--n",
         required=True,
@@ -307,11 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     schedule = sub.add_parser("schedule", help="write one schedule row as JSON")
-    schedule.add_argument("--kind", required=True, choices=SCHEDULE_KINDS)
+    schedule.add_argument("--family", required=True, help=FAMILY_HELP)
     schedule.add_argument("--n", required=True, type=int)
-    schedule.add_argument(
-        "--density", default=None, help="density-table path for --kind density-file"
-    )
     schedule.add_argument("--out", required=True)
     schedule.set_defaults(func=cmd_schedule)
 
@@ -350,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe = sub.add_parser(
         "probe", help="collect uniformity evidence for a schedule family"
     )
-    probe.add_argument("--family", required=True)
+    probe.add_argument("--family", required=True, help=FAMILY_HELP)
     probe.add_argument("--nmax", required=True, type=int)
     probe.add_argument("--kgrid", default="1,2,4,8")
     probe.add_argument("--out", required=True)

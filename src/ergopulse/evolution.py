@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import astuple, dataclass, fields, replace
+from fractions import Fraction
 from functools import cached_property
 from numbers import Complex
 from os import PathLike
@@ -161,8 +162,9 @@ class ConvergenceReport:
     window flags the rows used for the log-log slope fit (the upper half
     of the grid).  fitted_slope is None when any windowed error vanishes.
     bounds carries one BoundBreakdown per row when a bound route applies:
-    "schedule" for coboundary generators, "constants" for equidistant
-    families with a general generator, None otherwise.
+    "schedule" for coboundary generators, "constants" for a general
+    generator where every row is the equal split (each weight == 1.0 / n,
+    as equidistant builds it; m_prime_const / N rounded up), else None.
     """
 
     family_name: str
@@ -238,6 +240,15 @@ def _next_up(v: float, steps: int) -> float:
     for _ in range(steps):
         v = math.nextafter(v, math.inf)
     return v
+
+
+def _quotient_up(m: float, n: int) -> float:
+    """m / n rounded up: the nearest float, or the next one up where that
+    lies below the exact quotient."""
+    q = m / n
+    if math.isfinite(q) and Fraction(q) * n < Fraction(m):
+        q = math.nextafter(q, math.inf)
+    return q
 
 
 def _rate_constants(sys: PulseSystem) -> tuple[float, float]:
@@ -370,7 +381,9 @@ def convergence_sweep(
 ) -> ConvergenceReport:
     """Measured control error over a grid of pulse counts, with bounds
     attached where a bound route applies and a log-log slope fitted over
-    the upper half of the grid.  n_values are >= 3 increasing counts >= 2."""
+    the upper half of the grid.  n_values are >= 3 increasing counts >= 2.
+    The bound route (see ConvergenceReport) is read from the system and
+    the rows, never from the family."""
     if not isinstance(family, ScheduleFamily):
         raise ValueError("family must be a ScheduleFamily")
     ns = [matrixcore.require_count(n, "pulse count", 2) for n in n_values]
@@ -379,28 +392,21 @@ def convergence_sweep(
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("pulse counts must be strictly increasing")
 
-    errors = []
-    bounds: list[BoundBreakdown] | None
+    rows = [family(n) for n in ns]
+    errors = [control_error(sys, row) for row in rows]
     if sys.is_coboundary:
         route = "schedule"
-        bounds = []
-    elif family.kind == "equidistant":
+        bounds = [schedule_bound_rhs(sys, row) for row in rows]
+    elif all((row.weights == 1.0 / row.n).all() for row in rows):
         route = "constants"
-        bounds = []
         constants = equidistant_bound_constants(sys)
+        bounds = [
+            replace(constants, total_rhs=_quotient_up(constants.m_prime_const, n))
+            for n in ns
+        ]
     else:
         route = None
         bounds = None
-
-    for n in ns:
-        row = family(n)
-        errors.append(control_error(sys, row))
-        if route == "schedule":
-            bounds.append(schedule_bound_rhs(sys, row))
-        elif route == "constants":
-            bounds.append(
-                replace(constants, total_rhs=constants.m_prime_const / n)
-            )
 
     half = len(ns) // 2
     window = [i >= half for i in range(len(ns))]
@@ -427,8 +433,8 @@ _BOUND_FIELDS = tuple(f.name for f in fields(BoundBreakdown))
 
 
 def _number(value: float) -> float | None:
-    """A bound field as written out: None (a blank CSV cell, JSON null)
-    where the field does not apply."""
+    """A bound field as the CSV writes it: None (a blank cell) where the
+    field does not apply."""
     return None if math.isnan(value) else float(value)
 
 
@@ -453,17 +459,18 @@ def write_report_csv(report: ConvergenceReport, path: str | PathLike) -> None:
 
 
 def report_to_json_dict(report: ConvergenceReport) -> dict:
-    """JSON-ready representation (NaN fields become null)."""
+    """JSON-ready representation; a NaN (a field that does not apply) or
+    +inf (an overflow) becomes null, as strict JSON has no token for it."""
     bounds = None
     if report.bounds is not None:
         bounds = [
-            dict(zip(_BOUND_FIELDS, map(_number, astuple(b))))
+            dict(zip(_BOUND_FIELDS, map(matrixcore.json_number, astuple(b))))
             for b in report.bounds
         ]
     return {
         "family": report.family_name,
         "n_values": list(report.n_values),
-        "errors": [float(e) for e in report.errors],
+        "errors": [matrixcore.json_number(e) for e in report.errors],
         "slope_window_flags": [1 if w else 0 for w in report.window],
         "fitted_slope": report.fitted_slope,
         "bound_route": report.bound_route,

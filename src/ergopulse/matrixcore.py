@@ -501,6 +501,11 @@ def json_object(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
     return obj
 
 
+def json_number(value: float) -> float | None:
+    """value for strict JSON: a float, or None (null) where it is not finite."""
+    return float(value) if math.isfinite(value) else None
+
+
 def matrix_from_json_dict(obj) -> np.ndarray:
     """Parse and validate the matrix JSON representation."""
     json_object(obj, "matrix JSON", ("dim", "entries"))

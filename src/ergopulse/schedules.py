@@ -56,14 +56,10 @@ class Schedule:
 
 @dataclass(frozen=True, eq=False)
 class ScheduleFamily:
-    """A named rule n -> Schedule.
-
-    kind is one of "equidistant", "density", "pathological", "custom" and
-    records how rows are generated, which downstream reporting uses.
-    """
+    """A name and a row builder n -> Schedule, nothing more: what depends
+    on the rows, such as convergence_sweep's bound route, reads the rows."""
 
     name: str
-    kind: str
     builder: Callable[[int], Schedule] = field(repr=False)
 
     def __call__(self, n: int) -> Schedule:
@@ -169,22 +165,22 @@ def tv_functional(s: Schedule) -> float:
 
 
 def equidistant_family() -> ScheduleFamily:
-    return ScheduleFamily("uniform", "equidistant", equidistant)
+    return ScheduleFamily("uniform", equidistant)
 
 
 def cdf_family(
     cdf: Callable[[np.ndarray], np.ndarray], name: str = "density"
 ) -> ScheduleFamily:
-    return ScheduleFamily(name, "density", lambda n: from_cdf(cdf, n))
+    return ScheduleFamily(name, lambda n: from_cdf(cdf, n))
 
 
 def uhrig_family() -> ScheduleFamily:
     """Density family with f(x) = (pi/2) sin(pi x)."""
-    return ScheduleFamily("uhrig", "density", uhrig)
+    return ScheduleFamily("uhrig", uhrig)
 
 
 def pathological_family() -> ScheduleFamily:
-    return ScheduleFamily("pathological", "pathological", pathological)
+    return ScheduleFamily("pathological", pathological)
 
 
 def table_density_family(xs, ys, name: str = "table") -> ScheduleFamily:

@@ -77,7 +77,7 @@ NO_SCIPY_CALLS = {
     "optimize tv": _cli("optimize --mode tv --n 4"),
     "optimize bound": _cli("optimize --mode bound --system qubit-z-x --n 3"),
     "probe": _cli("probe --family uhrig --nmax 64"),
-    "schedule": _cli("schedule --kind uhrig --n 9"),
+    "schedule": _cli("schedule --family uhrig --n 9"),
     "cesaro_mean": (
         "ergopulse.cesaro_mean(ergopulse.random_unitary(4, seed=1), np.eye(4), 999)"
     ),

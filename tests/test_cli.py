@@ -7,6 +7,9 @@ stdout/stderr are exercised exactly as a shell user would see them.
 import csv
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,16 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _strict_json(path):
+    """The JSON file at path, parsed as strict JSON: NaN, Infinity and
+    -Infinity are refused."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
 
 
 def _write_system(path, u, generator=None, hamiltonian=None, extra=None):
@@ -42,7 +55,7 @@ def _write_system(path, u, generator=None, hamiltonian=None, extra=None):
 def test_schedule_uniform_row_and_tv_line(tmp_path, capsys):
     out = tmp_path / "row.json"
     code, stdout, _ = _run(
-        capsys, "schedule", "--kind", "uniform", "--n", "4", "--out", str(out)
+        capsys, "schedule", "--family", "uniform", "--n", "4", "--out", str(out)
     )
     assert code == 0
     row = load_schedule(out)
@@ -55,7 +68,7 @@ def test_schedule_uniform_row_and_tv_line(tmp_path, capsys):
 def test_schedule_uhrig_round_trips_family_row(tmp_path, capsys):
     out = tmp_path / "uhrig8.json"
     code, stdout, _ = _run(
-        capsys, "schedule", "--kind", "uhrig", "--n", "8", "--out", str(out)
+        capsys, "schedule", "--family", "uhrig", "--n", "8", "--out", str(out)
     )
     assert code == 0
     row = load_schedule(out)
@@ -69,16 +82,7 @@ def test_schedule_density_file_kind(tmp_path, capsys):
     dens.write_text(json.dumps({"xs": [0.0, 1.0], "ys": [0.5, 1.5]}))
     out = tmp_path / "row.json"
     code, _, _ = _run(
-        capsys,
-        "schedule",
-        "--kind",
-        "density-file",
-        "--density",
-        str(dens),
-        "--n",
-        "3",
-        "--out",
-        str(out),
+        capsys, "schedule", "--family", str(dens), "--n", "3", "--out", str(out)
     )
     assert code == 0
     row = load_schedule(out)
@@ -86,28 +90,23 @@ def test_schedule_density_file_kind(tmp_path, capsys):
     assert_allclose(row.weights, [2 / 9, 3 / 9, 4 / 9], atol=1e-12)
 
 
-def test_schedule_density_file_requires_density(tmp_path, capsys):
-    out = tmp_path / "row.json"
+def test_schedule_rejects_unknown_kind(tmp_path, capsys):
+    # schedule takes no --kind or --density: it names a family by
+    # --family, as sweep and probe do
+    dens = tmp_path / "ramp.json"
+    dens.write_text(json.dumps({"xs": [0.0, 1.0], "ys": [0.5, 1.5]}))
+    out = tmp_path / "x.json"
+    for flags in (["--kind", "uhrig"], ["--density", str(dens)]):
+        argv = ["schedule", "--family", "uhrig", *flags, "--n", "4", "--out", str(out)]
+        code, _, err = _run(capsys, *argv)
+        assert code == 2, flags
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
     code, _, err = _run(
-        capsys, "schedule", "--kind", "density-file", "--n", "3", "--out", str(out)
+        capsys, "schedule", "--family", "sinusoidal", "--n", "4", "--out", str(out)
     )
     assert code == 2
-    assert "--density" in err
+    assert "neither a built-in family name nor" in err
     assert not out.exists()
-
-
-def test_schedule_rejects_unknown_kind(tmp_path, capsys):
-    code, _, _ = _run(
-        capsys,
-        "schedule",
-        "--kind",
-        "sinusoidal",
-        "--n",
-        "4",
-        "--out",
-        str(tmp_path / "x.json"),
-    )
-    assert code == 2  # argparse choice failure
 
 
 # ---------------------------------------------------------------- sweep
@@ -256,11 +255,12 @@ def test_sweep_overflowing_bounds_are_inf(tmp_path, capsys, family, hamiltonian,
     for row in rows:
         assert row["m_const"] == row["m_prime_const"] == "inf"
         assert float(row["error"]) <= float(row["total_rhs"])
-    report = json.loads(outs["json"].read_text())["report"]
+    # strict JSON has no token for +inf: the overflowed fields are null
+    report = _strict_json(outs["json"])["report"]
     assert report["bound_route"] == route
-    assert [b["m_prime_const"] for b in report["bounds"]] == [math.inf] * 3
+    assert [b["m_prime_const"] for b in report["bounds"]] == [None] * 3
     if route == "constants":
-        assert [b["total_rhs"] for b in report["bounds"]] == [math.inf] * 3
+        assert [b["total_rhs"] for b in report["bounds"]] == [None] * 3
 
 
 def test_sweep_of_huge_hamiltonian_matches_its_rescaled_twin(tmp_path, capsys):
@@ -421,44 +421,59 @@ def test_schedule_rejects_unknown_density_file_keys(tmp_path, capsys):
     dens.write_text(json.dumps({"xs": [0.0, 1.0], "ys": [0.5, 1.5], "n": 3}))
     out = tmp_path / "row.json"
     code, _, err = _run(
-        capsys,
-        "schedule",
-        "--kind",
-        "density-file",
-        "--density",
-        str(dens),
-        "--n",
-        "3",
-        "--out",
-        str(out),
+        capsys, "schedule", "--family", str(dens), "--n", "3", "--out", str(out)
     )
     assert code == 2
-    assert "has unknown keys ['n']" in err
-    assert "--density file" in err and "--family" not in err
+    assert f"--family file {str(dens)!r} has unknown keys ['n']" in err
     assert not out.exists()
 
 
 def test_schedule_density_names_no_built_in_family(tmp_path, capsys, monkeypatch):
-    # --density reads a file only: a family name with no such file fails
+    # ./uhrig is a path: with no such file it fails, and never falls back
+    # to the built-in family
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "row.json"
-    argv = ["schedule", "--kind", "density-file", "--density", "uhrig"]
+    argv = ["schedule", "--family", "./uhrig"]
     code, _, err = _run(capsys, *argv, "--n", "4", "--out", str(out))
     assert code == 2
-    assert "--density 'uhrig'" in err
+    assert "--family './uhrig' is neither" in err
     assert not out.exists()
 
 
 def test_schedule_reads_density_file_named_like_a_family(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "uhrig").write_text(json.dumps({"xs": [0.0, 1.0], "ys": [0.5, 1.5]}))
+    ramp = {"xs": [0.0, 1.0], "ys": [0.5, 1.5], "name": "ramp"}
+    (tmp_path / "uhrig").write_text(json.dumps(ramp))
     out = tmp_path / "row.json"
-    argv = ["schedule", "--kind", "density-file", "--density", "uhrig"]
-    code, stdout, _ = _run(capsys, *argv, "--n", "3", "--out", str(out))
+    argv = ["schedule", "--n", "3", "--out", str(out), "--family"]
+    code, stdout, _ = _run(capsys, *argv, "./uhrig")
     assert code == 0
     # the file's ramp 0.5 + x, not the built-in Uhrig row
     assert_allclose(load_schedule(out).weights, [2 / 9, 3 / 9, 4 / 9], atol=1e-12)
-    assert "kind=density-file" in stdout
+    assert "family=ramp" in stdout
+    # the bare name is the built-in family, file or no file
+    code, stdout, _ = _run(capsys, *argv, "uhrig")
+    assert code == 0
+    assert np.array_equal(load_schedule(out).weights, uhrig_family()(3).weights)
+    assert "family=uhrig" in stdout
+
+
+@pytest.mark.parametrize("name", [None, [1, 2], 3, {"a": 1}])
+@pytest.mark.parametrize("command", ["schedule", "probe", "sweep"])
+def test_density_table_name_must_be_a_string(tmp_path, capsys, name, command):
+    dens = tmp_path / "ramp.json"
+    dens.write_text(json.dumps({"xs": [0.0, 1.0], "ys": [1.0, 1.0], "name": name}))
+    out = tmp_path / "out.json"
+    flags = {
+        "schedule": ["--n", "4"],
+        "probe": ["--nmax", "16"],
+        "sweep": ["--system", "qubit-z-x", "--n", "4,8,16"],
+    }[command]
+    argv = [command, "--family", str(dens), *flags, "--out", str(out)]
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert f'"name" must be a string, got {json.dumps(name)}' in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- optimize
@@ -589,6 +604,30 @@ def test_optimize_bound_requires_system(tmp_path, capsys):
     )
     assert code == 2
     assert "--system" in err
+
+
+def test_json_output_is_strict_json(tmp_path, capsys):
+    # a value past the float range is written as null, never as the bare
+    # token Infinity
+    out = tmp_path / "b.json"
+    argv = ["optimize", "--mode", "bound", "--system", "qubit-z-x", "--n", "2"]
+    code, stdout, err = _run(capsys, *argv, "--t", "1e308", "--out", str(out))
+    assert code == 0, err
+    assert "value=inf" in stdout
+    assert _strict_json(out)["value"] is None
+    # u = s_z, H = 800 s_x: |t| ||Y|| = 400, so the rate constants overflow
+    system = _write_system(
+        tmp_path / "system.json",
+        np.diag([1.0, -1.0]),
+        hamiltonian=np.array([[0.0, 800.0], [800.0, 0.0]]),
+    )
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--system", system, "--family", "uniform", "--format", "json"]
+    code, _, err = _run(capsys, *argv, "--n", "4096,8192,16384", "--out", str(out))
+    assert code == 0, err
+    bounds = _strict_json(out)["report"]["bounds"]
+    assert [b["m_const"] for b in bounds] == [None] * 3
+    assert all(b["total_rhs"] is None for b in bounds)
 
 
 def test_optimize_bound_commutant_generator_is_domain_error(tmp_path, capsys):
@@ -802,7 +841,8 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     try:
         out = str(tmp_path / "row.json")
         for _ in range(3):
-            assert main(["schedule", "--kind", "uhrig", "--n", "4", "--out", out]) == 0
+            argv = ["schedule", "--family", "uhrig", "--n", "4", "--out", out]
+            assert main(argv) == 0
             assert main(["--version"]) == 0
             assert main(["frobnicate"]) == 2
         capsys.readouterr()
@@ -850,3 +890,38 @@ def test_a_reused_parser_answers_as_a_fresh_one(tmp_path, capsys):
     assert reused[0] == reused[-1] and reused[0][3] is not None
     assert "invalid choice: 'xml'" in reused[1][2]
     assert reused == fresh
+
+
+# ---------------------------------------------------------------- README
+
+
+def _readme_commands():
+    """Each `ergopulse ...` command of the README's sh blocks, with its
+    backslash continuations joined, as an argv list."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("ergopulse "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_cli_examples():
+    assert {argv[0] for argv in README_COMMANDS} == {
+        "sweep",
+        "schedule",
+        "optimize",
+        "probe",
+    }
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_cli_example_runs(tmp_path, capsys, monkeypatch, argv):
+    # the docs describe what the code accepts: every example exits 0
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run(capsys, *argv)
+    assert code == 0, err

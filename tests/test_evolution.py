@@ -1,5 +1,6 @@
 import csv
 import math
+from fractions import Fraction
 
 import ergopulse.ergodic
 import ergopulse.evolution
@@ -32,9 +33,12 @@ from ergopulse.evolution import (
 from ergopulse.matrixcore import is_unitary, op_norm, random_unitary
 from ergopulse.schedules import (
     Schedule,
+    ScheduleFamily,
     equidistant,
     equidistant_family,
+    pathological,
     pathological_family,
+    uhrig,
     uhrig_family,
 )
 from ergopulse.ergodic import commutant_project, spectrum
@@ -796,6 +800,58 @@ def test_sweep_no_route_for_general_generator_off_equidistant():
     assert rep.bound_route is None
     assert rep.bounds is None
     assert rep.fitted_slope is not None
+
+
+def test_sweep_route_follows_the_rows_not_the_name():
+    # a commutant part in X, so only the equal split has a proved bound;
+    # the pathological rows break M'/N (0.861 against 0.540 at N = 64)
+    sys = PulseSystem(u=SZ, generator=-1j * np.array([[1.0, 1.0], [1.0, -0.5]]))
+    ns = (4, 8, 16, 32, 64)
+    fake = convergence_sweep(sys, ScheduleFamily("fake", pathological), ns)
+    assert fake.bound_route is None and fake.bounds is None
+    assert fake.errors[-1] > equidistant_bound_constants(sys).m_prime_const / 64
+    mine = convergence_sweep(sys, ScheduleFamily("mine", equidistant), ns)
+    want = convergence_sweep(sys, equidistant_family(), ns)
+    assert mine.bound_route == want.bound_route == "constants"
+    assert report_to_json_dict(mine)["bounds"] == report_to_json_dict(want)["bounds"]
+    # one row off the equal split is enough to lose the route
+    mixed = ScheduleFamily("mixed", lambda n: equidistant(n) if n < 64 else uhrig(n))
+    assert convergence_sweep(sys, mixed, ns).bound_route is None
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sweep_constants_bound_is_rounded_up(seed):
+    # total_rhs is at least the exact m_prime_const / N; where the nearest
+    # quotient is low it is the next float up, and a power of two N keeps
+    # the plain quotient, which is exact there
+    rng = np.random.default_rng(seed)
+    u = random_unitary(3, 0.2, seed=seed)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    sys = PulseSystem(u=u, generator=x / op_norm(x), t=rng.uniform(0.1, 1.0))
+    assume(not sys.is_coboundary)
+    rep = convergence_sweep(sys, equidistant_family(), (3, 64, 1000, 4095))
+    assert rep.bound_route == "constants"
+    for n, b in zip(rep.n_values, rep.bounds):
+        exact = Fraction(b.m_prime_const) / n
+        nearest = b.m_prime_const / n
+        assert Fraction(b.total_rhs) >= exact
+        if Fraction(nearest) >= exact:
+            assert b.total_rhs == nearest
+        else:
+            assert b.total_rhs == math.nextafter(nearest, math.inf)
+
+
+def test_sweep_constants_bound_moves_a_low_quotient_up():
+    quotient_up = ergopulse.evolution._quotient_up
+    # 1.0 / 3 rounds to nearest below 1/3, 1.0 / 10 above 1/10
+    assert Fraction(1.0 / 3) < Fraction(1, 3) < Fraction(quotient_up(1.0, 3))
+    assert quotient_up(1.0, 3) == math.nextafter(1.0 / 3, math.inf)
+    assert Fraction(1.0 / 10) > Fraction(1, 10) and quotient_up(1.0, 10) == 1.0 / 10
+    assert quotient_up(math.inf, 1000) == math.inf
+    assert quotient_up(0.0, 1000) == 0.0
+    # an underflowing quotient stays positive
+    assert quotient_up(5e-324, 1000) == 5e-324
 
 
 def test_sweep_exact_zero_errors_skip_slope():

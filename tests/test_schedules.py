@@ -149,7 +149,7 @@ def test_uhrig_matches_40_digit_reference(n):
 
 def test_uhrig_family_is_the_closed_form():
     fam = uhrig_family()
-    assert fam.kind == "density"
+    assert fam.builder is uhrig
     assert np.array_equal(fam(1000).weights, uhrig(1000).weights)
 
 
@@ -200,7 +200,7 @@ def test_from_cdf_calls_cdf_once_on_the_edges():
 def test_table_density_uniform():
     fam = table_density_family([0.0, 1.0], [1.0, 1.0])
     assert_allclose(fam(5).weights, np.full(5, 0.2), atol=1e-15)
-    assert fam.kind == "density"
+    assert fam.name == "table"
 
 
 def _interp_panel_exact(xs, ys, a, b):
@@ -338,16 +338,16 @@ def test_tv_functional_reversal_invariant():
 
 
 def test_family_by_name_lookup():
-    assert family_by_name("uniform").kind == "equidistant"
+    assert family_by_name("uniform").builder is equidistant
     assert family_by_name("equidistant").name == "uniform"
     assert family_by_name("uhrig").name == "uhrig"
-    assert family_by_name("pathological").kind == "pathological"
+    assert family_by_name("pathological").builder is pathological
     with pytest.raises(ValueError, match="unknown schedule family"):
         family_by_name("smooth")
 
 
 def test_family_call_validates_row_length():
-    bad = ScheduleFamily("bad", "custom", lambda n: equidistant(n + 1))
+    bad = ScheduleFamily("bad", lambda n: equidistant(n + 1))
     with pytest.raises(ValueError, match="invalid row"):
         bad(4)
 
