@@ -2,7 +2,8 @@
 
 conj_weighted_sum sums a weighted conjugation orbit in the eigenbasis of
 u that matrixcore.unitary_eig gives, as a blocked sqrt(N) split on d^2
-scalars: no matrix power drifts.
+scalars: no matrix power drifts.  Its weight product is one stacked
+vector-matrix matmul, which BLAS runs as gemv and which packs nothing.
 
 chain_product forms u F_k for the distinct factors in one stacked matmul,
 then walks the index row in blocks of CHAIN_BLOCK: each block is reduced
@@ -51,8 +52,8 @@ def conj_weighted_sum(u, x, w):
     V (V* x V o G) V*, o the entrywise product, G_ij = sum_k w_k z_ij^k
     and z_ij = lam_i conj(lam_j).  With B = ceil(sqrt(N)) and k = qB + r
     (1 <= r <= B), G = sum_q z^(qB) sum_r w_{qB+r} z^r: the inner sums of
-    all full blocks are one (Q-1 x B) @ (B x d^2) product over the
-    weights, and the Q = ceil(N / B) outer terms one entrywise product.
+    all full blocks are one stack of Q-1 (1 x B) @ (B x d^2) products over
+    the weights, and the Q = ceil(N / B) outer terms one entrywise product.
     Besides w it holds O(sqrt(N) d^2) memory.
 
     Every lam is scaled to modulus one, so the result is the exact mean
@@ -73,13 +74,15 @@ def conj_weighted_sum(u, x, w):
 
     # complex128 viewed as float64 pairs, so the real weights multiply real
     # and imaginary parts in one real product; the partial last block reads
-    # its weights in place.  einsum, not matmul: a BLAS gemm of this shape
-    # keeps about 1 MB of packing buffer resident for the process's life.
+    # its weights in place.  Each full block is a (1 x B) @ (B x 2d^2)
+    # slice of one stacked matmul, which BLAS runs as gemv: gemv streams
+    # its operands and packs nothing, where a 2-D gemm of the same product
+    # keeps its packing buffer resident for the process's life.
     flat = powers.view(np.float64)
     full = (q_count - 1) * b
     inner = np.empty((q_count, 2 * d * d))
-    np.einsum("qr,rk->qk", w[:full].reshape(q_count - 1, b), flat, out=inner[:-1])
-    np.einsum("r,rk->k", w[full:], flat[: n - full], out=inner[-1])
+    np.matmul(w[:full].reshape(q_count - 1, 1, b), flat, out=inner[:-1, None])
+    np.matmul(w[full:], flat[: n - full], out=inner[-1])
     inner = inner.view(np.complex128)
 
     steps = np.broadcast_to(powers[-1], (q_count - 1, d * d))

@@ -232,8 +232,12 @@ class UniformityReport:
 
     tail_sup maps each probed k to the supremum over the N grid of
     sum_{i>=k} |a_{N,i+1} - a_{N,i}| (rows padded with zeros past N, so
-    the final drop a_{N,N} is included).  tv_sequence records (N, tv) and
-    the verdict summarizes whether tv trends to zero.
+    the final drop a_{N,N} is included).  Each row is differenced once,
+    and its tails are pairwise sums of those |differences|: within a few
+    ulps of the exact sum over the float row, but evidence, not a bound,
+    since nothing rounds them outward.  tv_sequence records (N, tv), tv
+    from _kernels.tv_value, and the verdict summarizes whether tv trends
+    to zero.
     """
 
     family_name: str
@@ -248,14 +252,21 @@ def cohen_uniformity_probe(
 ) -> UniformityReport:
     """Probe the weighted-mean uniformity conditions along a geometric grid.
 
-    n_max is a count >= 4 and k_grid holds counts in [1, n_max].  The
-    verdict is "violates-uniform" when the total variation at the largest
-    probed N stays above 0.5, and "consistent-with-uniform" otherwise.
+    n_max is a count >= 4 and k_grid an iterable of counts in [1, n_max].
+    The verdict is "violates-uniform" when the total variation at the
+    largest probed N stays above 0.5, and "consistent-with-uniform"
+    otherwise.
     This is numerical evidence over a finite grid, not a proof.
     """
     if not isinstance(family, ScheduleFamily):
         raise ValueError("family must be a ScheduleFamily")
-    ks = sorted({require_count(k, "k_grid entry", 1) for k in k_grid})
+    try:
+        entries = iter(k_grid)
+    except TypeError:
+        raise ValueError(
+            f"k_grid must be an iterable of counts, got {type(k_grid).__name__}"
+        ) from None
+    ks = sorted({require_count(k, "k_grid entry", 1) for k in entries})
     if not ks:
         raise ValueError("k_grid must hold at least one count")
     n_max = require_count(n_max, "n_max", 4)
@@ -267,12 +278,18 @@ def cohen_uniformity_probe(
     tail_sup = {k: 0.0 for k in ks}
     tv_seq = []
     for n in grid:
-        row = family(n)
-        diffs = np.abs(np.diff(np.append(row.weights, 0.0)))
-        suffix = np.concatenate([np.cumsum(diffs[::-1])[::-1], [0.0]])
-        for k in ks:
-            tail_sup[k] = max(tail_sup[k], float(suffix[k - 1]) if k <= n else 0.0)
-        tv_seq.append((n, tv_functional(row)))
+        a = family(n).weights
+        steps = a[1:] - a[:-1]
+        np.abs(steps, out=steps)
+        # the tail at k is a_N plus steps[k - 1:]: from the largest k down,
+        # each k adds the steps between it and the next larger k
+        tail, end = a[-1], n - 1
+        for k in reversed(ks):
+            if k <= n:
+                tail += np.add.reduce(steps[k - 1 : end])
+                end = k - 1
+                tail_sup[k] = max(tail_sup[k], float(tail))
+        tv_seq.append((n, float(tv_value(a))))
 
     final_tv = tv_seq[-1][1]
     verdict = "violates-uniform" if final_tv > 0.5 else "consistent-with-uniform"

@@ -30,6 +30,11 @@ limit_evolution takes its factor from scipy.linalg.expm, so the limit
 oracle shares no exponential with the package.
 expm_multiples is the reference for the scalar-multiples form of
 matrixcore.expm: scipy.linalg.expm on each c a in turn.
+cohen_uniformity_probe is the probe's earlier row loop: each row
+padded with a zero, differenced, and its tails read off a reversed
+cumsum.  n_grid, tv_sequence and verdict must match it bit for bit;
+tail_sup rounds unlike the package's pairwise tails and is compared
+with exact sums instead.
 tv_value adds one difference at a time, so it rounds unlike the
 pairwise sum of ergopulse._kernels.tv_value and is compared within a
 tolerance.  defect_series_truncated is the defect series as matrixcore
@@ -53,6 +58,7 @@ from ergopulse import matrixcore
 from ergopulse.ergodic import COBOUNDARY_TOL, spectrum
 from ergopulse.errors import ClusteringAmbiguityError, NotACoboundaryError
 from ergopulse.optimizer import STEP_SCALE
+from ergopulse.schedules import UniformityReport, tv_functional
 
 # x86-64 long doubles carry a 64-bit mantissa (eps 1.08e-19); where
 # np.longdouble is float64, conj_weighted_sum below is no reference
@@ -83,6 +89,33 @@ def tv_value(w):
     for i in range(w.shape[0] - 1):
         v += abs(w[i + 1] - w[i])
     return v
+
+
+def cohen_uniformity_probe(family, n_max, k_grid=(1, 2, 4, 8)):
+    """The uniformity probe as one padded-row loop, inputs already valid."""
+    ks = sorted(set(k_grid))
+    grid = [4 << k for k in range(n_max.bit_length()) if 4 << k < n_max]
+    grid.append(n_max)
+
+    tail_sup = {k: 0.0 for k in ks}
+    tv_seq = []
+    for n in grid:
+        row = family(n)
+        diffs = np.abs(np.diff(np.append(row.weights, 0.0)))
+        suffix = np.concatenate([np.cumsum(diffs[::-1])[::-1], [0.0]])
+        for k in ks:
+            tail_sup[k] = max(tail_sup[k], float(suffix[k - 1]) if k <= n else 0.0)
+        tv_seq.append((n, tv_functional(row)))
+
+    final_tv = tv_seq[-1][1]
+    verdict = "violates-uniform" if final_tv > 0.5 else "consistent-with-uniform"
+    return UniformityReport(
+        family_name=family.name,
+        n_grid=tuple(grid),
+        tail_sup=tuple((k, tail_sup[k]) for k in ks),
+        tv_sequence=tuple(tv_seq),
+        verdict=verdict,
+    )
 
 
 def fd_descent(objective, starts, max_iters, step_tol):

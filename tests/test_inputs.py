@@ -132,6 +132,12 @@ def test_bad_counts_reals_and_times_raise_value_error(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("k_grid", [4, np.int64(4), None, 2.5])
+def test_probe_k_grid_must_be_iterable(k_grid):
+    with pytest.raises(ValueError, match="k_grid"):
+        cohen_uniformity_probe(uhrig_family(), 16, k_grid)
+
+
 def test_numpy_counts_and_reals_give_the_same_bits():
     i = np.int64
     for cast in (np.float32, np.float64):

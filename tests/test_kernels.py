@@ -7,6 +7,9 @@ oracles.py, and tv_value also against exact rational sums.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+import ergopulse
 from ergopulse._kernels import (
     CHAIN_BLOCK,
     chain_product,
@@ -116,6 +120,42 @@ def test_conj_weighted_sum_matches_loop_oracle(d, n, kind, zero_runs, scale, see
     got = conj_weighted_sum(u, x, w)
     want = oracles.conj_weighted_sum(u, x, w)
     assert op_norm(got - want) <= 1e-12 * max(1.0, op_norm(x))
+
+
+# the means of the cesaro benchmark jobs, one hash per line
+WEIGHTED_MEAN_HASHES = (
+    "import hashlib\n"
+    "import numpy as np\n"
+    "import ergopulse as ep\n"
+    "rng = np.random.default_rng(8)\n"
+    "for d, family in ((8, ep.pathological_family), (5, ep.uhrig_family)):\n"
+    "    u = ep.random_unitary(d, min_phase_gap=0.1, seed=d)\n"
+    "    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))\n"
+    "    mean = ep.weighted_cesaro_mean(u, x, family()(100_000))\n"
+    "    print(hashlib.sha256(mean.tobytes()).hexdigest())\n"
+)
+
+
+def test_weighted_means_are_byte_identical_across_processes(tmp_path):
+    # the weight product runs through BLAS gemv; two fresh interpreters
+    # must still give the same bytes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ergopulse.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-c", WEIGHTED_MEAN_HASHES],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert len(outs[0].split()) == 2
+    assert outs[0] == outs[1]
 
 
 def test_chain_product_matches_plain_loop():

@@ -31,6 +31,8 @@ from ergopulse.schedules import (
     uhrig_family,
 )
 
+import oracles
+
 simplex_rows = st.lists(
     st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=12
 ).map(lambda xs: np.array(xs) / np.sum(xs))
@@ -394,6 +396,45 @@ def test_probe_tail_sup_matches_plain_loop_oracle():
             assert got == pytest.approx(
                 _tail_sup_oracle(fam, rep.n_grid, k), abs=1e-14
             )
+
+
+PROBE_FAMILIES = (
+    equidistant_family(),
+    uhrig_family(),
+    pathological_family(),
+    table_density_family([0.0, 0.3, 0.55, 1.0], [0.5, 1.5, 1.0, 0.7222222222222222]),
+)
+
+
+def _exact_tails(weights):
+    """Entry k - 1 is a_n plus the steps |a_{i+1} - a_i| from i = k on, of
+    the float row, summed in rationals."""
+    row = [Fraction(float(v)) for v in weights]
+    tails = [row[-1]]
+    for a, b in zip(row[-2::-1], row[:0:-1]):
+        tails.append(tails[-1] + abs(b - a))
+    return tails[::-1]
+
+
+@pytest.mark.parametrize("n_max", [8, 9, 33, 4097])
+def test_probe_matches_row_loop_oracle(n_max):
+    # k_grids reach past the small grid counts, where a row has no tail
+    eps = Fraction(np.finfo(np.float64).eps)
+    for fam in PROBE_FAMILIES:
+        tails = {}
+        for k_grid in ((1, 2, 4, 8), (3, 5, 8), (1, 6, n_max)):
+            got = cohen_uniformity_probe(fam, n_max, k_grid)
+            want = oracles.cohen_uniformity_probe(fam, n_max, k_grid)
+            assert got.n_grid == want.n_grid
+            assert got.tv_sequence == want.tv_sequence
+            assert got.verdict == want.verdict
+            for k, value in got.tail_sup:
+                best = max(
+                    tails.setdefault(n, _exact_tails(fam(n).weights))[k - 1]
+                    for n in got.n_grid
+                    if k <= n
+                )
+                assert abs(Fraction(value) - best) <= 4 * eps * best, (fam.name, k)
 
 
 def test_probe_tail_sup_nonincreasing_in_k():
