@@ -1,9 +1,11 @@
 """Hot numerical kernels in plain numpy.
 
 conj_weighted_sum sums a weighted conjugation orbit in the eigenbasis of
-u that matrixcore.unitary_eig gives, as a blocked sqrt(N) split on d^2
-scalars: no matrix power drifts.  Its weight product is one stacked
-vector-matrix matmul, which BLAS runs as gemv and which packs nothing.
+u that matrixcore.unitary_eig gives, as a blocked sqrt(N) split on the
+d(d+1)/2 scalars of the upper triangle of a Hermitian table, padded to
+an even count: no matrix power drifts.  Its weight product is one
+stacked vector-matrix matmul, which BLAS runs as gemv and which packs
+nothing.
 
 chain_product forms u F_k for the distinct factors in one stacked matmul,
 then walks the index row in blocks of CHAIN_BLOCK: each block is reduced
@@ -31,6 +33,7 @@ factors of pulse_product as one matrix product per Horner level.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -50,11 +53,14 @@ def conj_weighted_sum(u, x, w):
 
     With u = V diag(lam) V* from matrixcore.unitary_eig, the sum is
     V (V* x V o G) V*, o the entrywise product, G_ij = sum_k w_k z_ij^k
-    and z_ij = lam_i conj(lam_j).  With B = ceil(sqrt(N)) and k = qB + r
-    (1 <= r <= B), G = sum_q z^(qB) sum_r w_{qB+r} z^r: the inner sums of
-    all full blocks are one stack of Q-1 (1 x B) @ (B x d^2) products over
-    the weights, and the Q = ceil(N / B) outer terms one entrywise product.
-    Besides w it holds O(sqrt(N) d^2) memory.
+    and z_ij = lam_i conj(lam_j).  The weights are real and z_ji is
+    conj(z_ij), so G is Hermitian: only its m = d(d+1)/2 entries with
+    i <= j are summed (_half_table), and the rest is their mirror.  With
+    B = ceil(sqrt(N)) and k = qB + r (1 <= r <= B),
+    G = sum_q z^(qB) sum_r w_{qB+r} z^r: the inner sums of all full blocks
+    are one stack of Q-1 (1 x B) @ (B x 2m) products over the weights,
+    and the Q = ceil(N / B) outer terms one entrywise product.  Besides w
+    it holds O(sqrt(N) d^2) memory.
 
     Every lam is scaled to modulus one, so the result is the exact mean
     of the unitary V diag(lam/|lam|) V*, which is u to within
@@ -67,28 +73,57 @@ def conj_weighted_sum(u, x, w):
 
     lam, vecs = unitary_eig(u)
     lam /= np.abs(lam)
-    z = np.outer(lam, lam.conj()).reshape(d * d)
+    rows, cols, upper, lower, diag = _half_table(d)
+    m = rows.shape[0]
+    z = lam[rows] * lam[cols].conj()
+    # z_ii is 1, not the rounded |lam_i|^2, which is off by an eps or two
+    # in modulus and in phase and drifts by about N eps over the orbit
+    z[diag] = 1.0
     # running products, not exp(i k phase): powers of exact roots of
     # unity such as 1j stay exact, so periodic orbits cancel exactly
-    powers = np.cumprod(np.broadcast_to(z, (b, d * d)), axis=0)
+    powers = np.empty((b, m), dtype=np.complex128)
+    np.multiply.accumulate(np.broadcast_to(z, (b, m)), axis=0, out=powers)
 
     # complex128 viewed as float64 pairs, so the real weights multiply real
     # and imaginary parts in one real product; the partial last block reads
-    # its weights in place.  Each full block is a (1 x B) @ (B x 2d^2)
+    # its weights in place.  Each full block is a (1 x B) @ (B x 2m)
     # slice of one stacked matmul, which BLAS runs as gemv: gemv streams
     # its operands and packs nothing, where a 2-D gemm of the same product
     # keeps its packing buffer resident for the process's life.
     flat = powers.view(np.float64)
     full = (q_count - 1) * b
-    inner = np.empty((q_count, 2 * d * d))
+    inner = np.empty((q_count, 2 * m))
     np.matmul(w[:full].reshape(q_count - 1, 1, b), flat, out=inner[:-1, None])
     np.matmul(w[full:], flat[: n - full], out=inner[-1])
     inner = inner.view(np.complex128)
 
-    steps = np.broadcast_to(powers[-1], (q_count - 1, d * d))
-    mix = inner[0] + (inner[1:] * np.cumprod(steps, axis=0)).sum(axis=0)
+    outer = np.empty((q_count - 1, m), dtype=np.complex128)
+    np.multiply.accumulate(
+        np.broadcast_to(powers[-1], outer.shape), axis=0, out=outer
+    )
+    outer *= inner[1:]
+    half = inner[0] + outer.sum(axis=0)
+    mix = np.empty(d * d, dtype=np.complex128)
+    mix[lower] = half.conj()
+    mix[upper] = half
     adj = vecs.conj().T
     return vecs @ ((adj @ x @ vecs) * mix.reshape(d, d)) @ adj
+
+
+@functools.cache
+def _half_table(d):
+    """(rows, cols, upper, lower, diag) for conj_weighted_sum at dimension
+    d: the pairs i <= j of np.triu_indices, their flat indices i d + j and
+    j d + i, and the positions of the pairs i = j.  When their count m is
+    odd, the last pair is repeated: the stacked gemv over 2m columns runs
+    about twice as slow when 2m is 2 mod 4 (6 columns against 8 at
+    N = 1e5)."""
+    rows, cols = np.triu_indices(d)
+    if rows.shape[0] % 2:
+        rows = np.append(rows, rows[-1])
+        cols = np.append(cols, cols[-1])
+    diag = np.flatnonzero(rows == cols)
+    return rows, cols, rows * d + cols, cols * d + rows, diag
 
 
 def chain_product(u, factors, idx):

@@ -64,10 +64,23 @@ def op_norm(m) -> float:
 
 
 def is_unitary(m, tol: float = UNITARITY_TOL) -> bool:
-    """Whether m m* is the identity within tol in operator norm."""
+    """Whether m m* is the identity within tol in operator norm, tol a
+    real >= 0.
+
+    The residual r = m m* - I is tested by its Frobenius norm first:
+    ||r|| <= ||r||_F, so a Frobenius norm within tol accepts m without an
+    SVD.  Only a larger one runs the SVD, whose norm gives the verdict.
+    """
+    tol = require_real(tol, "tol")
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     arr = as_operator(m)
-    eye = np.eye(arr.shape[0])
-    return op_norm(arr @ arr.conj().T - eye) <= tol
+    r = arr @ arr.conj().T
+    diag = r.reshape(-1)[:: arr.shape[0] + 1]
+    diag -= 1.0
+    if math.sqrt(np.vdot(r, r).real) <= tol:
+        return True
+    return op_norm(r) <= tol
 
 
 def require_unitary(u) -> np.ndarray:

@@ -43,9 +43,11 @@ class Schedule:
             raise ValueError(
                 f"weights must be a length-{n} vector, got shape {arr.shape}"
             )
-        if not np.isfinite(arr).all():
+        # NaN makes both extremes NaN, and +-inf shows in one of them
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("weights contain non-finite entries")
-        if (arr < 0).any() or (arr >= 1.0).any():
+        if lo < 0 or hi >= 1.0:
             raise ValueError("each weight must satisfy 0 <= a_i < 1")
         total = float(arr.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:

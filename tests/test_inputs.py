@@ -21,6 +21,7 @@ from ergopulse import (
     equidistant_family,
     exp_product_defect_bound,
     from_cdf,
+    is_unitary,
     limit_evolution,
     matrix_from_json_dict,
     minimize_bound_rhs,
@@ -75,6 +76,7 @@ REAL_SITES = {
     "random_unitary min_phase_gap": lambda v: random_unitary(2, v),
     "defect bound a": lambda v: exp_product_defect_bound(v, 1.0),
     "defect bound b": lambda v: exp_product_defect_bound(1.0, v),
+    "is_unitary tol": lambda v: is_unitary(U, v),
     "json entry": lambda v: matrix_from_json_dict({"dim": 1, "entries": [[v, 0]]}),
     "json weight": lambda v: schedule_from_json_dict({"n": 2, "weights": [v, 0.5]}),
 }

@@ -22,6 +22,7 @@ from numpy.testing import assert_allclose
 import ergopulse
 from ergopulse._kernels import (
     CHAIN_BLOCK,
+    _half_table,
     chain_product,
     conj_weighted_sum,
     simplex_project,
@@ -122,7 +123,69 @@ def test_conj_weighted_sum_matches_loop_oracle(d, n, kind, zero_runs, scale, see
     assert op_norm(got - want) <= 1e-12 * max(1.0, op_norm(x))
 
 
-# the means of the cesaro benchmark jobs, one hash per line
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+def test_half_table_holds_each_pair_once_padded_to_even(d):
+    rows, cols, upper, lower, diag = _half_table(d)
+    m = d * (d + 1) // 2
+    assert rows.shape[0] == m + m % 2
+    assert set(zip(rows.tolist(), cols.tolist())) == {
+        (i, j) for i in range(d) for j in range(i, d)
+    }
+    if m % 2:
+        assert (rows[-1], cols[-1]) == (rows[-2], cols[-2])
+    assert np.array_equal(upper, rows * d + cols)
+    assert np.array_equal(lower, cols * d + rows)
+    assert np.array_equal(diag, np.flatnonzero(rows == cols))
+    assert _half_table(d) is _half_table(d)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_conj_weighted_sum_of_the_adjoint_is_the_adjoint(d):
+    # G is Hermitian, so the mean of x* is the adjoint of the mean of x;
+    # d = 1, 2, 5, 6 have an odd number of pairs i <= j, and a pad
+    rng = np.random.default_rng(40 + d)
+    u = random_unitary(d, seed=d)
+    x = _random_complex(rng, d)
+    for n in (1, 2, 3, 1000, 1023):
+        w = rng.dirichlet(np.ones(n))
+        got = conj_weighted_sum(u, x.conj().T, w)
+        want = conj_weighted_sum(u, x, w).conj().T
+        assert op_norm(got - want) <= 8 * d * EPS * op_norm(x)
+
+
+@pytest.mark.parametrize("b", [1, 2, 7, 32, 316])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_hermitian_x_gives_a_hermitian_mean(b, edge):
+    # N = B^2 - 1, B^2 and B^2 + 1 sit on the edges of the sqrt(N) blocks
+    n = max(1, b * b + edge)
+    rng = np.random.default_rng(n)
+    w = rng.dirichlet(np.ones(n))
+    for _ in range(2):
+        start = int(rng.integers(n))
+        w[start : start + int(rng.integers(1, n + 1))] = 0.0
+    for d in (2, 5, 8):
+        u = random_unitary(d, seed=n + d)
+        a = _random_complex(rng, d)
+        x = a + a.conj().T
+        mean = conj_weighted_sum(u, x, w)
+        assert op_norm(mean - mean.conj().T) <= 8 * d * EPS * op_norm(x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_the_identity_is_its_own_mean(d):
+    # z_ii is exactly 1, so G's diagonal is the sum of the weights, with
+    # no drift of N eps from a rounded |lam_i|^2
+    n = 100_000
+    u = random_unitary(d, min_phase_gap=0.1, seed=d)
+    mean = conj_weighted_sum(u, np.eye(d, dtype=np.complex128), np.full(n, 1.0 / n))
+    assert op_norm(mean - np.eye(d)) <= 8 * d * EPS
+
+
+# the means of the cesaro benchmark jobs, one hash per line; the d = 2
+# mean runs the padded half table
 WEIGHTED_MEAN_HASHES = (
     "import hashlib\n"
     "import numpy as np\n"
@@ -133,6 +196,10 @@ WEIGHTED_MEAN_HASHES = (
     "    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))\n"
     "    mean = ep.weighted_cesaro_mean(u, x, family()(100_000))\n"
     "    print(hashlib.sha256(mean.tobytes()).hexdigest())\n"
+    "u = ep.random_unitary(2, min_phase_gap=0.1, seed=2)\n"
+    "x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))\n"
+    "mean = ep.cesaro_mean(u, x, 100_000)\n"
+    "print(hashlib.sha256(mean.tobytes()).hexdigest())\n"
 )
 
 
@@ -154,7 +221,7 @@ def test_weighted_means_are_byte_identical_across_processes(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
-    assert len(outs[0].split()) == 2
+    assert len(outs[0].split()) == 3
     assert outs[0] == outs[1]
 
 

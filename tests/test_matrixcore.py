@@ -572,6 +572,70 @@ def test_defect_series_peak_memory_at_16384_by_5():
     assert peak <= 5.8 * 2**20, peak / 2**20
 
 
+# ------------------------------------------------------------- is_unitary
+
+
+def _with_residual(e, seed):
+    """m with m m* = V diag(1 + e) V*, V a seeded random unitary: the
+    residual's operator norm is max |e| and its Frobenius norm ||e||_2."""
+    v = random_unitary(len(e), seed=seed)
+    return (v * np.sqrt(1.0 + np.asarray(e))) @ v.conj().T
+
+
+def _count_svd(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_is_unitary_accepts_exact_unitaries_without_an_svd(monkeypatch):
+    calls = _count_svd(monkeypatch)
+    perm = np.eye(5)[[2, 0, 4, 1, 3]]
+    for u in (np.eye(1), np.eye(4), perm, np.diag([1j, -1.0, 1.0])):
+        assert is_unitary(u, tol=0.0)
+        assert is_unitary(u)
+    assert is_unitary(random_unitary(8, seed=3))
+    assert calls == []
+
+
+def test_is_unitary_full_rank_residual_within_tol_goes_to_the_svd(monkeypatch):
+    # ||r|| = 0.9 tol < tol < ||r||_F = 1.8 tol: the Frobenius test cannot
+    # accept, and the SVD must
+    tol = 1e-6
+    m = _with_residual([0.9 * tol, -0.9 * tol, 0.9 * tol, -0.9 * tol], seed=5)
+    calls = _count_svd(monkeypatch)
+    assert is_unitary(m, tol=tol)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        [1.01e-6, 0.0, 0.0],
+        [0.0, -1.01e-6, 0.0],
+        [1.01e-6, -1.01e-6, 1.01e-6],
+        [1.01e-6, 0.5e-6, -0.5e-6],
+    ],
+)
+def test_is_unitary_refuses_residual_just_above_tol(e):
+    m = _with_residual(e, seed=11)
+    assert not is_unitary(m, tol=1e-6)
+    assert is_unitary(m, tol=1.02e-6)
+
+
+# non-reals, NaN and inf are in test_inputs' real-scalar table
+@pytest.mark.parametrize("tol", ["x", -1.0, -1e-300])
+def test_is_unitary_refuses_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        is_unitary(np.eye(2), tol=tol)
+
+
 # --------------------------------------------------------- random_unitary
 
 

@@ -66,6 +66,27 @@ def test_schedule_rejects_bad_rows(n, weights):
         Schedule(n, weights)
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([0.5, 0.25], "must be a length-3 vector"),
+        ([math.nan, 0.5, 0.5], "non-finite"),
+        ([0.25, math.inf, 0.5], "non-finite"),
+        ([0.25, 0.5, -math.inf], "non-finite"),
+        # non-finite comes before range, which comes before the sum
+        ([-0.5, math.nan, 2.0], "non-finite"),
+        ([-0.5, math.inf, 0.5], "non-finite"),
+        ([-0.25, 0.75, 0.5], "0 <= a_i < 1"),
+        ([1.0, 0.0, 0.0], "0 <= a_i < 1"),
+        ([1.5, 0.0, -0.5], "0 <= a_i < 1"),
+        ([0.5, 0.25, 0.3], "must sum to 1"),
+    ],
+)
+def test_schedule_row_messages_in_order(weights, message):
+    with pytest.raises(ValueError, match=message):
+        Schedule(3, weights)
+
+
 def test_equidistant_rows_and_tv():
     s = equidistant(4)
     assert np.array_equal(s.weights, np.full(4, 0.25))
