@@ -28,7 +28,7 @@ from os import PathLike
 import numpy as np
 
 from . import matrixcore
-from ._kernels import chain_product, tv_value
+from ._kernels import CHAIN_BLOCK, chain_product, tv_value
 from .ergodic import (
     DEFAULT_CLUSTER_TOL,
     UnitarySpectrum,
@@ -180,16 +180,18 @@ def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
     """The interleaved product u e^{a_1 X t} u e^{a_2 X t} ... u e^{a_n X t},
     multiplied left to right.
 
-    The factors e^{a X t} of the distinct weights a are one call to the
-    scalar-multiples form of matrixcore.expm (a shared Taylor sum where
-    |a t| ||X||_1 <= 1, scipy.linalg.expm elsewhere), and
-    kernels.chain_product multiplies them out as a blocked pairwise
-    tree.  The tree multiplies each repeated pair once, at the levels
-    where k distinct matrices make k^2 < h of a level's h pairs, and each
-    repeated block once, so an equidistant row of N pulses costs about
-    log2(CHAIN_BLOCK) + N / CHAIN_BLOCK matrix products.  The result is
-    bit-identical to the tree that multiplies every pair, and memory
-    stays O(CHAIN_BLOCK d^2) besides the distinct factors and the memo.
+    The one-row case of the batch that convergence_sweep runs
+    (_pulse_products): the factors e^{a X t} of the distinct weights a
+    are one call to the scalar-multiples form of matrixcore.expm (a
+    shared Taylor sum where |a t| ||X||_1 <= 1, scipy.linalg.expm
+    elsewhere), and kernels.chain_product multiplies them out as a
+    blocked pairwise tree.  The tree multiplies each repeated pair once,
+    at the levels where k distinct matrices make k^2 < h of a level's h
+    pairs, and each repeated block once, so an equidistant row of N
+    pulses costs about log2(CHAIN_BLOCK) + N / CHAIN_BLOCK matrix
+    products.  The result is bit-identical to the tree that multiplies
+    every pair, and memory stays O(CHAIN_BLOCK d^2) besides the distinct
+    factors and the memo.
 
     ValueError if a factor or a product of factors overflows.  The tree's
     products can overflow where the exact product is finite: u = diag(1,
@@ -198,12 +200,55 @@ def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
     past the float range."""
     if not isinstance(s, Schedule):
         raise ValueError("s must be a Schedule")
+    # run to its end: a generator released while suspended is closed by
+    # throwing GeneratorExit into it
+    [p] = _pulse_products(sys, [s])
+    return p
+
+
+def _pulse_products(sys: PulseSystem, rows):
+    """pulse_product(sys, row) for each of one or more rows in turn, a
+    generator.
+
+    Consecutive rows are grouped greedily while their counts of distinct
+    weights total at most CHAIN_BLOCK; a row with more distinct weights
+    is a group of its own.  Each group is one matrixcore.expm call on its
+    rows' distinct weights, one row after another, so each row's factors
+    are a slice of the stack, a view; a weight that two rows share is
+    exponentiated for each.  The stack is freed before the next group's
+    call.  A row alone in its group gets the stack and the bits of
+    pulse_product.  A row of a larger group may get factors that differ
+    in the last bits, since the Taylor degree is that of the group's
+    largest weight and each Horner product spans the group's slices."""
+    group, total = [], 0
+    for row in rows:
+        values = np.unique(row.weights)
+        if group and total + values.shape[0] > CHAIN_BLOCK:
+            yield from _group_products(sys, group)
+            group, total = [], 0
+        group.append((row, values))
+        total += values.shape[0]
+    yield from _group_products(sys, group)
+
+
+def _group_products(sys: PulseSystem, group) -> list[np.ndarray]:
+    """The pulse products of a group of (row, its sorted distinct
+    weights) pairs."""
+    weights = np.concatenate([values for _row, values in group])
+    factors = matrixcore.expm(sys.generator, weights * sys.t)
+    out, stop = [], 0
+    for row, values in group:
+        start, stop = stop, stop + values.shape[0]
+        out.append(_row_product(sys, factors[start:stop], values, row))
+    return out
+
+
+def _row_product(sys: PulseSystem, factors, values, row) -> np.ndarray:
+    """chain_product of a row from the factors of its sorted distinct
+    weights values, or ValueError if it overflows."""
     # searchsorted rather than return_inverse: np.unique's inverse holds
     # several N-length temporaries at once
-    values = np.unique(s.weights)
-    idx = np.searchsorted(values, s.weights)
-    factors = matrixcore.expm(sys.generator, values * sys.t)
-    p = chain_product(sys.u, factors, idx)
+    p = chain_product(sys.u, factors, np.searchsorted(values, row.weights))
     if not np.isfinite(p).all():
         raise ValueError(
             "the pulse product overflows: a product of its factors came out "
@@ -212,10 +257,33 @@ def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
     return p
 
 
+def _powers(u: np.ndarray, ns) -> list[np.ndarray]:
+    """[u^n for n in ns], counts n >= 1, from one ladder of squarings
+    u^(2^i) built once.  Each u^n takes the products of
+    np.linalg.matrix_power(u, n) in its order: u for n = 1, u u for 2,
+    (u u) u for 3, and above that the ladder's powers at the set bits of
+    n, lowest first, multiplied left to right; so the bits are its."""
+    ladder = [u]
+    for _ in range(1, max(ns).bit_length()):
+        ladder.append(np.matmul(ladder[-1], ladder[-1]))
+    out = []
+    for n in ns:
+        if n == 3:
+            out.append(np.matmul(ladder[1], u))
+            continue
+        p = None
+        for i, z in enumerate(ladder[: n.bit_length()]):
+            if n >> i & 1:
+                p = z if p is None else np.matmul(p, z)
+        out.append(p)
+    return out
+
+
 def limit_evolution(sys: PulseSystem, n: int) -> np.ndarray:
-    """The n-pulse limit object e^{P(X) t} u^n, for a count n >= 1."""
+    """The n-pulse limit object e^{P(X) t} u^n, for a count n >= 1.  u^n
+    is _powers' one-count case, bit-identical to np.linalg.matrix_power."""
     n = matrixcore.require_count(n, "n", 1)
-    return sys.limit_factor @ np.linalg.matrix_power(sys.u, n)
+    return sys.limit_factor @ _powers(sys.u, [n])[0]
 
 
 def control_error(sys: PulseSystem, s: Schedule) -> float:
@@ -383,7 +451,15 @@ def convergence_sweep(
     attached where a bound route applies and a log-log slope fitted over
     the upper half of the grid.  n_values are >= 3 increasing counts >= 2.
     The bound route (see ConvergenceReport) is read from the system and
-    the rows, never from the family."""
+    the rows, never from the family.
+
+    The errors are control_error's, computed as one batch: the limit
+    factor first, every u^n from one ladder of squarings (_powers, the
+    bits of np.linalg.matrix_power), and the pulse products by groups of
+    rows that share an expm call (_pulse_products).  A row alone in its
+    group gets control_error's bits; a row that shares one may differ
+    from it by a few eps relative to the norms of its product and
+    limit."""
     if not isinstance(family, ScheduleFamily):
         raise ValueError("family must be a ScheduleFamily")
     ns = [matrixcore.require_count(n, "pulse count", 2) for n in n_values]
@@ -393,7 +469,13 @@ def convergence_sweep(
         raise ValueError("pulse counts must be strictly increasing")
 
     rows = [family(n) for n in ns]
-    errors = [control_error(sys, row) for row in rows]
+    # the limit factor first, as in control_error: its overflow is the
+    # error reported, before any pulse product is multiplied out
+    limits = [sys.limit_factor @ p for p in _powers(sys.u, ns)]
+    errors = [
+        matrixcore.op_norm(p - limit)
+        for p, limit in zip(_pulse_products(sys, rows), limits)
+    ]
     if sys.is_coboundary:
         route = "schedule"
         bounds = [schedule_bound_rhs(sys, row) for row in rows]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ergopulse import cli
+from ergopulse import cli, matrixcore
 from ergopulse.cli import main
 from ergopulse.matrixcore import matrix_to_json_dict, random_unitary
 from ergopulse.schedules import load_schedule, tv_functional, uhrig_family
@@ -316,6 +316,29 @@ def test_sweep_with_an_overflowing_pulse_product_exits_2(tmp_path, capsys, famil
         "out non-finite\n"
     )
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("family, calls", [("uniform", 2), ("uhrig", 6)])
+def test_sweep_makes_one_expm_call_per_group_of_rows(
+    tmp_path, capsys, monkeypatch, family, calls
+):
+    # the limit factor, then one call per group of rows whose distinct
+    # weights total at most CHAIN_BLOCK = 256: the nine uniform rows are
+    # one group, the Uhrig rows N = 16..256 (8 + 16 + ... + 128 weights)
+    # one and N = 512..4096 one each
+    expm = matrixcore.expm
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return expm(*args, **kwargs)
+
+    monkeypatch.setattr(matrixcore, "expm", counted)
+    out = str(tmp_path / "sweep.csv")
+    argv = ["sweep", "--system", "qubit-z-x", "--family", family, "--n"]
+    code, _, _ = _run(capsys, *argv, "16:4096:geometric", "--out", out)
+    assert code == 0
+    assert len(seen) == calls
 
 
 def test_sweep_rejects_unknown_system_and_family(tmp_path, capsys):

@@ -19,6 +19,7 @@ from ergopulse.errors import NotACoboundaryError
 from ergopulse.evolution import (
     BoundBreakdown,
     PulseSystem,
+    _powers,
     _schedule_series_terms,
     _step_norms,
     control_error,
@@ -38,10 +39,12 @@ from ergopulse.schedules import (
     equidistant_family,
     pathological,
     pathological_family,
+    table_density_family,
     uhrig,
     uhrig_family,
 )
 from ergopulse.ergodic import commutant_project, spectrum
+from ergopulse._kernels import CHAIN_BLOCK
 
 import oracles
 
@@ -257,6 +260,33 @@ def test_pulse_product_never_builds_a_pulse_stack():
 
 
 # ---------------------------------------------------------- limit_evolution
+
+
+_POWER_COUNTS = list(range(1, 71)) + [2**k for k in range(7, 17)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_powers_are_bit_identical_to_matrix_power(d):
+    # one ladder for all counts, and the one-count case, each against
+    # numpy's own products: n = 1..70 and the powers of two to 2^16, then
+    # an increasing grid of other counts
+    u = random_unitary(d, seed=d)
+    grid = [5, 6, 7, 11, 100, 1000, 4095, 5000, 65_535]
+    for ns in (_POWER_COUNTS, grid):
+        for n, p in zip(ns, _powers(u, ns)):
+            want = np.linalg.matrix_power(u, n)
+            assert np.array_equal(p, want), n
+            assert np.array_equal(_powers(u, [n])[0], want), n
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_limit_evolution_is_bit_identical_to_matrix_power(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    sys = PulseSystem(u=random_unitary(d, seed=d), generator=x, t=0.7)
+    for n in _POWER_COUNTS:
+        want = sys.limit_factor @ np.linalg.matrix_power(sys.u, n)
+        assert np.array_equal(limit_evolution(sys, n), want), n
 
 
 def test_limit_evolution_commuting_case_is_exact():
@@ -852,6 +882,87 @@ def test_sweep_constants_bound_moves_a_low_quotient_up():
     assert quotient_up(0.0, 1000) == 0.0
     # an underflowing quotient stays positive
     assert quotient_up(5e-324, 1000) == 5e-324
+
+
+def _hamiltonian_system(d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = g + g.conj().T
+    return PulseSystem(
+        u=random_unitary(d, 0.1, seed=seed), generator=-1j * h / op_norm(h), t=1.1
+    )
+
+
+def _alone_in_group(rows):
+    """Which rows the batch gives a group of their own: consecutive rows
+    are grouped while their distinct weights total at most CHAIN_BLOCK."""
+    sizes = [np.unique(row.weights).shape[0] for row in rows]
+    groups, total = [], CHAIN_BLOCK + 1
+    for size in sizes:
+        if total + size > CHAIN_BLOCK:
+            groups.append(0)
+            total = 0
+        groups[-1] += 1
+        total += size
+    return [count == 1 for count in groups for _ in range(count)]
+
+
+_SWEEP_FAMILIES = (
+    equidistant_family(),
+    uhrig_family(),
+    pathological_family(),
+    table_density_family([0.0, 0.5, 1.0], [0.5, 1.5, 0.5]),
+)
+
+
+@pytest.mark.parametrize("family", _SWEEP_FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("kind", ["hamiltonian", "coboundary"])
+def test_sweep_errors_match_control_error_row_by_row(family, kind):
+    # a row alone in its group keeps every bit of control_error; a row
+    # that shares its group's expm call may have factors a last bit off,
+    # so its product lies within a few eps of the one-row product.  The
+    # error is a difference of two matrices of norm about 1, so that
+    # shows relative to their norm, not to the error itself
+    if kind == "hamiltonian":
+        sys = _hamiltonian_system(3, 17)
+    else:
+        sys = _coboundary_system(np.random.default_rng(5), 4, 5, t=0.9)
+    ns = (16, 32, 64, 128, 256, 512, 1024)
+    rep = convergence_sweep(sys, family, ns)
+    rows = [family(n) for n in ns]
+    alone = _alone_in_group(rows)
+    eps = np.finfo(np.float64).eps
+    for row, err, single in zip(rows, rep.errors, alone):
+        want = control_error(sys, row)
+        if single:
+            assert err == want, row.n
+        else:
+            scale = op_norm(pulse_product(sys, row))
+            assert abs(err - want) <= 4 * eps * scale, row.n
+
+
+def test_sweep_batches_never_hold_a_second_stack():
+    import tracemalloc
+
+    # a d = 8 Uhrig sweep to N = 4096 peaks no higher than the product of
+    # its largest row plus a few CHAIN_BLOCK stacks of d x d matrices: no
+    # copy of a large row's factors, and no group's stack alive during the
+    # next group's expm call (each would add about 2 MB here)
+    sys = _hamiltonian_system(8, 29)
+    family = uhrig_family()
+    ns = [2**k for k in range(4, 13)]
+    sys.limit_factor, sys.is_coboundary  # derive once, outside the trace
+    largest = family(ns[-1])
+    tracemalloc.start()
+    try:
+        pulse_product(sys, largest)
+        _current, one_row = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        convergence_sweep(sys, family, ns)
+        _current, sweep = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sweep <= one_row + 2 * CHAIN_BLOCK * 8 * 8 * 16
 
 
 def test_sweep_exact_zero_errors_skip_slope():
