@@ -7,8 +7,8 @@ an even count: no matrix power drifts.  Its weight product is one
 stacked vector-matrix matmul, which BLAS runs as gemv and which packs
 nothing.
 
-chain_product forms u F_k for the distinct factors in one stacked matmul,
-then walks the index row in blocks of CHAIN_BLOCK: each block is reduced
+chain_product multiplies the row out as a blocked pairwise tree: the
+index row is walked in blocks of CHAIN_BLOCK, each block is reduced
 pairwise, (m0 m1)(m2 m3)..., one stacked matmul per tree level, and the
 block results are multiplied into the running product left to right.
 The factor order never changes; only the rounding follows a tree
@@ -19,10 +19,31 @@ are reduced once, through a memo keyed on their index bytes.  So an
 equidistant row of N pulses costs one block and N / CHAIN_BLOCK products,
 and a row of many distinct weights pays one comparison per level.  Every
 product keeps its operands and its matmul or dot call, so the result is
-bit-identical to the tree that multiplies every pair.  Memory stays
-O(CHAIN_BLOCK d^2) besides the distinct factors and the memo, which
-holds one d x d result and one CHAIN_BLOCK-index key per distinct block
-(at most the size of the index row).
+bit-identical to the tree that multiplies every pair.
+
+At the dimensions of REAL_FORM_DIMS the tree runs in float64, on the
+2d x 2d real form of each d x d complex matrix: small float64 matmuls
+cost several times less per product than complex128 ones.  The real
+form W(m) holds the float view of row i of m (its entries as (re, im)
+pairs) as row 2i, and that of row i of i m as row 2i + 1, so
+W(ab) = W(a) W(b).  The float view of a times [W(b) | W(ib)] is W(ab),
+row by row, so leaves need no widening copy: they are u F_k transposed,
+F_k^T u^T, one stacked matmul on the float views of the transposed
+factors, and the tree forms the transposed row,
+P^T = (F_N^T u^T) ... (F_1^T u^T), on the index row reversed.  Each
+leaf is its own slice of that matmul, with the same bits wherever it is
+formed.  A row of k factors with k^2 < CHAIN_BLOCK / 2, whose pairs may
+repeat, forms its k leaves once; any other row forms each block's
+leaves from its gathered factors and keeps no table of leaves, which
+would double the bytes of the factors.  Each part of an entry is held
+twice in W(m), and the two copies drift apart by a rounding or so over
+the tree; the result reads back their mean,
+re = (W[2i, 2j] + W[2i+1, 2j+1]) / 2 and
+im = (W[2i, 2j+1] - W[2i+1, 2j]) / 2.  Memory stays O(CHAIN_BLOCK d^2)
+besides the complex table u F_k, or the transposed copy of the factors,
+either the size of the factors, and the memo, which holds one result
+and one CHAIN_BLOCK-index key per distinct block (at most the size of
+the index row).
 
 simplex_project and tv_value, the optimizer kernels, work on stacks of
 rows with whole-array operations; tv_value is the package's one
@@ -46,6 +67,16 @@ from .matrixcore import unitary_eig
 # runs N / CHAIN_BLOCK times.  Blocks of 64, 1024 and 8192 were slower on
 # rows of N = 16..4096 with d = 2..8.
 CHAIN_BLOCK = 256
+
+# Dimensions d at which chain_product multiplies in the 2d x 2d real
+# form; elsewhere it keeps the complex table u F_k.  Summed over Uhrig
+# rows of N = 16..4096 (one BLAS thread, fastest of 15 alternating
+# rounds), the real form took 0.35-0.72x the time of the complex tree at
+# d = 2..8 and 0.92-0.98x at d = 9..11, but 1.15-1.3x at d = 12..16, 2.1x
+# at d = 32 and 3.2x at d = 64, where the real form's twice as many flops
+# outweigh its lower cost per call, and 2.1x at d = 1, where a complex
+# product is one multiplication (BENCH_chain_real_form.json).
+REAL_FORM_DIMS = range(2, 12)
 
 
 def conj_weighted_sum(u, x, w):
@@ -127,28 +158,91 @@ def _half_table(d):
 
 
 def chain_product(u, factors, idx):
-    """Left-to-right product u.factors[idx[0]].u.factors[idx[1]]....
+    """Left-to-right product u.factors[idx[0]].u.factors[idx[1]]....,
+    for a nonempty index row idx.
 
     Blocked pairwise tree that multiplies each repeated pair and each
     repeated block once (see the module docstring and _block_product).
     Every product has the same operands, and is made by the same matmul
     or dot call, as in the tree that multiplies every pair, so the result
-    is bit-identical to it.  Besides the stack u @ factors and the memo
-    it holds O(CHAIN_BLOCK d^2) memory, never an (N, d, d) stack.
+    is bit-identical to it.  At the dimensions of REAL_FORM_DIMS the tree
+    multiplies the transposed row in the 2d x 2d real form, in float64,
+    and reads the d x d result back once, as the mean of the two copies
+    of each part; elsewhere it multiplies the complex stack u @ factors.
+    Besides that stack, or the transposed copy of the factors, and the
+    memo, it holds O(CHAIN_BLOCK d^2) memory, never an (N, d, d) stack.
 
     A product that overflows gives inf or nan entries without a warning;
     the caller checks the result (pulse_product raises ValueError).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        uf = np.matmul(u, factors)
-        out = np.eye(u.shape[0], dtype=np.complex128)
-        blocks = {}
-        for start in range(0, idx.shape[0], CHAIN_BLOCK):
-            ids = idx[start : start + CHAIN_BLOCK]
-            key = ids.tobytes()
-            if key not in blocks:
-                blocks[key] = _block_product(uf, ids)
-            out = np.dot(out, blocks[key])
+        if u.shape[0] not in REAL_FORM_DIMS:
+            return _walk(np.matmul(u, factors), idx, None)
+        transposed = np.ascontiguousarray(factors.transpose(0, 2, 1))
+        right = _right_factor(u.T)
+        k = transposed.shape[0]
+        if k * k < CHAIN_BLOCK // 2:
+            # pairs may repeat at the first level: form the k leaves once
+            out = _walk(_real_leaves(transposed, right), idx[::-1], None)
+        else:
+            out = _walk(transposed, idx[::-1], right)
+        return _read_back_transposed(out)
+
+
+def _walk(table, row, right):
+    """The product of the blocks of a nonempty row, left to right, each
+    from _block_product on table, or, given right, from the pairwise tree
+    of the leaves _real_leaves forms from the block's rows of table.  A
+    table of k factors with k^2 >= CHAIN_BLOCK / 2 repeats no pair at a
+    block's first level, where _block_product would gather table[ids]
+    and run the plain tree too."""
+    blocks = {}
+    out = None
+    for start in range(0, row.shape[0], CHAIN_BLOCK):
+        ids = row[start : start + CHAIN_BLOCK]
+        key = ids.tobytes()
+        if key not in blocks:
+            if right is None:
+                blocks[key] = _block_product(table, ids)
+            else:
+                blocks[key] = _tree(_real_leaves(table[ids], right))
+        out = blocks[key] if out is None else np.dot(out, blocks[key])
+    return out
+
+
+def _right_factor(b):
+    """[W(b) | W(ib)], a (2d, 4d) float64 array: the float view of a
+    complex matrix a, (d, 2d), times it is W(ab) row by row.  Row 2l + s
+    of block c is row l of b times units[s, c], so each entry is a part
+    of b, or its negative, exactly."""
+    d = b.shape[0]
+    # built per call, not at import: an import-time array moved the heap
+    # layout that the N = 1e5 temporaries of cohen_uniformity_probe are
+    # sensitive to (BENCH_chain_real_form.json, notes)
+    units = np.array([[1.0, 1.0j], [1.0j, -1.0]])
+    w = np.multiply(b[:, None, None, :], units[:, :, None], order="C")
+    return w.view(np.float64).reshape(2 * d, 4 * d)
+
+
+def _real_leaves(a, right):
+    """W(a_k b) for a (k, d, d) complex stack a and right = _right_factor(b):
+    one stacked matmul of the float views of the a_k."""
+    d = a.shape[1]
+    return np.matmul(a.view(np.float64), right).reshape(-1, 2 * d, 2 * d)
+
+
+def _read_back_transposed(w):
+    """m^T, C-ordered, for the complex m whose 2d x 2d real form w is
+    (W(m) up to rounding): the mean of the two copies of each part,
+    re = (w[2i, 2j] + w[2i+1, 2j+1]) / 2 and
+    im = (w[2i, 2j+1] - w[2i+1, 2j]) / 2.  Of an exact W(m) it returns
+    m^T bit for bit, but an entry above half the float range reads as
+    inf.  An inf part may form inf - inf: the caller silences it."""
+    d = w.shape[0] // 2
+    out = np.empty((d, d), dtype=np.complex128)
+    np.add(w[0::2, 0::2], w[1::2, 1::2], out=out.real.T)
+    np.subtract(w[0::2, 1::2], w[1::2, 0::2], out=out.imag.T)
+    out.view(np.float64)[...] *= 0.5
     return out
 
 
@@ -160,7 +254,8 @@ def _block_product(table, ids):
     multiplied once, and the codes' ranks are the next level's ids (a
     one-entry table needs no codes: its one pair is (0, 0)).  From
     the first level with k^2 >= h on, the level is the table itself, so
-    k^2 >= h holds at every later level, and the plain strided loop runs.
+    k^2 >= h holds at every later level, and the plain strided loop runs
+    (_tree).
     """
     while ids.shape[0] > 1:
         k = table.shape[0]
@@ -187,7 +282,13 @@ def _block_product(table, ids):
             pairs = np.concatenate([pairs, last[None]])
             next_ids[-1] = pairs.shape[0] - 1
         table, ids = pairs, next_ids
-    m = table[ids]
+    return _tree(table[ids])
+
+
+def _tree(m):
+    """m[0] m[1] ... by the pairwise tree, (m0 m1)(m2 m3)..., one strided
+    stacked matmul per level; an odd leftover is folded into the level's
+    last product."""
     while m.shape[0] > 1:
         half = m.shape[0] // 2
         pairs = np.matmul(m[0 : 2 * half : 2], m[1 : 2 * half : 2])

@@ -20,7 +20,10 @@ in extended precision, an independent reference for the eigenbasis
 kernel.  chain_product is the per-pulse loop that the blocked pairwise
 tree in ergopulse._kernels replaced, and chain_tree is that tree as it
 was before it shared repeated pairs and blocks: it multiplies every
-pair, and the shared tree must match it bit for bit.
+pair, and the shared tree must match it bit for bit.  It multiplies in
+the kernel's representation, the transposed row in the 2d x 2d real
+form at the dimensions of REAL_FORM_DIMS, with the real form of u^T
+written out entry by entry and every block's leaves formed afresh.
 expm_pade13 and pulse_product_taylor are independent references for
 matrixcore.expm and pulse_product: the former is the hand-written
 Pade-13 kernel that matrixcore.expm used before it became
@@ -55,6 +58,7 @@ import numpy as np
 import scipy.linalg
 
 from ergopulse import matrixcore
+from ergopulse._kernels import REAL_FORM_DIMS
 from ergopulse.ergodic import COBOUNDARY_TOL, spectrum
 from ergopulse.errors import ClusteringAmbiguityError, NotACoboundaryError
 from ergopulse.optimizer import STEP_SCALE
@@ -261,11 +265,47 @@ def chain_product(u, factors, idx):
 def chain_tree(u, factors, idx, block=256):
     """Left-to-right product u.factors[idx[0]].u.factors[idx[1]]...., as
     a pairwise tree over blocks of block pulses that multiplies every
-    pair."""
-    uf = np.matmul(u, factors)
-    out = np.eye(u.shape[0], dtype=np.complex128)
-    for start in range(0, idx.shape[0], block):
-        m = uf[idx[start : start + block]]
+    pair.
+
+    At d in REAL_FORM_DIMS it multiplies the transposed row,
+    (F_N^T u^T) ... (F_1^T u^T), in the real form W(m), whose row 2i is
+    the float view of row i of m and row 2i + 1 that of row i of i m.
+    Each leaf W(F^T u^T) is the float view of F^T times
+    [W(u^T) | W(i u^T)], and the result reads back as the mean of the
+    two copies of each part, transposed."""
+    d = u.shape[0]
+    if d in REAL_FORM_DIMS:
+        b = u.T
+        right = np.empty((d, 2, 2, d, 2))
+        # W(b): rows (l, 0) = (re, im) of b, rows (l, 1) = (-im, re)
+        right[:, 0, 0, :, 0] = b.real
+        right[:, 0, 0, :, 1] = b.imag
+        right[:, 1, 0, :, 0] = -b.imag
+        right[:, 1, 0, :, 1] = b.real
+        # W(i b): rows (l, 0) = (-im, re) of b, rows (l, 1) = (-re, -im)
+        right[:, 0, 1, :, 0] = -b.imag
+        right[:, 0, 1, :, 1] = b.real
+        right[:, 1, 1, :, 0] = -b.real
+        right[:, 1, 1, :, 1] = -b.imag
+        right = right.reshape(2 * d, 4 * d)
+        transposed = np.ascontiguousarray(factors.transpose(0, 2, 1))
+
+        def leaves(ids):
+            flat = transposed[ids].view(np.float64)
+            return np.matmul(flat, right).reshape(-1, 2 * d, 2 * d)
+
+        row = idx[::-1]
+        out = np.eye(2 * d)
+    else:
+        uf = np.matmul(u, factors)
+
+        def leaves(ids):
+            return uf[ids]
+
+        row = idx
+        out = np.eye(d, dtype=np.complex128)
+    for start in range(0, row.shape[0], block):
+        m = leaves(row[start : start + block])
         while m.shape[0] > 1:
             half = m.shape[0] // 2
             pairs = np.matmul(m[0 : 2 * half : 2], m[1 : 2 * half : 2])
@@ -274,7 +314,12 @@ def chain_tree(u, factors, idx, block=256):
                 pairs[-1] = np.dot(pairs[-1], m[-1])
             m = pairs
         out = np.dot(out, m[0])
-    return out
+    if d not in REAL_FORM_DIMS:
+        return out
+    p = np.empty((d, d), dtype=np.complex128)
+    p.real = (out[0::2, 0::2] + out[1::2, 1::2]).T / 2
+    p.imag = (out[0::2, 1::2] - out[1::2, 0::2]).T / 2
+    return p
 
 
 def expm_multiples(a, scalars):

@@ -10,6 +10,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,14 +23,17 @@ from numpy.testing import assert_allclose
 import ergopulse
 from ergopulse._kernels import (
     CHAIN_BLOCK,
+    REAL_FORM_DIMS,
     _half_table,
+    _read_back_transposed,
     chain_product,
     conj_weighted_sum,
     simplex_project,
     tv_value,
 )
-from ergopulse.matrixcore import expm, op_norm, random_unitary
-from ergopulse.schedules import pathological, pathological_tv_exact
+from ergopulse.matrixcore import MAX_DIM, expm, op_norm, random_unitary
+from ergopulse.evolution import PulseSystem, pulse_product
+from ergopulse.schedules import equidistant, pathological, pathological_tv_exact
 
 import oracles
 
@@ -232,7 +236,8 @@ def test_chain_product_matches_plain_loop():
     eps = np.finfo(np.float64).eps
     lengths = [2, 3, CHAIN_BLOCK - 1, CHAIN_BLOCK, CHAIN_BLOCK + 1]
     lengths += [2 * CHAIN_BLOCK + 3, 4097]
-    for d, n in itertools.product([1, 2, 5, 8], lengths):
+    dims = [1, 2, 5, 8, REAL_FORM_DIMS[-1], REAL_FORM_DIMS[-1] + 1]
+    for d, n in itertools.product(dims, lengths):
         rng = np.random.default_rng([d, n])
         u = random_unitary(d, seed=int(rng.integers(2**31)))
         x = _random_complex(rng, d)
@@ -258,10 +263,13 @@ def test_chain_product_matches_unshared_tree_bit_for_bit():
     # call, so rows of one, two and three factors (all-equal, alternating,
     # period 3) and of many (random) give the unshared tree's bits.  As in
     # pulse_product, each row gets only the factors it uses; unitary
-    # factors keep every product finite.
+    # factors keep every product finite.  The dimensions take in both
+    # ends of the real form's range, one dimension past each, and
+    # MAX_DIM.
     lengths = [1, 2, 3, CHAIN_BLOCK - 1, CHAIN_BLOCK, CHAIN_BLOCK + 1]
     lengths += [2 * CHAIN_BLOCK + 3, 4097]
-    for d, n in itertools.product([1, 2, 5, 8], lengths):
+    dims = [1, 2, 5, 8, REAL_FORM_DIMS[-1], REAL_FORM_DIMS[-1] + 1, MAX_DIM]
+    for d, n in itertools.product(dims, lengths):
         rng = np.random.default_rng([d, n, 3])
         seeds = rng.integers(2**31, size=41)
         u, *factors = [random_unitary(d, seed=int(s)) for s in seeds]
@@ -275,6 +283,105 @@ def test_chain_product_matches_unshared_tree_bit_for_bit():
             got = chain_product(u, factors[:k], idx)
             want = oracles.chain_tree(u, factors[:k], idx, CHAIN_BLOCK)
             assert np.array_equal(got, want), (d, n, kind)
+
+
+# pulse products of Uhrig rows at N = 4096, one hash per line: three
+# dimensions of the real form and one past it
+PULSE_PRODUCT_HASHES = (
+    "import hashlib\n"
+    "import numpy as np\n"
+    "import ergopulse as ep\n"
+    "from ergopulse._kernels import REAL_FORM_DIMS\n"
+    "rng = np.random.default_rng(9)\n"
+    "for d in (2, 6, 8, REAL_FORM_DIMS[-1] + 1):\n"
+    "    u = ep.random_unitary(d, min_phase_gap=0.1, seed=d)\n"
+    "    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))\n"
+    "    sys = ep.PulseSystem(u=u, generator=-1j * (h + h.conj().T), t=0.7)\n"
+    "    p = ep.pulse_product(sys, ep.uhrig(4096))\n"
+    "    print(hashlib.sha256(p.tobytes()).hexdigest())\n"
+)
+
+
+def test_pulse_products_are_byte_identical_across_processes(tmp_path):
+    # the real form runs its leaves and tree levels through BLAS dgemm;
+    # two fresh interpreters must still give the same bytes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ergopulse.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-c", PULSE_PRODUCT_HASHES],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert len(outs[0].split()) == 4
+    assert outs[0] == outs[1]
+
+
+def test_real_form_reads_back_bit_for_bit():
+    # W(m), written out entry by entry: row 2i holds (re, im) of row i of
+    # m, row 2i + 1 holds (-im, re); both copies agree, so their mean is
+    # m, signed zeros, subnormals and entries up to half the float range
+    # included
+    rng = np.random.default_rng(12)
+    for d in REAL_FORM_DIMS:
+        m = _random_complex(rng, d)
+        m.real[0, 0], m.imag[0, -1] = -0.0, 0.0
+        m.real[-1, 0], m.imag[-1, -1] = 5e-324, -3e-310
+        m[d // 2, d // 2] = complex(np.finfo(np.float64).max / 2, -1e300)
+        w = np.empty((d, 2, d, 2))
+        w[:, 0, :, 0] = m.real
+        w[:, 0, :, 1] = m.imag
+        w[:, 1, :, 0] = -m.imag
+        w[:, 1, :, 1] = m.real
+        got = _read_back_transposed(w.reshape(2 * d, 2 * d))
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(m.T).tobytes(), d
+
+
+@pytest.mark.parametrize("n", [4, 2 * CHAIN_BLOCK + 3])
+def test_overflowing_chain_warns_nothing(n):
+    # u e^{aX} u e^{aX} = I, but at a = 1/4 the tree's first products
+    # overflow; inf and nan run through the real form's matmuls, the memo
+    # and the read-back, whose mean of two copies may meet inf - inf,
+    # without a RuntimeWarning, and pulse_product names the overflow
+    u = np.diag([1.0 + 0.0j, -1.0])
+    x = np.array([[0.0, 2000.0], [2000.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = chain_product(u, expm(x, np.array([0.25])), np.zeros(n, dtype=np.intp))
+        assert not np.isfinite(p).all()
+        with pytest.raises(ValueError, match="the pulse product overflows"):
+            pulse_product(PulseSystem(u=u, generator=x), equidistant(4))
+
+
+def test_chain_product_keeps_no_table_of_real_leaves():
+    import tracemalloc
+
+    # an all-distinct row at d = 8 and N = 4096: besides the transposed
+    # copy of the factors (their bytes), the work arrays are a gathered
+    # block, its leaves and the tree's first level, under two
+    # CHAIN_BLOCK stacks of 2d x 2d float64.  A table of every leaf in the
+    # real form would add twice the factors' bytes
+    d, n = 8, 4096
+    rng = np.random.default_rng(31)
+    u = random_unitary(d, seed=31)
+    h = _random_complex(rng, d)
+    factors = expm(-1j * (h + h.conj().T), rng.uniform(0.0, 1e-3, size=n))
+    idx = rng.permutation(n)
+    tracemalloc.start()
+    try:
+        chain_product(u, factors, idx)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= factors.nbytes + 2 * CHAIN_BLOCK * (2 * d) ** 2 * 8
 
 
 def test_simplex_project_known_points():
