@@ -236,13 +236,21 @@ def _read_back_transposed(w):
     (W(m) up to rounding): the mean of the two copies of each part,
     re = (w[2i, 2j] + w[2i+1, 2j+1]) / 2 and
     im = (w[2i, 2j+1] - w[2i+1, 2j]) / 2.  Of an exact W(m) it returns
-    m^T bit for bit, but an entry above half the float range reads as
-    inf.  An inf part may form inf - inf: the caller silences it."""
+    m^T bit for bit.  Where the sum of two finite copies overflows (an
+    entry above half the float range), that part is formed again as
+    a/2 + b/2.  An inf part may form inf - inf: the caller silences it."""
     d = w.shape[0] // 2
     out = np.empty((d, d), dtype=np.complex128)
     np.add(w[0::2, 0::2], w[1::2, 1::2], out=out.real.T)
     np.subtract(w[0::2, 1::2], w[1::2, 0::2], out=out.imag.T)
     out.view(np.float64)[...] *= 0.5
+    if not np.isfinite(out).all():
+        for part, a, b in (
+            (out.real.T, w[0::2, 0::2], w[1::2, 1::2]),
+            (out.imag.T, w[0::2, 1::2], -w[1::2, 0::2]),
+        ):
+            redo = ~np.isfinite(part) & np.isfinite(a) & np.isfinite(b)
+            part[redo] = 0.5 * a[redo] + 0.5 * b[redo]
     return out
 
 

@@ -7,8 +7,9 @@ bound over schedules), and probe (collect uniformity evidence for a
 family).  sweep, schedule and probe take --family NAME|PATH: a built-in
 name, else a density-table file (./uhrig for a file named uhrig).  JSON
 output is strict, with null for a float that is not finite.  Exit codes:
-0 on success, 2 for bad input or configuration, 3 when a numerical-domain
-precondition fails (for example a generator that is not a coboundary).
+0 on success, 2 for bad input or configuration (a pulse count too large
+to allocate its row included), 3 when a numerical-domain precondition
+fails (for example a generator that is not a coboundary).
 
 main(argv) may be called repeatedly in one process: the parser is built
 on the first call and reused, since parse_args changes nothing in it.
@@ -367,6 +368,11 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the allocation: "Unable to allocate ..."
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, fields, replace
+import operator
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from numbers import Complex
@@ -517,6 +518,9 @@ def convergence_sweep(
 
 
 _BOUND_FIELDS = tuple(f.name for f in fields(BoundBreakdown))
+# a breakdown's fields in _BOUND_FIELDS order, read in place (astuple
+# deep-copies each one)
+_bound_values = operator.attrgetter(*_BOUND_FIELDS)
 
 
 def _number(value: float) -> float | None:
@@ -541,7 +545,7 @@ def write_report_csv(report: ConvergenceReport, path: str | PathLike) -> None:
                 row += [""] * len(_BOUND_FIELDS)
             else:
                 # csv writes None as a blank cell and a float as its repr
-                row += map(_number, astuple(report.bounds[i]))
+                row += map(_number, _bound_values(report.bounds[i]))
             writer.writerow(row)
 
 
@@ -551,7 +555,7 @@ def report_to_json_dict(report: ConvergenceReport) -> dict:
     bounds = None
     if report.bounds is not None:
         bounds = [
-            dict(zip(_BOUND_FIELDS, map(matrixcore.json_number, astuple(b))))
+            dict(zip(_BOUND_FIELDS, map(matrixcore.json_number, _bound_values(b))))
             for b in report.bounds
         ]
     return {

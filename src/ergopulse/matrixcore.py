@@ -191,15 +191,18 @@ def expm(m, scalars=None) -> np.ndarray:
     for j = n..1 (Moler & Van Loan, SIAM Rev. 45(1), 2003, sec. 3), at
     radii r = |c| ||m||_1 <= 1.  E is held as a (d, d, k) array, so m E
     for all k slices is one (d x d) @ (d x dk) product per level, then a
-    scale by c/j and + I.  The degree n is the smallest with
-    r^(n+1)/(n+1)! e^r <= 2^-53 at the largest r of the call, plus 3;
-    the result of a slice therefore depends on the other slices of the
-    call.
+    scale by c/j and + I; the sum is copied into the spent work buffer as
+    the (k, d, d) result.  The degree n is the smallest n >= 1
+    with r^(n+1)/(n+1)! e^r <= 2^-53/24 at the largest r of the call
+    (_taylor_degree); the result of a slice therefore depends on the
+    other slices of the call.
 
     Its error, in the 1-norm, with u = 2^-53 and r <= 1.  Truncation:
-    ||e^(cm) - T_n|| <= r^(n+1)/(n+1)! e^r, and the 3 extra terms cut the
-    rule's 2^-53 by (n-1)n(n+1) >= 24, which also covers r being rounded
-    low by a few ulps.  Rounding, to first order in u: one level adds
+    ||e^(cm) - T_n|| <= r^(n+1)/(n+1)! e^r <= u/24.  _taylor_degree
+    tests the tail against u/32, so that this holds for the exact radius
+    although r and the tail are rounded: an r low by k ulps raises the
+    tail by a factor of about 1 + (n + 2) k u.  Rounding, to first order
+    in u: one level adds
     F_j with ||F_j|| <= kappa u (r/j) ||E_j|| + u ||E_(j-1)||, where
     kappa = 1 + sqrt(2)(d + 4) gathers the complex inner products of the
     product (sqrt(2) gamma_(d+2)), c/j (u) and the scaling (sqrt(2)
@@ -272,16 +275,22 @@ def expm(m, scalars=None) -> np.ndarray:
         raise ValueError("scalars must be a nonempty 1-D array of finite numbers")
     d = a.shape[0]
     k = c.shape[0]
-    # an r or a product that overflows is caught below: r = inf is not
-    # small, so the product lands in big
+    # an r or a product that overflows is caught below: r = inf or nan
+    # (0 inf) is not small, so the product lands in big; m E in the Taylor
+    # sum may overflow where |c_k| is tiny and ||m||_1 near the float
+    # range
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.abs(c) * np.abs(a).sum(axis=0).max()
+        top = r.max()
+        if top <= 1.0:
+            # every slice inside the radius: no masks and no scatter
+            taylor = _taylor_horner(a, c, _taylor_degree(float(top)))
+            return _finite(taylor, "e^(c_k m)")
         small = r <= 1.0
         big = c[~small, None, None] * a
     if not np.isfinite(big).all():
         raise ValueError("c_k m contains non-finite entries")
-    # m E in the Taylor sum may overflow where |c_k| is tiny and ||m||_1
-    # near the float range, as may e^(c_k m) itself past the radius
+    # e^(c_k m) may overflow past the radius, as may m E
     with np.errstate(over="ignore", invalid="ignore"):
         if big.shape[0]:
             import scipy.linalg
@@ -317,22 +326,27 @@ def _squarings(r: float) -> int:
 
 
 def _taylor_degree(r: float) -> int:
-    """Smallest n with r^(n+1)/(n+1)! e^r <= 2^-53, plus 3, for 0 <= r <= 1."""
-    bound = r * math.exp(r)
-    n = 0
-    while bound > 2.0**-53:
+    """Smallest n >= 1 with r^(n+1)/(n+1)! e^r <= 2^-58 as evaluated, for
+    0 <= r <= 1.  2^-58 is u/32, not the u/24 the truncation bound needs
+    (expm), so that r rounded low by a few ulps, and the rounding of the
+    tail itself, cannot lower n; at r in {1e-5, 1e-3, 1e-2, 0.1, 0.5, 1}
+    it gives the degrees of u/24."""
+    bound = 0.5 * r * r * math.exp(r)
+    n = 1
+    while bound > 2.0**-58:
         n += 1
         bound *= r / (n + 1)
-    return n + 3
+    return n
 
 
 def _taylor_horner(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    """(k, d, d) stack of sum_{j<=n} (c_k a)^j / j!, n >= 1, by Horner on
-    E[i, l, slice]: the slice axis last makes the scale by c/j a
+    """C-ordered (k, d, d) stack of sum_{j<=n} (c_k a)^j / j!, n >= 1, by
+    Horner on E[i, l, slice]: the slice axis last makes the scale by c/j a
     contiguous broadcast and the diagonals E[i, i, :] the rows 0, d + 1,
     2(d + 1), ... of the (d^2, k) view.  Each work buffer's (d, dk) and
     diagonal views are taken once, and c/j is written into one k-array,
-    so a level is four numpy calls."""
+    so a level is four numpy calls.  The sum is copied, transposed, into
+    the spent work buffer, so a call holds two stacks at most."""
     d = a.shape[0]
     k = c.shape[0]
     # the top level, I + (c/n) a I, needs no product
@@ -349,7 +363,10 @@ def _taylor_horner(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
         nxt *= np.divide(c, j, out=scale)
         diag += 1.0
         bufs.reverse()
-    return bufs[0][0].transpose(2, 0, 1)
+    (e, _, _), (spent, _, _) = bufs
+    out = spent.reshape(k, d, d)
+    np.copyto(out, e.transpose(2, 0, 1))
+    return out
 
 
 # Taylor coefficients 1/(k+2)! of phi2, k = 16 down to 0, for Horner

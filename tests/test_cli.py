@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ergopulse import cli, matrixcore
+from ergopulse import cli, matrixcore, schedules
 from ergopulse.cli import main
 from ergopulse.matrixcore import matrix_to_json_dict, random_unitary
 from ergopulse.schedules import load_schedule, tv_functional, uhrig_family
@@ -751,6 +751,48 @@ def test_bad_numeric_flags_never_show_a_traceback(tmp_path, capsys, flag, value)
     code, _, err = _run(capsys, *argv, "--out", str(tmp_path / "x.out"))
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+
+
+def _no_memory_past(builder, limit):
+    """builder, but raising numpy's MemoryError for counts above limit
+    without allocating anything."""
+
+    def build(n):
+        if n <= limit:
+            return builder(n)
+        raise MemoryError(
+            "Unable to allocate 4.00 TiB for an array with shape "
+            f"({n // 2},) and data type float64"
+        )
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--system", "qubit-z-x", "--family", "uhrig", "--n", "2,4,1099511627776"],
+        ["schedule", "--family", "uhrig", "--n", "1099511627776"],
+    ],
+)
+def test_a_row_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(schedules, "uhrig", _no_memory_past(schedules.uhrig, 4))
+    code, _, err = _run(capsys, *argv, "--out", str(tmp_path / "x.out"))
+    assert code == 2
+    assert err == (
+        "error: out of memory: Unable to allocate 4.00 TiB for an array with "
+        "shape (549755813888,) and data type float64\n"
+    )
+    assert not (tmp_path / "x.out").exists()
+
+
+def test_a_bare_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    def bare(n):
+        raise MemoryError
+
+    monkeypatch.setattr(schedules, "uhrig", bare)
+    argv = ["schedule", "--family", "uhrig", "--n", "8", "--out", str(tmp_path / "x")]
+    assert _run(capsys, *argv) == (2, "", "error: out of memory\n")
 
 
 # ---------------------------------------------------------------- probe

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 from fractions import Fraction
 
@@ -233,6 +234,17 @@ def test_pulse_product_overflow_is_a_value_error(family):
     sys = PulseSystem(u=SZ, generator=2000.0 * SX)
     with pytest.raises(ValueError, match="the pulse product overflows"):
         pulse_product(sys, family(8))
+
+
+def test_pulse_product_above_half_the_float_range_is_finite():
+    # u = I and X = diag(709.5, 0): the product is diag(e^709.5, 1), about
+    # 1.35e308, finite, though the two copies of each part that the real
+    # form holds sum past the float range; a warning would fail the test
+    sys = PulseSystem(u=np.eye(2), generator=np.diag([709.5, 0.0]), t=1.0)
+    p = pulse_product(sys, Schedule(2, [0.5, 0.5]))
+    assert np.isfinite(p).all()
+    assert p[0, 0] == pytest.approx(math.exp(709.5), rel=1e-13)
+    assert p[1, 1] == 1.0 and p[0, 1] == 0.0 and p[1, 0] == 0.0
 
 
 def test_pulse_product_unitary_for_skew_hermitian_generator():
@@ -1024,6 +1036,48 @@ def test_write_report_csv_blank_bounds_when_no_route(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert all(row[3:] == ["", "", "", "", ""] for row in rows[1:])
+
+
+def test_report_writers_keep_their_bytes_for_nan_and_inf_fields(tmp_path):
+    # NaN (a field that does not apply) is a blank CSV cell and a JSON
+    # null, +inf is "inf" in the CSV and null in the JSON, and every other
+    # float is its repr; the bytes are pinned
+    nan, inf = math.nan, math.inf
+    rep = ergopulse.evolution.ConvergenceReport(
+        family_name="uhrig",
+        n_values=(4, 8, 16),
+        errors=(0.125, 3.0e-17, 0.0),
+        window=(False, True, True),
+        fitted_slope=None,
+        bound_route="schedule",
+        bounds=(
+            BoundBreakdown(nan, nan, 0.1, 2.5e-300, 0.1),
+            BoundBreakdown(1.0 / 3.0, inf, nan, inf, inf),
+            BoundBreakdown(0.0, -0.0, 5e-324, nan, 1e308),
+        ),
+    )
+    path = tmp_path / "rep.csv"
+    write_report_csv(rep, path)
+    assert path.read_bytes() == (
+        b"N,error,slope_window_flag,m_const,m_prime_const,tv_term,"
+        b"c_series_sum,total_rhs\n"
+        b"4,0.125,0,,,0.1,2.5e-300,0.1\n"
+        b"8,3e-17,1,0.3333333333333333,inf,,inf,inf\n"
+        b"16,0.0,1,0.0,-0.0,5e-324,,1e+308\n"
+    )
+    text = json.dumps(report_to_json_dict(rep), sort_keys=True, allow_nan=False)
+    assert text == (
+        '{"bound_route": "schedule", "bounds": ['
+        '{"c_series_sum": 2.5e-300, "m_const": null, "m_prime_const": null, '
+        '"total_rhs": 0.1, "tv_term": 0.1}, '
+        '{"c_series_sum": null, "m_const": 0.3333333333333333, '
+        '"m_prime_const": null, "total_rhs": null, "tv_term": null}, '
+        '{"c_series_sum": null, "m_const": 0.0, "m_prime_const": -0.0, '
+        '"total_rhs": 1e+308, "tv_term": 5e-324}], '
+        '"errors": [0.125, 3e-17, 0.0], "family": "uhrig", '
+        '"fitted_slope": null, "n_values": [4, 8, 16], '
+        '"slope_window_flags": [0, 1, 1]}'
+    )
 
 
 def test_report_json_dict_nan_becomes_null():

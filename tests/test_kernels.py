@@ -345,6 +345,32 @@ def test_real_form_reads_back_bit_for_bit():
         assert got.tobytes() == np.ascontiguousarray(m.T).tobytes(), d
 
 
+def test_real_form_reads_back_entries_above_half_the_float_range():
+    # the two copies of a part sum past the float range: that part is
+    # read back as a/2 + b/2, m itself for an exact W(m); a part whose
+    # copy is inf stays inf, and one that meets inf - inf stays nan
+    big = np.finfo(np.float64).max
+    for d in (2, 5):
+        m = np.full((d, d), 0.25 + 0.5j)
+        m[0, 0] = complex(big, -big)
+        m[d - 1, 0] = complex(0.75 * big, 1.3e308)
+        w = np.empty((d, 2, d, 2))
+        w[:, 0, :, 0] = m.real
+        w[:, 0, :, 1] = m.imag
+        w[:, 1, :, 0] = -m.imag
+        w[:, 1, :, 1] = m.real
+        w = w.reshape(2 * d, 2 * d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _read_back_transposed(w)
+                assert got.tobytes() == np.ascontiguousarray(m.T).tobytes(), d
+                w[2, 2] = np.inf  # re of m[1, 1] in one copy
+                w[2, 3] = w[3, 2] = np.inf  # im of m[1, 1]: inf - inf
+                got = _read_back_transposed(w)
+        assert got[1, 1].real == np.inf and np.isnan(got[1, 1].imag)
+
+
 @pytest.mark.parametrize("n", [4, 2 * CHAIN_BLOCK + 3])
 def test_overflowing_chain_warns_nothing(n):
     # u e^{aX} u e^{aX} = I, but at a = 1/4 the tree's first products

@@ -322,18 +322,79 @@ def test_expm_multiples_match_per_scalar_scipy():
     assert np.array_equal(zero, [np.eye(3)] * 2)
 
 
-def test_expm_multiples_taylor_degree_rule():
-    # the smallest n with r^(n+1)/(n+1)! e^r <= 2^-53, plus 3
-    def tail(r, n):
-        return r ** (n + 1) / math.factorial(n + 1) * math.exp(r)
+def test_expm_multiples_match_40_digit_mpmath():
+    """Each slice of expm(a, scalars) lies within 4 eps of e^(c a) at 40
+    digits, relative in the spectral norm, where the degree rule drops
+    the most levels: one call per radius r = |c| ||a||_1 in {1e-8, 1e-5,
+    1e-3, 0.1, 1} (degrees 2, 3, 5, 10 and 19), on dense and strictly
+    upper-triangular a of d in {2, 5, 8}, with real and complex c."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(53)
+    worst = 0.0
+    for dim in (2, 5, 8):
+        g = _random_complex(rng, dim)
+        for a in (g, np.triu(g, 1)):
+            a = a / np.abs(a).sum(axis=0).max()
+            for r in (1e-8, 1e-5, 1e-3, 0.1, 1.0):
+                phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2))
+                scalars = r * np.concatenate([[1.0, -1.0], phases])
+                got = expm(a, scalars)
+                assert got.flags.c_contiguous
+                for c, e in zip(scalars, got):
+                    want = _expm_40_digits(mpmath, c * a)
+                    worst = max(worst, op_norm(e - want) / op_norm(want))
+    assert worst <= 4 * EPS
 
-    assert matrixcore._taylor_degree(0.0) == 3
+
+def test_expm_multiples_inside_the_radius_hold_two_stacks():
+    import tracemalloc
+
+    # every slice inside the radius: the Horner sum's two (d, d, k) work
+    # buffers, the result copied into the spent one, and besides them
+    # O(k) arrays (r, c/j) and numpy's ufunc iterator buffers of
+    # np.getbufsize() entries (0.31 MB in all here, as at the parent); a
+    # result beside both work buffers would add a third stack (1.18 MB)
+    d, k = 6, 2048
+    rng = np.random.default_rng(59)
+    g = _random_complex(rng, d)
+    a = g / np.abs(g).sum(axis=0).max()
+    scalars = rng.uniform(-1.0, 1.0, k) * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+    expm(a, scalars)
+    tracemalloc.start()
+    try:
+        expm(a, scalars)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = d * d * k * 16
+    assert peak <= 2 * stack + 48 * k + 2 * np.getbufsize() * 16
+
+
+def test_expm_multiples_taylor_degree_rule():
+    # the smallest n >= 1 with r^(n+1)/(n+1)! e^r <= u/32 as evaluated,
+    # so that the exact tail stays <= u/24 where r is rounded low; tails
+    # in exact rational arithmetic, e^r bounded above by its series
+    u = Fraction(1, 2**53)
+
+    def tail(r, n):
+        r = Fraction(r)
+        exp_up = sum(r**j / math.factorial(j) for j in range(30)) + Fraction(1, 10**30)
+        return r ** (n + 1) / math.factorial(n + 1) * exp_up
+
+    assert matrixcore._taylor_degree(0.0) == 1
     grid = np.concatenate([np.geomspace(1e-18, 1e-2, 40), np.linspace(0.01, 1, 100)])
-    for r in grid:
-        n = matrixcore._taylor_degree(float(r)) - 3
-        assert tail(r, n) <= 2.0**-53
-        assert n == 0 or tail(r, n - 1) > 2.0**-53
-    assert matrixcore._taylor_degree(1.0) == 21
+    for r in map(float, grid):
+        n = matrixcore._taylor_degree(r)
+        assert n >= 1
+        # r rounded low by 16 ulps keeps the tail within u/24
+        assert tail(r * (1.0 + 16 * EPS), n) <= u / 24, r
+        # minimal: one level fewer misses the evaluated u/32
+        assert n == 1 or tail(r, n - 1) > u / 32, r
+    # at these radii testing u/32 instead of u/24 costs no level
+    for r in (1e-5, 1e-3, 1e-2, 0.1, 0.5, 1.0):
+        n = matrixcore._taylor_degree(r)
+        assert tail(r, n - 1) > u / 24, r
+    assert [matrixcore._taylor_degree(r) for r in (1e-8, 1e-3, 1.0)] == [2, 5, 19]
 
 
 def test_expm_multiples_reruns_are_bytewise_identical():
