@@ -47,12 +47,15 @@ class PulseSystem:
     """Pulse unitary u, generator X, and evolution time t.
 
     For Hamiltonian control pass X = -i H; t is any finite complex number
-    but a bool.  u and X are stored as read-only copies, and everything
-    derived from (u, X, t) -- the spectrum of u, the commutant part P(X),
-    the potential Y of X - P(X), their norms and the limit factor
-    e^{P(X) t} -- is computed once, on first use, and cached on the
-    instance.  The norms are rounded up, so the bounds built from them
-    stay upper bounds.
+    but a bool.  u and X are stored as copies, and everything derived
+    from (u, X, t) is computed once, on first use, and cached on the
+    instance: the spectrum of u, the commutant part P(X), the potential
+    Y of X - P(X), their norms, the limit factor e^{P(X) t}, the rate
+    constants of the bounds (_rate_constants), and the ladder of
+    squarings u^(2^i) that every u^n is read from (_ladder), about
+    log2(max n) d x d matrices for the largest count n asked for so far.
+    Every array held is read-only.  The norms are rounded up, so the
+    bounds built from them stay upper bounds.
     """
 
     u: np.ndarray
@@ -69,8 +72,7 @@ class PulseSystem:
             matrixcore.require_real(self.t.imag, "t.imag"),
         )
         # the cached quantities below assume u and X never change
-        u.setflags(write=False)
-        x.setflags(write=False)
+        _read_only(u, x)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "generator", x)
         object.__setattr__(self, "t", t)
@@ -82,11 +84,17 @@ class PulseSystem:
     @cached_property
     def spec(self) -> UnitarySpectrum:
         """Clustered spectrum of u, which __post_init__ checked unitary."""
-        return _spectrum(self.u, DEFAULT_CLUSTER_TOL)
+        spec = _spectrum(self.u, DEFAULT_CLUSTER_TOL)
+        _read_only(
+            spec.cluster_phases, spec.basis, spec.col_phases, spec.col_labels
+        )
+        return spec
 
     @cached_property
     def _split(self) -> YosidaSplit:
-        return yosida_split(self.spec, self.generator)
+        split = yosida_split(self.spec, self.generator)
+        _read_only(split.fixed_part, split.coboundary_part, split.potential)
+        return split
 
     @property
     def fixed_part(self) -> np.ndarray:
@@ -117,11 +125,29 @@ class PulseSystem:
         return self._norm_upper(self.potential)
 
     @cached_property
+    def _rates(self) -> tuple[float, float]:
+        """(m, m'), _rate_constants of the cached norms."""
+        return _rate_constants(self)
+
+    @cached_property
     def limit_factor(self) -> np.ndarray:
         """e^{P(X) t}, the factor in front of u^n in the limit object, by
         matrixcore.expm's single form: scaling and squaring around its
         Taylor sum, numpy alone.  ValueError if it overflows."""
-        return matrixcore.expm(self.fixed_part * self.t)
+        return _read_only(matrixcore.expm(self.fixed_part * self.t))
+
+    def _ladder(self, n: int) -> tuple[np.ndarray, ...]:
+        """The squarings u^(2^i) for i < n.bit_length(), a count n >= 1,
+        from the cached ladder.  A ladder too short for n is squared up
+        to length and cached as a new tuple, never extended in place, so
+        a ladder once returned never changes."""
+        ladder = self.__dict__.get("_ladder_cache", (self.u,))
+        if len(ladder) < n.bit_length():
+            rungs = list(ladder)
+            while len(rungs) < n.bit_length():
+                rungs.append(_read_only(np.matmul(rungs[-1], rungs[-1])))
+            ladder = self.__dict__["_ladder_cache"] = tuple(rungs)
+        return ladder
 
     @property
     def is_coboundary(self) -> bool:
@@ -135,6 +161,13 @@ class PulseSystem:
             hint="split the generator with yosida_split and bound the "
             "commutant part separately",
         )
+
+
+def _read_only(*arrays: np.ndarray) -> np.ndarray:
+    """Mark each array read-only; returns the last."""
+    for a in arrays:
+        a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,28 +212,13 @@ class ConvergenceReport:
 
 def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
     """The interleaved product u e^{a_1 X t} u e^{a_2 X t} ... u e^{a_n X t},
-    multiplied left to right.
+    multiplied left to right: the one-row case of _pulse_products.  The
+    factors of the distinct weights are one matrixcore.expm call, and
+    kernels.chain_product multiplies the row out; their docstrings give
+    the method, its cost and its error.
 
-    The one-row case of the batch that convergence_sweep runs
-    (_pulse_products): the factors e^{a X t} of the distinct weights a
-    are one call to the scalar-multiples form of matrixcore.expm (a
-    shared Taylor sum where |a t| ||X||_1 <= 1, scipy.linalg.expm
-    elsewhere), and kernels.chain_product multiplies them out as a
-    blocked pairwise tree.  The tree multiplies each repeated pair once,
-    at the levels where k distinct matrices make k^2 < h of a level's h
-    pairs, and each repeated block once, so an equidistant row of N
-    pulses costs about log2(CHAIN_BLOCK) + N / CHAIN_BLOCK matrix
-    products.  The result is bit-identical to the tree that multiplies
-    every pair, and memory stays O(CHAIN_BLOCK d^2) besides the distinct
-    factors, one stack of their size and the memo.  At the dimensions of
-    kernels.REAL_FORM_DIMS (2..11) the tree multiplies the transposed row
-    in the 2d x 2d real form, in float64, and reads the product back once
-    as the mean of the two copies of each part; against 40-digit
-    references the largest entry error stays within 4x of the per-pulse
-    loop (tests/test_pulse_accuracy.py).
-
-    ValueError if a factor or a product of factors overflows.  The tree's
-    products can overflow where the exact product is finite: u = diag(1,
+    ValueError if a factor or a product of factors overflows, which the
+    tree's products can do where the exact product is finite: u = diag(1,
     -1) and X = [[0, 2000], [2000, 0]] give u e^{aX} u e^{aX} = I, yet at
     a = 1/4 the matmul of that pair adds terms of size about e^{1000}/4,
     past the float range."""
@@ -263,19 +281,18 @@ def _row_product(sys: PulseSystem, factors, values, row) -> np.ndarray:
     return p
 
 
-def _powers(u: np.ndarray, ns) -> list[np.ndarray]:
-    """[u^n for n in ns], counts n >= 1, from one ladder of squarings
-    u^(2^i) built once.  Each u^n takes the products of
-    np.linalg.matrix_power(u, n) in its order: u for n = 1, u u for 2,
-    (u u) u for 3, and above that the ladder's powers at the set bits of
-    n, lowest first, multiplied left to right; so the bits are its."""
-    ladder = [u]
-    for _ in range(1, max(ns).bit_length()):
-        ladder.append(np.matmul(ladder[-1], ladder[-1]))
+def _powers(sys: PulseSystem, ns) -> list[np.ndarray]:
+    """[u^n for n in ns], counts n >= 1, from the system's cached ladder
+    of squarings u^(2^i) (PulseSystem._ladder).  Each u^n takes the
+    products of np.linalg.matrix_power(u, n) in its order: u for n = 1,
+    u u for 2, (u u) u for 3, and above that the ladder's powers at the
+    set bits of n, lowest first, multiplied left to right; so the bits
+    are its.  A u^n that is a rung of the ladder is that read-only rung."""
+    ladder = sys._ladder(max(ns))
     out = []
     for n in ns:
         if n == 3:
-            out.append(np.matmul(ladder[1], u))
+            out.append(np.matmul(ladder[1], ladder[0]))
             continue
         p = None
         for i, z in enumerate(ladder[: n.bit_length()]):
@@ -289,7 +306,7 @@ def limit_evolution(sys: PulseSystem, n: int) -> np.ndarray:
     """The n-pulse limit object e^{P(X) t} u^n, for a count n >= 1.  u^n
     is _powers' one-count case, bit-identical to np.linalg.matrix_power."""
     n = matrixcore.require_count(n, "n", 1)
-    return sys.limit_factor @ _powers(sys.u, [n])[0]
+    return sys.limit_factor @ _powers(sys, [n])[0]
 
 
 def control_error(sys: PulseSystem, s: Schedule) -> float:
@@ -370,7 +387,7 @@ def equidistant_bound_constants(sys: PulseSystem) -> BoundBreakdown:
     """Rate constants for equidistant rows: the measured error is bounded
     by m_prime_const / N, and by m_const / N when the generator has no
     commutant component."""
-    m, m_prime = _rate_constants(sys)
+    m, m_prime = sys._rates
     return BoundBreakdown(m, m_prime, math.nan, math.nan, m_prime)
 
 
@@ -383,16 +400,21 @@ def schedule_bound_rhs(sys: PulseSystem, s: Schedule) -> BoundBreakdown:
     with an exponential prefactor on all but the last step, and adds
     e^{||Y|| tv |t|} - 1 for the final comparison with the limit object.
     The norms enter rounded up by the SVD's error, as PulseSystem keeps
-    them.  Where a term overflows the bound is +inf.  Generators with a
-    commutant component are refused: split them with yosida_split and
-    bound the pieces separately.
+    them.  A row of n > 2 equal weights sums one repeated term
+    (_equal_row_terms), with the same bits.  Where a term overflows the
+    bound is +inf.  Generators with a commutant component are refused:
+    split them with yosida_split and bound the pieces separately.
     """
     if not isinstance(s, Schedule):
         raise ValueError("s must be a Schedule")
     sys._require_coboundary()
-    m, m_prime = _rate_constants(sys)
+    m, m_prime = sys._rates
     scale = abs(sys.t) * sys.potential_norm
-    tv_term, c_series, total = _schedule_series_terms(s.weights[None, :], scale)
+    a = s.weights[None, :]
+    if s.n > 2 and scale != 0.0 and (s.weights == s.weights[0]).all():
+        tv_term, c_series, total = _equal_row_terms(a, scale)
+    else:
+        tv_term, c_series, total = _schedule_series_terms(a, scale)
     return BoundBreakdown(
         m, m_prime, float(tv_term[0]), float(c_series[0]), float(total[0])
     )
@@ -448,6 +470,31 @@ def _schedule_series_terms(
     return tv_term, c_series, c_series + tv_term
 
 
+def _equal_row_terms(
+    a: np.ndarray, scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_schedule_series_terms of one row of n > 2 equal weights at a
+    scale > 0, bit for bit, without its (n - 1)-long step arrays.
+
+    Every step of such a row has lead = follow = 2 a scale (the running
+    prefix is a + 0 + a, exact), so the defect series is one term S, and
+    tv_value is a + 0 + a as well.  The n - 2 prefactored steps are summed
+    as np.add.reduce of n - 2 copies of S, pairwise in numpy's order, as
+    there.
+    """
+    n = a.shape[1]
+    step = np.full(1, 2.0 * a[0, 0] * scale)
+    series = matrixcore._defect_series_batch(step, step)
+    with np.errstate(over="ignore"):
+        tv_term = np.expm1(scale * (2.0 * a[:, 0]))
+        prefactor = math.exp(2.0 * scale) if scale < 354.0 else math.inf
+        partial = np.add.reduce(np.full(n - 2, series[0]))
+        # partial is 0 only where 2 a scale underflows, at a finite
+        # prefactor, so no 0 * inf arises
+        c_series = prefactor * partial + series
+    return tv_term, c_series, c_series + tv_term
+
+
 def convergence_sweep(
     sys: PulseSystem,
     family: ScheduleFamily,
@@ -460,12 +507,12 @@ def convergence_sweep(
     the rows, never from the family.
 
     The errors are control_error's, computed as one batch: the limit
-    factor first, every u^n from one ladder of squarings (_powers, the
-    bits of np.linalg.matrix_power), and the pulse products by groups of
-    rows that share an expm call (_pulse_products).  A row alone in its
-    group gets control_error's bits; a row that shares one may differ
-    from it by a few eps relative to the norms of its product and
-    limit."""
+    factor first, every u^n from the system's ladder of squarings
+    (_powers, the bits of np.linalg.matrix_power), and the pulse products
+    by groups of rows that share an expm call (_pulse_products).  A row
+    alone in its group gets control_error's bits; a row that shares one
+    may differ from it by a few eps relative to the norms of its product
+    and limit."""
     if not isinstance(family, ScheduleFamily):
         raise ValueError("family must be a ScheduleFamily")
     ns = [matrixcore.require_count(n, "pulse count", 2) for n in n_values]
@@ -477,7 +524,7 @@ def convergence_sweep(
     rows = [family(n) for n in ns]
     # the limit factor first, as in control_error: its overflow is the
     # error reported, before any pulse product is multiplied out
-    limits = [sys.limit_factor @ p for p in _powers(sys.u, ns)]
+    limits = [sys.limit_factor @ p for p in _powers(sys, ns)]
     errors = [
         matrixcore.op_norm(p - limit)
         for p, limit in zip(_pulse_products(sys, rows), limits)

@@ -279,16 +279,41 @@ _POWER_COUNTS = list(range(1, 71)) + [2**k for k in range(7, 17)]
 
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
 def test_powers_are_bit_identical_to_matrix_power(d):
-    # one ladder for all counts, and the one-count case, each against
-    # numpy's own products: n = 1..70 and the powers of two to 2^16, then
-    # an increasing grid of other counts
+    # the system's cached ladder against numpy's own products: n = 1..70
+    # and the powers of two to 2^16, then an increasing grid of other
+    # counts, each set all at once on a fresh system, then one count at
+    # a time on another, rising and then falling, so that each count is
+    # read from a ladder grown for it or from a longer one
     u = random_unitary(d, seed=d)
     grid = [5, 6, 7, 11, 100, 1000, 4095, 5000, 65_535]
     for ns in (_POWER_COUNTS, grid):
-        for n, p in zip(ns, _powers(u, ns)):
-            want = np.linalg.matrix_power(u, n)
-            assert np.array_equal(p, want), n
-            assert np.array_equal(_powers(u, [n])[0], want), n
+        want = [np.linalg.matrix_power(u, n) for n in ns]
+        sys = PulseSystem(u=u, generator=np.zeros((d, d)))
+        for n, p, w in zip(ns, _powers(sys, ns), want):
+            assert np.array_equal(p, w), n
+        sys = PulseSystem(u=u, generator=np.zeros((d, d)))
+        for n, w in [*zip(ns, want), *zip(ns[::-1], want[::-1])]:
+            assert np.array_equal(_powers(sys, [n])[0], w), n
+
+
+def test_ladder_is_cached_read_only_and_replaced_whole():
+    sys = PulseSystem(u=random_unitary(3, seed=3), generator=np.zeros((3, 3)))
+    short = sys._ladder(5)
+    assert len(short) == 3 and short[0] is sys.u
+    assert sys._ladder(7) is short  # long enough: no new squaring
+    assert sys._ladder(1) is short
+    long = sys._ladder(1000)
+    # a longer ladder is a new tuple that keeps the old rungs; the one
+    # handed out before is left as it was
+    assert len(long) == 10 and len(short) == 3
+    assert all(a is b for a, b in zip(short, long))
+    assert sys._ladder(8) is long
+    for rung in long:
+        with pytest.raises(ValueError, match="read-only"):
+            rung[0, 0] = 0.0
+    # u^n that is a rung is that rung, and stays read-only
+    with pytest.raises(ValueError, match="read-only"):
+        _powers(sys, [4])[0][0, 0] = 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
@@ -583,6 +608,90 @@ def test_bounds_use_norms_rounded_up():
         sys, 2, ergopulse.optimizer.OptimizerConfig(restarts=1, max_iters=5)
     )
     assert res.value == b.total_rhs
+
+
+def test_rate_constants_are_cached_and_equal_a_fresh_computation(monkeypatch):
+    rng = np.random.default_rng(61)
+    systems = [
+        PRESETS["qubit-z-x"](1.0),
+        PulseSystem(u=SZ, generator=-1j * SX, t=0.0),
+        *(_coboundary_system(rng, d, seed=800 + d, t=0.3 * d) for d in (2, 4, 7)),
+    ]
+    # m' overflows; the generator is no coboundary
+    systems.append(_with_norms(PRESETS["qubit-z-x"](1.0), 400.0, 3.0, 800.0))
+    real = ergopulse.evolution._rate_constants
+    calls = []
+
+    def counting(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(ergopulse.evolution, "_rate_constants", counting)
+    for sys in systems:
+        b = equidistant_bound_constants(sys)
+        if sys.is_coboundary:
+            for s in (equidistant(2), equidistant(64), uhrig(9)):
+                rhs = schedule_bound_rhs(sys, s)
+                assert (rhs.m_const, rhs.m_prime_const) == (
+                    b.m_const,
+                    b.m_prime_const,
+                )
+        assert calls == [sys]
+        calls.clear()
+        want = real(sys)
+        assert [v.hex() for v in (b.m_const, b.m_prime_const)] == [
+            v.hex() for v in want
+        ]
+    assert math.isinf(b.m_prime_const)
+
+
+_EQUAL_ROW_SCALES = [0.0, 5e-324, 1e-300, 1e-8, 1.0, *np.linspace(354.0, 400.0, 24)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 4096, 4097])
+def test_equal_row_bound_is_the_stacked_series_bit_for_bit(n):
+    # an equal row sums its defect series as one term repeated; the
+    # bound keeps every bit of _schedule_series_terms, across the
+    # overflow of the prefactor e^(2 scale) from 354.89
+    base = PRESETS["qubit-z-x"](1.0)
+    s = equidistant(n)
+    for target in _EQUAL_ROW_SCALES:
+        sys = PRESETS["qubit-z-x"](target / base.potential_norm)
+        scale = abs(sys.t) * sys.potential_norm
+        b = schedule_bound_rhs(sys, s)
+        with np.errstate(over="ignore"):
+            want = _schedule_series_terms(s.weights[None, :], scale)
+        got = (b.tv_term, b.c_series_sum, b.total_rhs)
+        assert [v.hex() for v in got] == [float(w[0]).hex() for w in want], target
+    assert math.isinf(b.total_rhs)
+
+
+def test_cached_arrays_are_read_only():
+    rng = np.random.default_rng(67)
+    systems = (
+        PRESETS["qubit-z-x"](1.0),
+        _hamiltonian_system(3, 19),
+        _coboundary_system(rng, 4, 67),
+    )
+    for sys in systems:
+        control_error(sys, uhrig(64))
+        split = sys._split
+        arrays = [
+            sys.u,
+            sys.generator,
+            sys.fixed_part,
+            sys.potential,
+            split.coboundary_part,
+            sys.limit_factor,
+            sys.spec.basis,
+            sys.spec.cluster_phases,
+            sys.spec.col_phases,
+            sys.spec.col_labels,
+            *sys._ladder(64),
+        ]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
 
 
 def _spread_unitary(rng, dim, degenerate):
@@ -951,6 +1060,24 @@ def test_sweep_errors_match_control_error_row_by_row(family, kind):
         else:
             scale = op_norm(pulse_product(sys, row))
             assert abs(err - want) <= 4 * eps * scale, row.n
+
+
+def test_sweep_and_control_error_agree_whichever_grows_the_ladder():
+    # the ladder is shared: control_error at small counts first, then a
+    # sweep that needs a longer ladder, then control_error again, give
+    # the bits of fresh systems that ran each call alone
+    ns = (16, 32, 64, 128, 256, 512, 1024)
+    family = uhrig_family()
+    rows = [family(n) for n in ns]
+    fresh = [control_error(_hamiltonian_system(3, 17), row) for row in rows]
+    alone_sweep = convergence_sweep(_hamiltonian_system(3, 17), family, ns).errors
+    sys = _hamiltonian_system(3, 17)
+    assert [control_error(sys, row) for row in rows[:2]] == fresh[:2]
+    assert convergence_sweep(sys, family, ns).errors == alone_sweep
+    assert [control_error(sys, row) for row in rows] == fresh
+    assert limit_evolution(sys, 4096).tobytes() == (
+        limit_evolution(_hamiltonian_system(3, 17), 4096).tobytes()
+    )
 
 
 def test_sweep_batches_never_hold_a_second_stack():
