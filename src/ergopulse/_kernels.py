@@ -12,14 +12,19 @@ index row is walked in blocks of CHAIN_BLOCK, each block is reduced
 pairwise, (m0 m1)(m2 m3)..., one stacked matmul per tree level, and the
 block results are multiplied into the running product left to right.
 The factor order never changes; only the rounding follows a tree
-instead of a chain.  Repeats are multiplied once: while a level's table
-of k distinct matrices has k^2 < h for its h pairs, pairs must repeat,
-and each distinct pair is one slice of that level's matmul; equal blocks
-are reduced once, through a memo keyed on their index bytes.  So an
-equidistant row of N pulses costs one block and N / CHAIN_BLOCK products,
-and a row of many distinct weights pays one comparison per level.  Every
-product keeps its operands and its matmul or dot call, so the result is
-bit-identical to the tree that multiplies every pair.
+instead of a chain.  Each block forms the leaves it multiplies, from
+its gathered factors or, where pairs repeat at its first level, from the
+row's few distinct factors, and no table of leaves is kept: it would
+double the bytes of the factors.  Repeats are multiplied once:
+while a level's table of k distinct matrices has k^2 < h for its h
+pairs, pairs must repeat, and each distinct pair is one slice of that
+level's matmul; equal blocks are reduced once, through a memo keyed on
+their index bytes.  So an equidistant row of N pulses costs one block
+and N / CHAIN_BLOCK products, and a row of many distinct weights pays
+one comparison per level.  Every product keeps its operands and its
+matmul or dot call, and each leaf is its own slice of its matmul
+wherever it is formed, so the result is bit-identical to the tree that
+multiplies every pair.
 
 At the dimensions of REAL_FORM_DIMS the tree runs in float64, on the
 2d x 2d real form of each d x d complex matrix: small float64 matmuls
@@ -31,19 +36,14 @@ row by row, so leaves need no widening copy: they are u F_k transposed,
 F_k^T u^T, one stacked matmul on the float views of the transposed
 factors, and the tree forms the transposed row,
 P^T = (F_N^T u^T) ... (F_1^T u^T), on the index row reversed.  Each
-leaf is its own slice of that matmul, with the same bits wherever it is
-formed.  A row of k factors with k^2 < CHAIN_BLOCK / 2, whose pairs may
-repeat, forms its k leaves once; any other row forms each block's
-leaves from its gathered factors and keeps no table of leaves, which
-would double the bytes of the factors.  Each part of an entry is held
-twice in W(m), and the two copies drift apart by a rounding or so over
-the tree; the result reads back their mean,
+part of an entry is held twice in W(m), and the two copies drift apart
+by a rounding or so over the tree; the result reads back their mean,
 re = (W[2i, 2j] + W[2i+1, 2j+1]) / 2 and
-im = (W[2i, 2j+1] - W[2i+1, 2j]) / 2.  Memory stays O(CHAIN_BLOCK d^2)
-besides the complex table u F_k, or the transposed copy of the factors,
-either the size of the factors, and the memo, which holds one result
-and one CHAIN_BLOCK-index key per distinct block (at most the size of
-the index row).
+im = (W[2i, 2j+1] - W[2i+1, 2j]) / 2.  Elsewhere the leaves are the
+complex products u F_k.  Besides the factors, their transposed copy in
+the real form (the size of the factors) and the memo, which holds one
+result and one CHAIN_BLOCK-index key per distinct block (at most the
+size of the index row), the tree holds O(CHAIN_BLOCK d^2) memory.
 
 simplex_project and tv_value, the optimizer kernels, work on stacks of
 rows with whole-array operations; tv_value is the package's one
@@ -69,13 +69,9 @@ from .matrixcore import unitary_eig
 CHAIN_BLOCK = 256
 
 # Dimensions d at which chain_product multiplies in the 2d x 2d real
-# form; elsewhere it keeps the complex table u F_k.  Summed over Uhrig
-# rows of N = 16..4096 (one BLAS thread, fastest of 15 alternating
-# rounds), the real form took 0.35-0.72x the time of the complex tree at
-# d = 2..8 and 0.92-0.98x at d = 9..11, but 1.15-1.3x at d = 12..16, 2.1x
-# at d = 32 and 3.2x at d = 64, where the real form's twice as many flops
-# outweigh its lower cost per call, and 2.1x at d = 1, where a complex
-# product is one multiplication (BENCH_chain_real_form.json).
+# form; elsewhere its leaves are complex.  On Uhrig rows the real form won
+# at d = 2..11 and lost at d = 1 and from d = 12 on, where its twice as
+# many flops outweigh its lower cost per call (BENCH_chain_real_form.json).
 REAL_FORM_DIMS = range(2, 12)
 
 
@@ -163,49 +159,39 @@ def chain_product(u, factors, idx):
 
     Blocked pairwise tree that multiplies each repeated pair and each
     repeated block once (see the module docstring and _block_product).
-    Every product has the same operands, and is made by the same matmul
-    or dot call, as in the tree that multiplies every pair, so the result
-    is bit-identical to it.  At the dimensions of REAL_FORM_DIMS the tree
-    multiplies the transposed row in the 2d x 2d real form, in float64,
-    and reads the d x d result back once, as the mean of the two copies
-    of each part; elsewhere it multiplies the complex stack u @ factors.
-    Besides that stack, or the transposed copy of the factors, and the
-    memo, it holds O(CHAIN_BLOCK d^2) memory, never an (N, d, d) stack.
+    Each block forms the leaves it multiplies from the factors it reads.
+    At the dimensions of REAL_FORM_DIMS a leaf is W(F_k^T u^T), the
+    2d x 2d real form of the transposed leaf, the tree multiplies the
+    transposed row in float64, and the d x d result is read back once, as
+    the mean of the two copies of each part; elsewhere a leaf is u F_k.
+    Every product, leaves included, has the same operands, and is made by
+    the same matmul or dot call, as in the tree that multiplies every
+    pair, so the result is bit-identical to it.  Besides the factors,
+    their transposed copy in the real form and the memo, it holds
+    O(CHAIN_BLOCK d^2) memory, never an (N, d, d) stack.
 
     A product that overflows gives inf or nan entries without a warning;
     the caller checks the result (pulse_product raises ValueError).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if u.shape[0] not in REAL_FORM_DIMS:
-            return _walk(np.matmul(u, factors), idx, None)
+            return _walk(factors, idx, functools.partial(np.matmul, u))
         transposed = np.ascontiguousarray(factors.transpose(0, 2, 1))
-        right = _right_factor(u.T)
-        k = transposed.shape[0]
-        if k * k < CHAIN_BLOCK // 2:
-            # pairs may repeat at the first level: form the k leaves once
-            out = _walk(_real_leaves(transposed, right), idx[::-1], None)
-        else:
-            out = _walk(transposed, idx[::-1], right)
-        return _read_back_transposed(out)
+        leaf = functools.partial(_real_leaves, right=_right_factor(u.T))
+        return _read_back_transposed(_walk(transposed, idx[::-1], leaf))
 
 
-def _walk(table, row, right):
+def _walk(factors, row, leaf):
     """The product of the blocks of a nonempty row, left to right, each
-    from _block_product on table, or, given right, from the pairwise tree
-    of the leaves _real_leaves forms from the block's rows of table.  A
-    table of k factors with k^2 >= CHAIN_BLOCK / 2 repeats no pair at a
-    block's first level, where _block_product would gather table[ids]
-    and run the plain tree too."""
+    from _block_product on factors with the leaf rule leaf; equal blocks
+    are reduced once, through a memo keyed on their index bytes."""
     blocks = {}
     out = None
     for start in range(0, row.shape[0], CHAIN_BLOCK):
         ids = row[start : start + CHAIN_BLOCK]
         key = ids.tobytes()
         if key not in blocks:
-            if right is None:
-                blocks[key] = _block_product(table, ids)
-            else:
-                blocks[key] = _tree(_real_leaves(table[ids], right))
+            blocks[key] = _block_product(factors, ids, leaf)
         out = blocks[key] if out is None else np.dot(out, blocks[key])
     return out
 
@@ -254,8 +240,14 @@ def _read_back_transposed(w):
     return out
 
 
-def _block_product(table, ids):
-    """table[ids[0]] table[ids[1]] ... by the pairwise tree.
+def _block_product(table, ids, leaf):
+    """leaf(table[ids])[0] leaf(table[ids])[1] ... by the pairwise tree.
+
+    leaf maps a stack of factors to their leaves, one slice each.  The
+    block forms the leaves it multiplies, once: leaf(table[ids]) when no
+    pair repeats at its first level, and otherwise the k leaves
+    leaf(table) of its k-entry table, at most 11, since k^2 < h <=
+    CHAIN_BLOCK / 2 there.
 
     While the k-entry table has k^2 < h for the level's h pairs, pairs
     must repeat: each pair is coded left * k + right, each distinct code
@@ -265,6 +257,9 @@ def _block_product(table, ids):
     k^2 >= h holds at every later level, and the plain strided loop runs
     (_tree).
     """
+    if table.shape[0] ** 2 >= ids.shape[0] // 2:
+        return _tree(leaf(table[ids]))
+    table = leaf(table)
     while ids.shape[0] > 1:
         k = table.shape[0]
         half = ids.shape[0] // 2

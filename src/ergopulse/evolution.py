@@ -257,28 +257,24 @@ def _pulse_products(sys: PulseSystem, rows):
 
 def _group_products(sys: PulseSystem, group) -> list[np.ndarray]:
     """The pulse products of a group of (row, its sorted distinct
-    weights) pairs."""
+    weights) pairs, each from chain_product, or ValueError if one
+    overflows."""
     weights = np.concatenate([values for _row, values in group])
     factors = matrixcore.expm(sys.generator, weights * sys.t)
     out, stop = [], 0
     for row, values in group:
         start, stop = stop, stop + values.shape[0]
-        out.append(_row_product(sys, factors[start:stop], values, row))
+        # searchsorted rather than return_inverse: np.unique's inverse
+        # holds several N-length temporaries at once
+        idx = np.searchsorted(values, row.weights)
+        p = chain_product(sys.u, factors[start:stop], idx)
+        if not np.isfinite(p).all():
+            raise ValueError(
+                "the pulse product overflows: a product of its factors came "
+                "out non-finite"
+            )
+        out.append(p)
     return out
-
-
-def _row_product(sys: PulseSystem, factors, values, row) -> np.ndarray:
-    """chain_product of a row from the factors of its sorted distinct
-    weights values, or ValueError if it overflows."""
-    # searchsorted rather than return_inverse: np.unique's inverse holds
-    # several N-length temporaries at once
-    p = chain_product(sys.u, factors, np.searchsorted(values, row.weights))
-    if not np.isfinite(p).all():
-        raise ValueError(
-            "the pulse product overflows: a product of its factors came out "
-            "non-finite"
-        )
-    return p
 
 
 def _powers(sys: PulseSystem, ns) -> list[np.ndarray]:
@@ -314,6 +310,8 @@ def control_error(sys: PulseSystem, s: Schedule) -> float:
     object at the same pulse count.  The limit comes first, so a limit
     factor that overflows raises its ValueError before the product is
     multiplied out."""
+    if not isinstance(s, Schedule):
+        raise ValueError("s must be a Schedule")
     limit = limit_evolution(sys, s.n)
     return matrixcore.op_norm(pulse_product(sys, s) - limit)
 

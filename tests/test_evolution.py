@@ -219,10 +219,14 @@ def test_pulse_product_respects_weight_order():
     )
 
 
-def test_pulse_product_requires_schedule():
+@pytest.mark.parametrize(
+    "f", [pulse_product, control_error, schedule_bound_rhs], ids=lambda f: f.__name__
+)
+def test_pulse_product_requires_schedule(f):
+    # a list of weights is refused before any of its attributes is read
     sys = PulseSystem(u=np.eye(2), generator=SX)
-    with pytest.raises(ValueError, match="Schedule"):
-        pulse_product(sys, [0.5, 0.5])
+    with pytest.raises(ValueError, match="s must be a Schedule"):
+        f(sys, [0.5, 0.5])
 
 
 @pytest.mark.parametrize(

@@ -390,11 +390,12 @@ def test_overflowing_chain_warns_nothing(n):
 def test_chain_product_keeps_no_table_of_real_leaves():
     import tracemalloc
 
-    # an all-distinct row at d = 8 and N = 4096: besides the transposed
-    # copy of the factors (their bytes), the work arrays are a gathered
-    # block, its leaves and the tree's first level, under two
-    # CHAIN_BLOCK stacks of 2d x 2d float64.  A table of every leaf in the
-    # real form would add twice the factors' bytes
+    # an all-distinct row at d = 8 and N = 4096: each block forms the
+    # leaves it multiplies, so besides the transposed copy of the factors
+    # (their bytes), the work arrays are a gathered block, its leaves and
+    # the tree's first level, under two CHAIN_BLOCK stacks of 2d x 2d
+    # float64.  A table of every leaf in the real form would add twice
+    # the factors' bytes
     d, n = 8, 4096
     rng = np.random.default_rng(31)
     u = random_unitary(d, seed=31)
@@ -408,6 +409,33 @@ def test_chain_product_keeps_no_table_of_real_leaves():
     finally:
         tracemalloc.stop()
     assert peak <= factors.nbytes + 2 * CHAIN_BLOCK * (2 * d) ** 2 * 8
+
+
+@pytest.mark.parametrize("d", [1, REAL_FORM_DIMS[-1] + 1])
+def test_chain_product_keeps_no_table_of_complex_leaves(d):
+    import tracemalloc
+
+    # an all-distinct row of N = 4096 on the complex side: each block
+    # forms its leaves u F_k from its gathered factors, so the work arrays
+    # are a gathered block, its leaves and the tree's first level, under
+    # three CHAIN_BLOCK stacks of d x d complex128.  Besides them the memo
+    # holds one key of CHAIN_BLOCK indices and one d x d result per block
+    # (with at most 512 bytes of object overhead each).  A table u @ factors
+    # would add the factors' bytes: 9.4 MB at d = 12
+    n = 4096
+    rng = np.random.default_rng(32)
+    u = random_unitary(d, seed=32)
+    h = _random_complex(rng, d)
+    factors = expm(-1j * (h + h.conj().T), rng.uniform(0.0, 1e-3, size=n))
+    idx = rng.permutation(n)
+    memo = idx.nbytes + n // CHAIN_BLOCK * (d * d * 16 + 512)
+    tracemalloc.start()
+    try:
+        chain_product(u, factors, idx)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * CHAIN_BLOCK * d * d * 16 + memo
 
 
 def test_simplex_project_known_points():
