@@ -315,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--restarts",
         type=int,
         default=OptimizerConfig.restarts,
-        help="random starts besides the barycenter (bound mode)",
+        help="random starts besides the barycenter (bound mode, n ≥ 3)",
     )
     optimize.add_argument(
         "--max-iters",
         dest="max_iters",
         type=int,
         default=OptimizerConfig.max_iters,
-        help="descent iterations per start (bound mode)",
+        help="descent iterations per start (bound mode, n ≥ 3)",
     )
     optimize.add_argument(
         "--resolution", type=float, default=OptimizerConfig.grid_resolution
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=OptimizerConfig.seed,
-        help="seed of the random starts (bound mode)",
+        help="seed of the random starts (bound mode, n ≥ 3)",
     )
     optimize.add_argument("--out", required=True)
     optimize.set_defaults(func=cmd_optimize)

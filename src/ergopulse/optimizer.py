@@ -3,14 +3,16 @@
 minimize_tv returns the minimizer of the total-variation functional in
 closed form: the equal-weights row, with value 2/n, whose proof stands
 in for a lattice search.  minimize_bound_rhs minimizes the per-schedule
-error bound of a concrete pulse system by projected descent with
-diminishing steps from a deterministic barycenter start plus seeded
-random restarts, all run in lockstep on one (R, n) array, and certifies
-its result against an exhaustive simplex-lattice search when the
-lattice is small enough.  Objectives score an (m, n) stack of rows in
-one call, and a row scores the same bits in any stack.  So each descent
-iteration is one call, scoring its finite-difference bumps with the
-previous iteration's steps, and certification scores the lattice in
+error bound of a concrete pulse system and certifies its result against
+an exhaustive simplex-lattice search when the lattice is small enough.
+At n = 2 every row (a, 1 - a) is a two-run row, and a fixed narrowing
+grid over a in [0, 1/2] searches them all.  At n >= 3 it runs projected
+descent with diminishing steps from a deterministic barycenter start
+plus seeded random restarts, all in lockstep on one (R, n) array.
+Objectives score an (m, n) stack of rows in one call, and a row scores
+the same bits in any stack.  So each grid and each descent iteration is
+one call (an iteration scores its finite-difference bumps with the
+previous iteration's steps), and certification scores the lattice in
 groups of up to CERTIFY_ROWS rows.
 """
 
@@ -28,27 +30,34 @@ from .matrixcore import require_count, require_real
 from .schedules import Schedule, equidistant
 
 LATTICE_LIMIT = 500_000
-# Rows per objective call in lattice certification.  The bound objective
-# peaks at about 15 float64 per weight per row, so a group of 2^11 rows
-# holds about 240 n KiB; its per-row cost is already flat from about
-# 1,000 rows, and the default n = 3 lattice (1,326 rows) is one call.
+# Rows per objective call in lattice certification: the bound objective
+# peaks at about 15 float64 per weight per row, so a group holds about
+# 240 n KiB.  Timings: BENCH_optimize_one_call.json.
 CERTIFY_ROWS = 2**11
 STEP_SCALE = 0.25
 STEP_TOL = 1e-12
 UNIFORM_PROXIMITY_TOL = 1e-4
+# Nodes per call of the n = 2 search, and its calls.  Each call after the
+# first spans the two spacings around the best node, at 1/32 to 1/16 of
+# the last spacing: from 2^-6 down to 2^-41..2^-34, well above the 2^-54
+# at which the objective's rounding first outweighs its kink at the even
+# split (qubit-z-x, scales 0.7 to 3.5).
+_SEARCH_NODES = 33
+_SEARCH_CALLS = 8
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings of both minimizers.
 
-    restarts, max_iters and seed drive the descent of minimize_bound_rhs:
-    the barycenter start plus restarts random rows drawn from seed, each
-    stopped after max_iters iterations or once a step moves less than
-    STEP_TOL.  grid_resolution is the spacing of the certifying lattice,
-    by the rule of _lattice_size.  minimize_tv reads only grid_resolution:
-    its result is certified wherever that lattice fits within
-    LATTICE_LIMIT.  restarts and seed are counts >= 0, max_iters one >= 1.
+    restarts, max_iters and seed drive the descent of minimize_bound_rhs
+    at n >= 3: the barycenter start plus restarts random rows drawn from
+    seed, each stopped after max_iters iterations or once a step moves
+    less than STEP_TOL.  Its n = 2 search reads none of the three.
+    grid_resolution is the spacing of the certifying lattice, by the rule
+    of _lattice_size.  minimize_tv reads only grid_resolution: its result
+    is certified wherever that lattice fits within LATTICE_LIMIT.
+    restarts and seed are counts >= 0, max_iters one >= 1.
     """
 
     restarts: int = 12
@@ -67,7 +76,11 @@ class OptimizerConfig:
 class OptimizationResult:
     """certified_by_grid: no row of the lattice at grid_resolution beats
     value by more than 4 grid_resolution max(1, |value|), and that lattice
-    fits within LATTICE_LIMIT.  It does not prove a global optimum."""
+    fits within LATTICE_LIMIT.  It does not prove a global optimum.
+
+    iterations_used: 0 for minimize_tv; for minimize_bound_rhs the
+    objective calls of its n = 2 search (_SEARCH_CALLS), or at n >= 3
+    the descent iterations summed over its starts."""
 
     minimizer: Schedule
     value: float
@@ -318,6 +331,42 @@ def _descend_fd(objective, starts, max_iters, step_tol):
     return best[i], float(best_v[i]), total
 
 
+def _two_run_rows(mass: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Rows of m weights mass/m, then n - m weights (1 - mass)/(n - m),
+    one row per entry of mass."""
+    rows = np.empty((mass.shape[0], n))
+    rows[:, :m] = (mass / m)[:, None]
+    rows[:, m:] = ((1.0 - mass) / (n - m))[:, None]
+    return rows
+
+
+def _two_run_search(objective):
+    """Minimize objective over the rows (a, 1 - a), the one-run-each case
+    m = 1 of the two-run rows at n = 2, by a fixed narrowing grid.
+
+    The reversed row (1 - a, a) scores as (a, 1 - a) up to rounding, so
+    a spans [0, 1/2].  The first call scores _SEARCH_NODES nodes from 0
+    to 1/2, both exact; each further call scores as many across the two
+    spacings around the best node so far, clipped to [0, 1/2].  A node
+    replaces the best only with a lower value, or an equal one nearer
+    1/2, so ties go to the even split: every row scores 0 at scale 0, and
+    where every row overflows the result is (1/2, 1/2) at +inf.  Returns
+    (row, value, _SEARCH_CALLS).
+    """
+    lo, hi = 0.0, 0.5
+    best_a, best_v = 0.5, math.inf
+    for _ in range(_SEARCH_CALLS):
+        mass = np.linspace(lo, hi, _SEARCH_NODES)
+        values = objective(_two_run_rows(mass, 1, 2))
+        # the last of tied minima, the node nearest 1/2
+        k = _SEARCH_NODES - 1 - int(np.argmin(values[::-1]))
+        if values[k] < best_v or (values[k] == best_v and mass[k] > best_a):
+            best_a, best_v = float(mass[k]), float(values[k])
+        h = (hi - lo) / (_SEARCH_NODES - 1)
+        lo, hi = max(best_a - h, 0.0), min(best_a + h, 0.5)
+    return _two_run_rows(np.array([best_a]), 1, 2)[0], best_v, _SEARCH_CALLS
+
+
 def minimize_bound_rhs(
     sys: PulseSystem,
     n: int,
@@ -326,9 +375,12 @@ def minimize_bound_rhs(
     """Minimize the per-schedule error bound over valid n-weight rows.
 
     The objective is total_rhs of schedule_bound_rhs, so the generator
-    must be a coboundary, and n is a count >= 2.  Descent uses central
-    finite differences for the subgradient (the objective is piecewise
-    smooth in the weights).
+    must be a coboundary, and n is a count >= 2.  At n = 2 a fixed
+    narrowing grid searches the rows (a, 1 - a) (_two_run_search), and
+    iterations_used counts its objective calls;
+    config's restarts, max_iters and seed are not read.  At n >= 3
+    descent uses central finite differences for the subgradient (the
+    objective is piecewise smooth in the weights).
     """
     n = require_count(n, "n", 2)
     cfg = config or OptimizerConfig()
@@ -340,9 +392,12 @@ def minimize_bound_rhs(
         rows /= np.add.reduce(rows, axis=1, keepdims=True)
         return _schedule_series_terms(rows, scale)[2]
 
-    best_w, best_v, total_iters = _descend_fd(
-        objective, _starts(n, cfg), cfg.max_iters, STEP_TOL
-    )
+    if n == 2:
+        best_w, best_v, total_iters = _two_run_search(objective)
+    else:
+        best_w, best_v, total_iters = _descend_fd(
+            objective, _starts(n, cfg), cfg.max_iters, STEP_TOL
+        )
     best_w, best_v = _canonical_orientation(best_w, best_v, objective, STEP_TOL)
     certified = _certify(n, cfg.grid_resolution, objective, best_v)
     return OptimizationResult(

@@ -1,6 +1,7 @@
 import math
 from itertools import product as iter_product
 
+import ergopulse as ep
 import ergopulse.optimizer
 import numpy as np
 import pytest
@@ -419,7 +420,7 @@ def test_fd_descent_is_bit_identical_to_stacked_oracle(
     assert got_iters == want_iters
 
 
-@pytest.mark.parametrize("t, n", list(iter_product((0.5, 1.0, 2.0), (2, 3, 5))))
+@pytest.mark.parametrize("t, n", list(iter_product((0.5, 1.0, 2.0), (3, 5))))
 def test_minimize_bound_rhs_is_bit_identical_to_stacked_oracles(t, n):
     sys = PRESETS["qubit-z-x"](t)
     cfg = OptimizerConfig()
@@ -429,6 +430,83 @@ def test_minimize_bound_rhs_is_bit_identical_to_stacked_oracles(t, n):
     assert res.minimizer.weights.tobytes() == weights.tobytes()
     assert res.iterations_used == iters
     assert res.certified_by_grid == certified
+
+
+def _coboundary_system(seed, d, scale):
+    """A seeded non-normal coboundary system of dimension d at
+    |t| ||Y|| = scale."""
+    rng = np.random.default_rng(seed)
+    u = ep.random_unitary(d, min_phase_gap=0.1, seed=seed)
+    y = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = y - u @ y @ u.conj().T
+    x /= ep.op_norm(ep.solve_coboundary(ep.spectrum(u), x))
+    return ep.PulseSystem(u=u, generator=x, t=scale)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [("qubit-z-x", t) for t in (0.3, 1.0, 1.5, 2.0, 5.0, 150.0)]
+    + [("coboundary", 11, 3, 1.3), ("coboundary", 12, 4, 0.9)],
+    ids=str,
+)
+def test_minimize_bound_rhs_two_weights_beats_descent_and_dense_segment(system):
+    if system[0] == "qubit-z-x":
+        sys = PRESETS["qubit-z-x"](system[1])
+    else:
+        sys = _coboundary_system(*system[1:])
+    res = minimize_bound_rhs(sys, 2)
+    assert res.value <= oracles.minimize_bound_rhs_stacked(sys, 2, OptimizerConfig())[0]
+    # one dense call on the segment (a, 1 - a), a in [0, 1]
+    a = np.linspace(0.0, 1.0, 2**14 + 1)
+    objective = _bound_objective(abs(sys.t) * sys.potential_norm)
+    assert res.value <= (1.0 + 1e-12) * objective(np.stack((a, 1.0 - a), axis=1)).min()
+    direct = schedule_bound_rhs(sys, res.minimizer).total_rhs
+    assert res.value == pytest.approx(direct, rel=1e-9)
+
+
+def test_minimize_bound_rhs_two_weights_at_t0_is_the_even_split():
+    # every row scores 0, and ties go to the even split
+    res = minimize_bound_rhs(PRESETS["qubit-z-x"](0.0), 2)
+    assert res.value == 0.0
+    assert np.array_equal(res.minimizer.weights, [0.5, 0.5])
+    assert res.near_uniform
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [600.0, 1e308])
+def test_minimize_bound_rhs_two_weights_all_overflowing_is_the_even_split(t):
+    # every row scores +inf
+    res = minimize_bound_rhs(PRESETS["qubit-z-x"](t), 2)
+    assert res.value == math.inf
+    assert np.array_equal(res.minimizer.weights, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("t", [2.0, 150.0])
+def test_minimize_bound_rhs_two_weights_long_time_is_an_endpoint(t):
+    w = minimize_bound_rhs(PRESETS["qubit-z-x"](t), 2).minimizer.weights
+    assert min(np.abs(w - [0.0, 1.0]).max(), np.abs(w - [1.0, 0.0]).max()) <= 1e-9
+
+
+def test_minimize_bound_rhs_two_weights_makes_a_fixed_number_of_calls(monkeypatch):
+    # the search's calls, one for the reversed row unless the result is
+    # the even split, and one for the 51-row certifying lattice; the
+    # descent settings are not read
+    calls = []
+    real = ergopulse.optimizer._schedule_series_terms
+
+    def counting(rows, scale):
+        calls.append(rows.shape[0])
+        return real(rows, scale)
+
+    monkeypatch.setattr(ergopulse.optimizer, "_schedule_series_terms", counting)
+    search = ergopulse.optimizer._SEARCH_CALLS
+    for t, reversed_calls in ((1.0, 0), (2.0, 1)):
+        for cfg in (OptimizerConfig(), OptimizerConfig(restarts=0, max_iters=1)):
+            calls.clear()
+            res = minimize_bound_rhs(PRESETS["qubit-z-x"](t), 2, cfg)
+            assert res.iterations_used == search
+            assert len(calls) == search + reversed_calls + 1
+            assert calls[-1] == 51
 
 
 # iterations_used of the descent that stepped rows with an infinite or NaN
