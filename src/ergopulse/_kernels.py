@@ -166,8 +166,12 @@ def chain_product(u, factors, idx):
     the mean of the two copies of each part; elsewhere a leaf is u F_k.
     Every product, leaves included, has the same operands, and is made by
     the same matmul or dot call, as in the tree that multiplies every
-    pair, so the result is bit-identical to it.  Besides the factors,
-    their transposed copy in the real form and the memo, it holds
+    pair, so the result is bit-identical to it.  factors may have any
+    strides, such as the view of its Horner buffer that
+    matrixcore.expm returns: the real form makes the one copy of the
+    stack, transposed and C-ordered, and the complex side copies none,
+    as each block gathers what it reads.  Besides the factors, their
+    transposed copy in the real form and the memo, it holds
     O(CHAIN_BLOCK d^2) memory, never an (N, d, d) stack.
 
     A product that overflows gives inf or nan entries without a warning;

@@ -163,6 +163,13 @@ class PulseSystem:
         )
 
 
+def _require_kind(value, kind: type, name: str) -> None:
+    """ValueError naming name unless value is an instance of kind, so no
+    attribute of a wrong object is ever read."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}")
+
+
 def _read_only(*arrays: np.ndarray) -> np.ndarray:
     """Mark each array read-only; returns the last."""
     for a in arrays:
@@ -222,8 +229,8 @@ def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
     -1) and X = [[0, 2000], [2000, 0]] give u e^{aX} u e^{aX} = I, yet at
     a = 1/4 the matmul of that pair adds terms of size about e^{1000}/4,
     past the float range."""
-    if not isinstance(s, Schedule):
-        raise ValueError("s must be a Schedule")
+    _require_kind(sys, PulseSystem, "sys")
+    _require_kind(s, Schedule, "s")
     # run to its end: a generator released while suspended is closed by
     # throwing GeneratorExit into it
     [p] = _pulse_products(sys, [s])
@@ -301,6 +308,7 @@ def _powers(sys: PulseSystem, ns) -> list[np.ndarray]:
 def limit_evolution(sys: PulseSystem, n: int) -> np.ndarray:
     """The n-pulse limit object e^{P(X) t} u^n, for a count n >= 1.  u^n
     is _powers' one-count case, bit-identical to np.linalg.matrix_power."""
+    _require_kind(sys, PulseSystem, "sys")
     n = matrixcore.require_count(n, "n", 1)
     return sys.limit_factor @ _powers(sys, [n])[0]
 
@@ -310,8 +318,8 @@ def control_error(sys: PulseSystem, s: Schedule) -> float:
     object at the same pulse count.  The limit comes first, so a limit
     factor that overflows raises its ValueError before the product is
     multiplied out."""
-    if not isinstance(s, Schedule):
-        raise ValueError("s must be a Schedule")
+    _require_kind(sys, PulseSystem, "sys")
+    _require_kind(s, Schedule, "s")
     limit = limit_evolution(sys, s.n)
     return matrixcore.op_norm(pulse_product(sys, s) - limit)
 
@@ -385,6 +393,7 @@ def equidistant_bound_constants(sys: PulseSystem) -> BoundBreakdown:
     """Rate constants for equidistant rows: the measured error is bounded
     by m_prime_const / N, and by m_const / N when the generator has no
     commutant component."""
+    _require_kind(sys, PulseSystem, "sys")
     m, m_prime = sys._rates
     return BoundBreakdown(m, m_prime, math.nan, math.nan, m_prime)
 
@@ -403,8 +412,8 @@ def schedule_bound_rhs(sys: PulseSystem, s: Schedule) -> BoundBreakdown:
     bound is +inf.  Generators with a commutant component are refused:
     split them with yosida_split and bound the pieces separately.
     """
-    if not isinstance(s, Schedule):
-        raise ValueError("s must be a Schedule")
+    _require_kind(sys, PulseSystem, "sys")
+    _require_kind(s, Schedule, "s")
     sys._require_coboundary()
     m, m_prime = sys._rates
     scale = abs(sys.t) * sys.potential_norm
@@ -511,8 +520,8 @@ def convergence_sweep(
     alone in its group gets control_error's bits; a row that shares one
     may differ from it by a few eps relative to the norms of its product
     and limit."""
-    if not isinstance(family, ScheduleFamily):
-        raise ValueError("family must be a ScheduleFamily")
+    _require_kind(sys, PulseSystem, "sys")
+    _require_kind(family, ScheduleFamily, "family")
     ns = [matrixcore.require_count(n, "pulse count", 2) for n in n_values]
     if len(ns) < 3:
         raise ValueError("need at least 3 pulse counts")

@@ -191,9 +191,10 @@ def expm(m, scalars=None) -> np.ndarray:
     for j = n..1 (Moler & Van Loan, SIAM Rev. 45(1), 2003, sec. 3), at
     radii r = |c| ||m||_1 <= 1.  E is held as a (d, d, k) array, so m E
     for all k slices is one (d x d) @ (d x dk) product per level, then a
-    scale by c/j and + I; the sum is copied into the spent work buffer as
-    the (k, d, d) result.  The degree n is the smallest n >= 1
-    with r^(n+1)/(n+1)! e^r <= 2^-53/24 at the largest r of the call
+    scale by c/j and + I; the (k, d, d) result is the strided view
+    E.transpose(2, 0, 1), not a copy (kernels.chain_product makes the
+    one copy its tree reads).  The degree n is the smallest n >= 1 with
+    r^(n+1)/(n+1)! e^r <= 2^-53/24 at the largest r of the call
     (_taylor_degree); the result of a slice therefore depends on the
     other slices of the call.
 
@@ -298,9 +299,9 @@ def expm(m, scalars=None) -> np.ndarray:
             big = scipy.linalg.expm(big)
         if not small.any():
             return _finite(big, "e^(c_k m)")
-        # out is filled after the Horner work buffers are freed, so a call
-        # holds at most two stacks at once, like one scipy call on all of
-        # them
+        # out is filled once Horner's other work buffer is freed, so a
+        # call holds at most two stacks at once, like one scipy call on
+        # all of them
         taylor = _taylor_horner(a, c[small], _taylor_degree(r[small].max()))
     out = np.empty((k, d, d), dtype=np.complex128)
     out[~small] = big
@@ -340,13 +341,14 @@ def _taylor_degree(r: float) -> int:
 
 
 def _taylor_horner(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    """C-ordered (k, d, d) stack of sum_{j<=n} (c_k a)^j / j!, n >= 1, by
-    Horner on E[i, l, slice]: the slice axis last makes the scale by c/j a
+    """(k, d, d) stack of sum_{j<=n} (c_k a)^j / j!, n >= 1, by Horner on
+    E[i, l, slice]: the slice axis last makes the scale by c/j a
     contiguous broadcast and the diagonals E[i, i, :] the rows 0, d + 1,
     2(d + 1), ... of the (d^2, k) view.  Each work buffer's (d, dk) and
     diagonal views are taken once, and c/j is written into one k-array,
-    so a level is four numpy calls.  The sum is copied, transposed, into
-    the spent work buffer, so a call holds two stacks at most."""
+    so a level is four numpy calls.  The stack is the view
+    E.transpose(2, 0, 1) of the last work buffer, and the other is freed
+    on return, so a call holds two stacks at most."""
     d = a.shape[0]
     k = c.shape[0]
     # the top level, I + (c/n) a I, needs no product
@@ -363,10 +365,7 @@ def _taylor_horner(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
         nxt *= np.divide(c, j, out=scale)
         diag += 1.0
         bufs.reverse()
-    (e, _, _), (spent, _, _) = bufs
-    out = spent.reshape(k, d, d)
-    np.copyto(out, e.transpose(2, 0, 1))
-    return out
+    return bufs[0][0].transpose(2, 0, 1)
 
 
 # Taylor coefficients 1/(k+2)! of phi2, k = 16 down to 0, for Horner

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._kernels import simplex_project, tv_value
 from .errors import TooLargeInstanceError
-from .evolution import PulseSystem, _schedule_series_terms
+from .evolution import PulseSystem, _require_kind, _schedule_series_terms
 from .matrixcore import require_count, require_real
 from .schedules import Schedule, equidistant
 
@@ -225,6 +225,16 @@ def _certify(n, resolution, objective, value) -> bool:
     return grid_v >= value - slack
 
 
+def _settings(config) -> OptimizerConfig:
+    """config, or the defaults where it is None; ValueError for anything
+    else, a falsy {} included."""
+    if config is None:
+        return OptimizerConfig()
+    if not isinstance(config, OptimizerConfig):
+        raise ValueError("config must be an OptimizerConfig or None")
+    return config
+
+
 def _starts(n: int, cfg: OptimizerConfig) -> np.ndarray:
     """The barycenter followed by cfg.restarts seeded Dirichlet rows."""
     rng = np.random.default_rng(cfg.seed)
@@ -249,7 +259,7 @@ def minimize_tv(n: int, config: OptimizerConfig | None = None) -> OptimizationRe
     resolution >= 1/499,999 (at n = 2), so _certify's slack
     4 resolution max(1, value) >= 8e-6 always covers the rounding.
     """
-    cfg = config or OptimizerConfig()
+    cfg = _settings(config)
     _steps, size = _lattice_size(n, cfg.grid_resolution)
     row = equidistant(n)
     return OptimizationResult(
@@ -383,7 +393,8 @@ def minimize_bound_rhs(
     objective is piecewise smooth in the weights).
     """
     n = require_count(n, "n", 2)
-    cfg = config or OptimizerConfig()
+    cfg = _settings(config)
+    _require_kind(sys, PulseSystem, "sys")
     sys._require_coboundary()
     scale = abs(sys.t) * sys.potential_norm
 

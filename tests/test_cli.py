@@ -960,12 +960,17 @@ def test_a_reused_parser_answers_as_a_fresh_one(tmp_path, capsys):
 # ---------------------------------------------------------------- README
 
 
+def _readme_blocks(language):
+    """The bodies of the README's fenced blocks in language, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(rf"```{language}\n(.*?)```", readme, re.S)
+
+
 def _readme_commands():
     """Each `ergopulse ...` command of the README's sh blocks, with its
     backslash continuations joined, as an argv list."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+    for block in _readme_blocks("sh"):
         for line in block.replace("\\\n", " ").splitlines():
             if line.startswith("ergopulse "):
                 commands.append(shlex.split(line, comments=True)[1:])
@@ -990,3 +995,17 @@ def test_readme_cli_example_runs(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, _, err = _run(capsys, *argv)
     assert code == 0, err
+
+
+README_PYTHON = _readme_blocks("python")
+
+
+def test_readme_has_a_python_quick_start():
+    assert README_PYTHON
+
+
+@pytest.mark.parametrize("source", README_PYTHON)
+def test_readme_python_example_runs(tmp_path, monkeypatch, source):
+    # each python block runs as written, its asserts included
+    monkeypatch.chdir(tmp_path)
+    exec(compile(source, "README.md", "exec"), {"__name__": "readme"})

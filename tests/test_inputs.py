@@ -16,8 +16,10 @@ from ergopulse import (
     Schedule,
     cesaro_mean,
     cohen_uniformity_probe,
+    control_error,
     convergence_sweep,
     equidistant,
+    equidistant_bound_constants,
     equidistant_family,
     exp_product_defect_bound,
     from_cdf,
@@ -28,7 +30,9 @@ from ergopulse import (
     minimize_tv,
     pathological,
     pathological_tv_exact,
+    pulse_product,
     random_unitary,
+    schedule_bound_rhs,
     schedule_from_json_dict,
     simplex_lattice,
     spectrum,
@@ -138,6 +142,46 @@ def test_bad_counts_reals_and_times_raise_value_error(call, value):
 def test_probe_k_grid_must_be_iterable(k_grid):
     with pytest.raises(ValueError, match="k_grid"):
         cohen_uniformity_probe(uhrig_family(), 16, k_grid)
+
+
+# every entry point that takes a system or optimizer settings, with its
+# other arguments valid
+SYSTEM_SITES = {
+    "pulse_product": lambda v: pulse_product(v, equidistant(4)),
+    "control_error": lambda v: control_error(v, equidistant(4)),
+    "limit_evolution": lambda v: limit_evolution(v, 4),
+    "schedule_bound_rhs": lambda v: schedule_bound_rhs(v, equidistant(4)),
+    "equidistant_bound_constants": equidistant_bound_constants,
+    "convergence_sweep": lambda v: convergence_sweep(
+        v, equidistant_family(), [4, 8, 16]
+    ),
+    "minimize_bound_rhs": lambda v: minimize_bound_rhs(v, 2),
+}
+CONFIG_SITES = {
+    "minimize_tv": lambda v: minimize_tv(3, v),
+    "minimize_bound_rhs": lambda v: minimize_bound_rhs(SYS, 2, v),
+}
+BAD_SYSTEMS = (None, {}, (U, X), U)
+BAD_CONFIGS = ({}, {"restarts": 2}, False, "default", (12, 250, 0.02, 0))
+OBJECT_TABLE = [
+    (name, call, value, "sys must be a PulseSystem")
+    for name, call, value in _cases(SYSTEM_SITES, BAD_SYSTEMS)
+] + [
+    (name, call, value, "config must be an OptimizerConfig or None")
+    for name, call, value in _cases(CONFIG_SITES, BAD_CONFIGS)
+]
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    [case[1:] for case in OBJECT_TABLE],
+    ids=[case[0] for case in OBJECT_TABLE],
+)
+def test_bad_systems_and_configs_raise_value_error(call, value, message):
+    # refused by kind before any attribute is read, where an AttributeError
+    # or, for a falsy config, the defaults would follow
+    with pytest.raises(ValueError, match=message):
+        call(value)
 
 
 def test_numpy_counts_and_reals_give_the_same_bits():

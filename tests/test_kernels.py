@@ -285,6 +285,32 @@ def test_chain_product_matches_unshared_tree_bit_for_bit():
             assert np.array_equal(got, want), (d, n, kind)
 
 
+@pytest.mark.parametrize("d", [1, 2, 8, REAL_FORM_DIMS[-1], REAL_FORM_DIMS[-1] + 1, 16])
+def test_chain_product_reads_expm_stacks_as_c_ordered_copies(d):
+    # expm's Taylor side returns a strided view of its Horner buffer; the
+    # tree reads it as it reads a C-ordered copy, byte for byte, on both
+    # sides of the real form and on rows of one weight, of few weights
+    # (k^2 < h, so pairs are shared) and of all-distinct weights
+    rng = np.random.default_rng([d, 61])
+    u = random_unitary(d, seed=d)
+    h = _random_complex(rng, d)
+    # ||x||_1 <= 1/2 and |weight t| < 1: every slice takes the Taylor side
+    x = -0.25j * (h + h.conj().T) / np.abs(h).sum(axis=0).max()
+    for n in (2, 7, CHAIN_BLOCK + 1, 1500):
+        for kind, weights in [
+            ("equal", np.full(n, 1.0 / n)),
+            ("few-weight", rng.choice([0.1, 0.25, 0.4], size=n)),
+            ("all-distinct", rng.uniform(0.0, 1.0, size=n)),
+        ]:
+            values, idx = np.unique(weights, return_inverse=True)
+            factors = expm(x, values * (0.7 - 0.3j))
+            # the slices interleave: the slice axis is the buffer's last
+            assert factors.strides[0] == factors.itemsize
+            got = chain_product(u, factors, idx)
+            want = chain_product(u, np.ascontiguousarray(factors), idx)
+            assert got.tobytes() == want.tobytes(), (n, kind)
+
+
 # pulse products of Uhrig rows at N = 4096, one hash per line: three
 # dimensions of the real form and one past it
 PULSE_PRODUCT_HASHES = (
