@@ -40,16 +40,17 @@ part of an entry is held twice in W(m), and the two copies drift apart
 by a rounding or so over the tree; the result reads back their mean,
 re = (W[2i, 2j] + W[2i+1, 2j+1]) / 2 and
 im = (W[2i, 2j+1] - W[2i+1, 2j]) / 2.  Elsewhere the leaves are the
-complex products u F_k.  Besides the factors, their transposed copy in
-the real form (the size of the factors) and the memo, which holds one
+complex products u F_k.  Besides the factors, their transposed form in
+the real form (the factors' own stack when they come from the Taylor
+side of matrixcore.expm, else a copy of their size) and the memo, which holds one
 result and one CHAIN_BLOCK-index key per distinct block (at most the
 size of the index row), the tree holds O(CHAIN_BLOCK d^2) memory.
 
 simplex_project and tv_value, the optimizer kernels, work on stacks of
 rows with whole-array operations; tv_value is the package's one
 total-variation sum.  Matrix exponentials are not a kernel here: they
-live in matrixcore.expm, whose scalar-multiples form runs the Taylor
-factors of pulse_product as one matrix product per Horner level.
+live in matrixcore.expm, whose scalar-multiples form makes the Taylor
+factors of pulse_product in one matrix product from shared powers.
 """
 
 from __future__ import annotations
@@ -167,11 +168,11 @@ def chain_product(u, factors, idx):
     Every product, leaves included, has the same operands, and is made by
     the same matmul or dot call, as in the tree that multiplies every
     pair, so the result is bit-identical to it.  factors may have any
-    strides, such as the view of its Horner buffer that
-    matrixcore.expm returns: the real form makes the one copy of the
-    stack, transposed and C-ordered, and the complex side copies none,
-    as each block gathers what it reads.  Besides the factors, their
-    transposed copy in the real form and the memo, it holds
+    strides.  The real form reads the stack transposed and C-ordered:
+    the stack itself where factors is the transposed view that
+    matrixcore.expm's Taylor side returns, and a copy otherwise.  The
+    complex side copies nothing, as each block gathers what it reads.
+    Besides the factors, any transposed copy and the memo, it holds
     O(CHAIN_BLOCK d^2) memory, never an (N, d, d) stack.
 
     A product that overflows gives inf or nan entries without a warning;

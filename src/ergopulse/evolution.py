@@ -29,7 +29,7 @@ from os import PathLike
 import numpy as np
 
 from . import matrixcore
-from ._kernels import CHAIN_BLOCK, chain_product, tv_value
+from ._kernels import chain_product, tv_value
 from .ergodic import (
     DEFAULT_CLUSTER_TOL,
     UnitarySpectrum,
@@ -219,10 +219,11 @@ class ConvergenceReport:
 
 def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
     """The interleaved product u e^{a_1 X t} u e^{a_2 X t} ... u e^{a_n X t},
-    multiplied left to right: the one-row case of _pulse_products.  The
-    factors of the distinct weights are one matrixcore.expm call, and
-    kernels.chain_product multiplies the row out; their docstrings give
-    the method, its cost and its error.
+    multiplied left to right.  The factors of the row's distinct weights
+    are one matrixcore.expm call, and kernels.chain_product multiplies
+    the row out; their docstrings give the method, its cost and its
+    error.  The factors depend on the row alone: no two rows share an
+    expm call, whose rounding may follow a slice's place in it.
 
     ValueError if a factor or a product of factors overflows, which the
     tree's products can do where the exact product is finite: u = diag(1,
@@ -231,57 +232,17 @@ def pulse_product(sys: PulseSystem, s: Schedule) -> np.ndarray:
     past the float range."""
     _require_kind(sys, PulseSystem, "sys")
     _require_kind(s, Schedule, "s")
-    # run to its end: a generator released while suspended is closed by
-    # throwing GeneratorExit into it
-    [p] = _pulse_products(sys, [s])
+    values = np.unique(s.weights)
+    factors = matrixcore.expm(sys.generator, values * sys.t)
+    # searchsorted rather than return_inverse: np.unique's inverse holds
+    # several N-length temporaries at once
+    p = chain_product(sys.u, factors, np.searchsorted(values, s.weights))
+    if not np.isfinite(p).all():
+        raise ValueError(
+            "the pulse product overflows: a product of its factors came "
+            "out non-finite"
+        )
     return p
-
-
-def _pulse_products(sys: PulseSystem, rows):
-    """pulse_product(sys, row) for each of one or more rows in turn, a
-    generator.
-
-    Consecutive rows are grouped greedily while their counts of distinct
-    weights total at most CHAIN_BLOCK; a row with more distinct weights
-    is a group of its own.  Each group is one matrixcore.expm call on its
-    rows' distinct weights, one row after another, so each row's factors
-    are a slice of the stack, a view; a weight that two rows share is
-    exponentiated for each.  The stack is freed before the next group's
-    call.  A row alone in its group gets the stack and the bits of
-    pulse_product.  A row of a larger group may get factors that differ
-    in the last bits, since the Taylor degree is that of the group's
-    largest weight and each Horner product spans the group's slices."""
-    group, total = [], 0
-    for row in rows:
-        values = np.unique(row.weights)
-        if group and total + values.shape[0] > CHAIN_BLOCK:
-            yield from _group_products(sys, group)
-            group, total = [], 0
-        group.append((row, values))
-        total += values.shape[0]
-    yield from _group_products(sys, group)
-
-
-def _group_products(sys: PulseSystem, group) -> list[np.ndarray]:
-    """The pulse products of a group of (row, its sorted distinct
-    weights) pairs, each from chain_product, or ValueError if one
-    overflows."""
-    weights = np.concatenate([values for _row, values in group])
-    factors = matrixcore.expm(sys.generator, weights * sys.t)
-    out, stop = [], 0
-    for row, values in group:
-        start, stop = stop, stop + values.shape[0]
-        # searchsorted rather than return_inverse: np.unique's inverse
-        # holds several N-length temporaries at once
-        idx = np.searchsorted(values, row.weights)
-        p = chain_product(sys.u, factors[start:stop], idx)
-        if not np.isfinite(p).all():
-            raise ValueError(
-                "the pulse product overflows: a product of its factors came "
-                "out non-finite"
-            )
-        out.append(p)
-    return out
 
 
 def _powers(sys: PulseSystem, ns) -> list[np.ndarray]:
@@ -513,13 +474,13 @@ def convergence_sweep(
     The bound route (see ConvergenceReport) is read from the system and
     the rows, never from the family.
 
-    The errors are control_error's, computed as one batch: the limit
-    factor first, every u^n from the system's ladder of squarings
-    (_powers, the bits of np.linalg.matrix_power), and the pulse products
-    by groups of rows that share an expm call (_pulse_products).  A row
-    alone in its group gets control_error's bits; a row that shares one
-    may differ from it by a few eps relative to the norms of its product
-    and limit."""
+    The errors are control_error's, bit for bit, computed as one batch:
+    the limit factor first, every u^n from the system's ladder of
+    squarings (_powers, the bits of np.linalg.matrix_power), each row's
+    pulse_product, its expm stack freed before the next row's call, and
+    the operator norms of all the differences in one stacked SVD call,
+    which gives op_norm's bits.  A difference with a non-finite entry
+    raises op_norm's ValueError."""
     _require_kind(sys, PulseSystem, "sys")
     _require_kind(family, ScheduleFamily, "family")
     ns = [matrixcore.require_count(n, "pulse count", 2) for n in n_values]
@@ -532,10 +493,12 @@ def convergence_sweep(
     # the limit factor first, as in control_error: its overflow is the
     # error reported, before any pulse product is multiplied out
     limits = [sys.limit_factor @ p for p in _powers(sys, ns)]
-    errors = [
-        matrixcore.op_norm(p - limit)
-        for p, limit in zip(_pulse_products(sys, rows), limits)
-    ]
+    diffs = np.empty((len(ns), sys.dim, sys.dim), dtype=np.complex128)
+    for row, limit, diff in zip(rows, limits, diffs):
+        np.subtract(pulse_product(sys, row), limit, out=diff)
+        if not np.isfinite(diff).all():
+            raise ValueError("matrix contains non-finite entries")
+    errors = np.linalg.svd(diffs, compute_uv=False)[:, 0].tolist()
     if sys.is_coboundary:
         route = "schedule"
         bounds = [schedule_bound_rhs(sys, row) for row in rows]

@@ -6,12 +6,13 @@ matrices.
 
 Everything operates on square complex128 arrays of dimension at most
 MAX_DIM.  expm also takes one matrix and many scalar multiples; the
-small multiples share a truncated Taylor sum evaluated for all of them
-at once, one matrix product per Horner level, and one matrix of any
-norm is scaled into that sum's radius and squared back.  Public entry
-points validate and normalize their inputs with as_operator,
-require_count, require_real and require_pair, so downstream code can
-assume clean, C-contiguous data and plain ints and finite floats.
+small multiples share a truncated Taylor sum, a combination of the
+matrix's powers formed once for all of them in one matrix product, and
+one matrix of any norm is scaled into that sum's radius and squared
+back.  Public entry points validate and normalize their inputs with
+as_operator, require_count, require_real and require_pair, so
+downstream code can assume clean, C-contiguous data and plain ints and
+finite floats.
 
 The module needs numpy alone on import, and expm(m) numpy alone at any
 norm: only expm's scalar multiples past the Taylor radius import
@@ -187,59 +188,73 @@ def expm(m, scalars=None) -> np.ndarray:
     scalars c, the (k, d, d) stack of the e^(c_k m).
 
     Taylor side.  Both forms share one truncated Taylor sum
-    T_n(c m) = sum_{j<=n} (c m)^j / j!, by Horner, E <- I + (c/j) m E
-    for j = n..1 (Moler & Van Loan, SIAM Rev. 45(1), 2003, sec. 3), at
-    radii r = |c| ||m||_1 <= 1.  E is held as a (d, d, k) array, so m E
-    for all k slices is one (d x d) @ (d x dk) product per level, then a
-    scale by c/j and + I; the (k, d, d) result is the strided view
-    E.transpose(2, 0, 1), not a copy (kernels.chain_product makes the
-    one copy its tree reads).  The degree n is the smallest n >= 1 with
-    r^(n+1)/(n+1)! e^r <= 2^-53/24 at the largest r of the call
-    (_taylor_degree); the result of a slice therefore depends on the
-    other slices of the call.
+    T_n(c m) = sum_{j<=n} (c m)^j / j!, at radii r = |c| ||m||_1 <= 1,
+    formed from shared powers (Moler & Van Loan, SIAM Rev. 45(1), 2003,
+    sec. 3; _taylor_powers).  With ||m||_1 = f 2^e, 1/2 <= f < 1, the
+    powers of b = 2^-e m and of z_k = 2^e c_k (exact scalings, but for
+    results below the normal range) are formed by doubling, in about
+    log2 n stacked products each, and sum_j z_k^j (b^T)^j / j! for all k
+    is one (k x n) @ (n x d^2) product, with I added to the diagonals
+    after it: n d^2 k complex multiply-adds in one BLAS call for the
+    stack, and O(n (d^3 + k)) for the powers.  A call holds one stack,
+    the (n, k) table of the z_k^j and O(n d^2) more.  The stack is
+    C-ordered and holds the T_n(c_k m)^T; the result is its view
+    transposed, not a copy (kernels.chain_product's real form reads the
+    stack itself).  The
+    degree n is the smallest n >= 1 with r^(n+1)/(n+1)! e^r <= 2^-53/24
+    at the largest r of the call (_taylor_degree), so n <= 19.  A slice's
+    result therefore depends on the other slices of the call: on their
+    largest r, and, bit by bit, on its position in the product, whose
+    rounding BLAS may order by the shape of the call.  |z_k| <= 2(1 + u)
+    and ||b||_1 < 1, so no power, term or sum overflows, whatever ||m||_1
+    is.
 
     Its error, in the 1-norm, with u = 2^-53 and r <= 1.  Truncation:
     ||e^(cm) - T_n|| <= r^(n+1)/(n+1)! e^r <= u/24.  _taylor_degree
     tests the tail against u/32, so that this holds for the exact radius
     although r and the tail are rounded: an r low by k ulps raises the
     tail by a factor of about 1 + (n + 2) k u.  Rounding, to first order
-    in u: one level adds
-    F_j with ||F_j|| <= kappa u (r/j) ||E_j|| + u ||E_(j-1)||, where
-    kappa = 1 + sqrt(2)(d + 4) gathers the complex inner products of the
-    product (sqrt(2) gamma_(d+2)), c/j (u) and the scaling (sqrt(2)
-    gamma_2), and u is the + I.  The later levels carry F_j to the result
-    through c^(j-1) m^(j-1) / (j-1)!, and every ||E_j|| <= e^r, so the
-    rounding error is at most eps0 = u e^r (kappa (e^r - 1) + e^r): 52u
-    at r = 1 and d = 2, about (kappa r + 1) u as r -> 0.  Measured, the
-    slices lie within 2 eps of scipy.linalg.expm in the spectral norm.
+    in u, with gamma = sqrt(2) gamma_(d+2) bounding the error of a
+    complex matrix product relative to the product of its factors'
+    norms: a power j formed by doubling is j - 1 products deep, so b^j
+    errs by at most (j - 1) gamma f^j and z^j by (j - 1) sqrt(2) gamma_2
+    |z|^j (complex products); the scale by a rounded 1/j! adds 2u; the
+    length-n complex inner products of the stacked product add
+    sqrt(2) gamma_(n+2) sum_j r^j / j! <= sqrt(2) gamma_(n+2) (e^r - 1);
+    and the + I adds u e^r.  As f^j |z|^j = r^j and
+    sum_j (j - 1) r^j / j! = (r - 1) e^r + 1, the rounding error is at
+    most eps0 = ((r - 1) e^r + 1)(gamma + sqrt(2) gamma_2)
+    + (e^r - 1)(2u + sqrt(2) gamma_(n+2)) + u e^r: 66u at r = 1, d = 2
+    and n = 19, and about u + (2u + sqrt(2) gamma_(n+2)) r as r -> 0.
+    The product sums each slice's terms from the highest power down, the
+    smallest first, which measured more accurate than the other order
+    (BENCH_taylor_powers.json).
 
     expm(m): scaling and squaring around the Taylor side (Moler & Van
     Loan, sec. 3; Higham, SIMAX 26(4), 2005).  With r = ||m||_1, s is the
     smallest integer >= 0 with r 2^-s <= 1 (_squarings, exact), X_0 is
-    T_n(2^-s m), the Taylor side with c = 1 on 2^-s m, a matrix of
-    1-norm r 2^-s <= 1 (above 1/2 if s > 0), and X_(i+1) = X_i X_i for
-    i < s.  The scaling by 2^-s is exact but for entries it takes below
-    the normal range, which move X_0 by under 2^-1074 each.  For r <= 1,
-    s = 0 and expm(m) equals expm(m, [1.0])[0] bit for bit.  No
-    normality test picks a method, so a small non-normal matrix keeps
+    T_n(2^-s m), the Taylor side at c = 2^-s, a matrix of 1-norm
+    r 2^-s <= 1 (above 1/2 if s > 0), and X_(i+1) = X_i X_i for i < s.
+    The scalings by powers of 2 are exact but for entries they take
+    below the normal range, which move X_0 by under 2^-1074 each.  For r <= 1,
+    s = 0 and expm(m) equals expm(m, [1.0])[0] bit for bit, C-ordered.
+    No normality test picks a method, so a small non-normal matrix keeps
     its off-diagonal first-order term.
 
-    Error of the squarings, to first order in u.  Let beta = e^(r 2^-s),
-    so ||e^(2^(i-s) m)|| <= beta^(2^i), and let gamma = sqrt(2) gamma_(d+2)
-    bound the rounding of one complex product relative to the product
-    of the norms of its factors.  An error e_i of X_i grows to
-    e_(i+1) <= 2 beta^(2^i) e_i + gamma beta^(2^(i+1)), so
-    ||X_s - e^m|| <= (2^s eps0 / beta + (2^s - 1) gamma) beta^(2^s)
+    Error of the squarings, to first order in u, with gamma as above.
+    Let beta = e^(r 2^-s), so ||e^(2^(i-s) m)|| <= beta^(2^i).  An error
+    e_i of X_i grows to e_(i+1) <= 2 beta^(2^i) e_i + gamma beta^(2^(i+1)),
+    so ||X_s - e^m|| <= (2^s eps0 / beta + (2^s - 1) gamma) beta^(2^s)
     <= 2r (eps0 + gamma) e^r for s >= 1, as 2^s < 2r and beta >= 1;
     for s = 0 it is eps0.  Relative to ||e^m|| that is about
     2r (eps0 + gamma) where ||e^m|| is near e^||m||; where it is far
     smaller (a skew-Hermitian m, say) the squarings may lose more, as
     with any squaring method (Moler & Van Loan, sec. 3), and the bound
-    is loose.  Measured against 40-digit
-    mpmath, on dense, strictly upper-triangular and skew-Hermitian m
-    with d <= 8 and r <= 32, the spectral-norm error relative to
-    ||e^m|| was at most 22 eps (scipy.linalg.expm: 13 eps), and the
-    tests hold it to 64 eps.
+    is loose.  Measured against 40-digit mpmath, on dense, strictly
+    upper-triangular and skew-Hermitian m with d <= 8 and r <= 32, the
+    spectral-norm error relative to ||e^m|| was at most 17 eps over six
+    seeds of 96 matrices (scipy.linalg.expm: 45 eps;
+    BENCH_taylor_powers.json), and the tests hold it to 64 eps.
 
     The scalar-multiples form sends every c_k with r_k > 1 to
     scipy.linalg.expm, in one call on their stack: scaling and squaring
@@ -247,12 +262,12 @@ def expm(m, scalars=None) -> np.ndarray:
     1-norm estimates (Al-Mohy & Higham, SIMAX 31(3), 2009).  scipy.linalg
     is imported by the first call that reaches it, so a process that
     calls expm(m) and expm(m, scalars) with r_k <= 1 only never loads
-    scipy.
+    scipy.  A call with such slices returns a C-ordered stack.
 
     A scalar array that is not 1-D, is empty or holds a non-finite value,
-    and a product c_k m that overflows, raise ValueError.  So does an
-    exponential that overflows: an ||m||_1 that is not finite, or a
-    result with a non-finite entry.
+    and a product c_k m past the radius that overflows, raise ValueError.
+    So does an exponential that overflows: an ||m||_1 that is not finite,
+    or a result with a non-finite entry.
     """
     a = as_operator(m)
     if scalars is None:
@@ -264,9 +279,9 @@ def expm(m, scalars=None) -> np.ndarray:
                 "the matrix exponential overflows: ||m||_1 is not finite"
             )
         s = _squarings(r)
-        degree = _taylor_degree(math.ldexp(r, -s))
-        one = np.ones(1, dtype=np.complex128)
-        e = _taylor_horner(a * math.ldexp(1.0, -s), one, degree)[0]
+        scale = np.full(1, math.ldexp(1.0, -s), dtype=np.complex128)
+        e = _taylor_powers(a, scale, _taylor_degree(math.ldexp(r, -s)), r)
+        e = e[0].T.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(s):
                 e = e @ e
@@ -277,35 +292,32 @@ def expm(m, scalars=None) -> np.ndarray:
     d = a.shape[0]
     k = c.shape[0]
     # an r or a product that overflows is caught below: r = inf or nan
-    # (0 inf) is not small, so the product lands in big; m E in the Taylor
-    # sum may overflow where |c_k| is tiny and ||m||_1 near the float
-    # range
+    # (0 inf) is not small, so the product lands in big
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.abs(c) * np.abs(a).sum(axis=0).max()
-        top = r.max()
+        norm = float(np.abs(a).sum(axis=0).max())
+        r = np.abs(c) * norm
+        top = float(r.max())
         if top <= 1.0:
-            # every slice inside the radius: no masks and no scatter
-            taylor = _taylor_horner(a, c, _taylor_degree(float(top)))
-            return _finite(taylor, "e^(c_k m)")
+            # every slice inside the radius: no masks, no scatter, and no
+            # overflow to check for
+            taylor = _taylor_powers(a, c, _taylor_degree(top), norm)
+            return taylor.transpose(0, 2, 1)
         small = r <= 1.0
         big = c[~small, None, None] * a
     if not np.isfinite(big).all():
         raise ValueError("c_k m contains non-finite entries")
-    # e^(c_k m) may overflow past the radius, as may m E
+    # e^(c_k m) may overflow past the radius
     with np.errstate(over="ignore", invalid="ignore"):
         if big.shape[0]:
             import scipy.linalg
 
             big = scipy.linalg.expm(big)
-        if not small.any():
-            return _finite(big, "e^(c_k m)")
-        # out is filled once Horner's other work buffer is freed, so a
-        # call holds at most two stacks at once, like one scipy call on
-        # all of them
-        taylor = _taylor_horner(a, c[small], _taylor_degree(r[small].max()))
+    if not small.any():
+        return _finite(big, "e^(c_k m)")
     out = np.empty((k, d, d), dtype=np.complex128)
     out[~small] = big
-    out[small] = taylor
+    taylor = _taylor_powers(a, c[small], _taylor_degree(r[small].max()), norm)
+    out[small] = taylor.transpose(0, 2, 1)
     return _finite(out, "e^(c_k m)")
 
 
@@ -340,32 +352,46 @@ def _taylor_degree(r: float) -> int:
     return n
 
 
-def _taylor_horner(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    """(k, d, d) stack of sum_{j<=n} (c_k a)^j / j!, n >= 1, by Horner on
-    E[i, l, slice]: the slice axis last makes the scale by c/j a
-    contiguous broadcast and the diagonals E[i, i, :] the rows 0, d + 1,
-    2(d + 1), ... of the (d^2, k) view.  Each work buffer's (d, dk) and
-    diagonal views are taken once, and c/j is written into one k-array,
-    so a level is four numpy calls.  The stack is the view
-    E.transpose(2, 0, 1) of the last work buffer, and the other is freed
-    on return, so a call holds two stacks at most."""
+# 1/j! for j = 19 down to 1, 19 = _taylor_degree(1.0) being the
+# highest degree of the Taylor side.  A tuple, as _PHI2_TAYLOR is: an
+# import-time array moves the heap layout that the N = 1e5 temporaries
+# of cesaro's jobs are sensitive to (see _kernels._right_factor)
+_INV_FACTORIALS = tuple(1 / math.factorial(j) for j in range(19, 0, -1))
+
+
+def _taylor_powers(a: np.ndarray, c: np.ndarray, n: int, norm: float) -> np.ndarray:
+    """C-ordered (k, d, d) stack of T_n(c_k a)^T = sum_{j<=n} (c_k a^T)^j / j!,
+    for 1 <= n <= 19, norm = ||a||_1 and every |c_k| norm <= 1 (expm).
+
+    With norm = f 2^e, 1/2 <= f < 1 (f = e = 0 for a = 0, where n = 1),
+    the powers of B = 2^-e a^T and of z_k = 2^e c_k are formed by
+    doubling: powers m + 1 .. m + h are power m times powers 1 .. h,
+    h <= m, one stacked matmul of (d, d) tables and one multiply of
+    k-rows per step.  Row n - j of the (n, d, d) table q and of the (n, k)
+    table t holds power j, so the one product t^T @ q sums each slice's
+    terms from the smallest up.  The rows of q are scaled by 1/j! first,
+    and I is added to the diagonals of the product last."""
     d = a.shape[0]
     k = c.shape[0]
-    # the top level, I + (c/n) a I, needs no product
-    scale = c / n
-    e = a[:, :, None] * scale
-    bufs = [
-        (x, x.reshape(d, d * k), x.reshape(d * d, k)[:: d + 1])
-        for x in (e, np.empty_like(e))
-    ]
-    bufs[0][2][...] += 1.0
-    for j in range(n - 1, 0, -1):
-        (_, prev, _), (nxt, flat, diag) = bufs
-        np.matmul(a, prev, out=flat)
-        nxt *= np.divide(c, j, out=scale)
-        diag += 1.0
-        bufs.reverse()
-    return bufs[0][0].transpose(2, 0, 1)
+    e = math.frexp(norm)[1]
+    q = np.empty((n, d, d), dtype=np.complex128)
+    t = np.empty((n, k), dtype=np.complex128)
+    q[-1] = a.T
+    t[-1] = c
+    for x, shift in ((q[-1], -e), (t[-1], e)):
+        np.ldexp(x.view(np.float64), shift, out=x.view(np.float64))
+    m = 1
+    while m < n:
+        h = min(m, n - m)
+        np.matmul(q[n - m], q[n - h :], out=q[n - m - h : n - m])
+        np.multiply(t[n - m], t[n - h :], out=t[n - m - h : n - m])
+        m += h
+    q *= np.array(_INV_FACTORIALS[19 - n :])[:, None, None]
+    out = np.empty((k, d, d), dtype=np.complex128)
+    flat = out.reshape(k, d * d)
+    np.matmul(t.T, q.reshape(n, d * d), out=flat)
+    flat[:, :: d + 1] += 1.0
+    return out
 
 
 # Taylor coefficients 1/(k+2)! of phi2, k = 16 down to 0, for Horner

@@ -318,14 +318,10 @@ def test_sweep_with_an_overflowing_pulse_product_exits_2(tmp_path, capsys, famil
     assert stdout == "" and not out.exists()
 
 
-@pytest.mark.parametrize("family, calls", [("uniform", 2), ("uhrig", 6)])
-def test_sweep_makes_one_expm_call_per_group_of_rows(
-    tmp_path, capsys, monkeypatch, family, calls
-):
-    # the limit factor, then one call per group of rows whose distinct
-    # weights total at most CHAIN_BLOCK = 256: the nine uniform rows are
-    # one group, the Uhrig rows N = 16..256 (8 + 16 + ... + 128 weights)
-    # one and N = 512..4096 one each
+@pytest.mark.parametrize("family", ["uniform", "uhrig"])
+def test_sweep_makes_one_expm_call_per_row(tmp_path, capsys, monkeypatch, family):
+    # the limit factor, then one call per row: the nine rows N = 16..4096
+    # share none, whatever their counts of distinct weights
     expm = matrixcore.expm
     seen = []
 
@@ -338,7 +334,7 @@ def test_sweep_makes_one_expm_call_per_group_of_rows(
     argv = ["sweep", "--system", "qubit-z-x", "--family", family, "--n"]
     code, _, _ = _run(capsys, *argv, "16:4096:geometric", "--out", out)
     assert code == 0
-    assert len(seen) == calls
+    assert len(seen) == 1 + 9
 
 
 def test_sweep_rejects_unknown_system_and_family(tmp_path, capsys):

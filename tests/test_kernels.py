@@ -287,10 +287,11 @@ def test_chain_product_matches_unshared_tree_bit_for_bit():
 
 @pytest.mark.parametrize("d", [1, 2, 8, REAL_FORM_DIMS[-1], REAL_FORM_DIMS[-1] + 1, 16])
 def test_chain_product_reads_expm_stacks_as_c_ordered_copies(d):
-    # expm's Taylor side returns a strided view of its Horner buffer; the
-    # tree reads it as it reads a C-ordered copy, byte for byte, on both
-    # sides of the real form and on rows of one weight, of few weights
-    # (k^2 < h, so pairs are shared) and of all-distinct weights
+    # expm's Taylor side returns a C-ordered stack of the transposed
+    # factors, viewed transposed; the tree reads it as it reads a
+    # C-ordered copy, byte for byte, on both sides of the real form and on
+    # rows of one weight, of few weights (k^2 < h, so pairs are shared)
+    # and of all-distinct weights
     rng = np.random.default_rng([d, 61])
     u = random_unitary(d, seed=d)
     h = _random_complex(rng, d)
@@ -304,8 +305,9 @@ def test_chain_product_reads_expm_stacks_as_c_ordered_copies(d):
         ]:
             values, idx = np.unique(weights, return_inverse=True)
             factors = expm(x, values * (0.7 - 0.3j))
-            # the slices interleave: the slice axis is the buffer's last
-            assert factors.strides[0] == factors.itemsize
+            # the real form's transposed copy is the stack itself
+            transposed = np.ascontiguousarray(factors.transpose(0, 2, 1))
+            assert np.shares_memory(transposed, factors)
             got = chain_product(u, factors, idx)
             want = chain_product(u, np.ascontiguousarray(factors), idx)
             assert got.tobytes() == want.tobytes(), (n, kind)

@@ -255,7 +255,11 @@ def test_expm_within_the_radius_is_the_taylor_side_bit_for_bit():
             # less 4 ulps, so the rounded norm stays <= 1
             m = g * (r / norm1 * (1.0 - 4 * EPS))
             assert np.abs(m).sum(axis=0).max() <= 1.0
-            assert np.array_equal(expm(m), expm(m, [1.0])[0])
+            e = expm(m)
+            # C-ordered, though the Taylor side's stack holds e^T
+            assert e.flags.c_contiguous
+            assert np.array_equal(e, expm(m, [1.0])[0])
+        assert expm(g).flags.c_contiguous
     # ||m||_1 = 1 exactly
     m = np.array([[0.5, 0.5j], [-0.5, 0.0]])
     assert np.array_equal(expm(m), expm(m, [1.0])[0])
@@ -276,12 +280,16 @@ def test_expm_overflow_is_a_value_error():
     for scalars in ([800.0], [0.1, 800.0]):
         with pytest.raises(ValueError, match="overflows: e\\^\\(c_k m\\)"):
             expm([[1.0, 0.0], [0.0, 0.5]], scalars)
-    # m E of the Taylor sum overflows at a tiny c and ||m||_1 near the
-    # float range; e^(c m) itself is finite, and so is the single form's
+    # the Taylor side scales m and c by powers of 2 before it forms their
+    # powers: a tiny c on an ||m||_1 near the float range, and a huge c on
+    # a tiny m, give the finite e^(c m) of the single form
     a = np.array([[1.7e308, 1.7e308], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="overflows: e\\^\\(c_k m\\)"):
-        expm(a, [5.8e-309])
+    assert_allclose(expm(a, [5.8e-309])[0], expm(a * 5.8e-309), rtol=1e-14)
     assert_allclose(expm(a * 5.8e-309), expm(a * 5.8e-309, [1.0])[0])
+    tiny = np.array([[1.0, 1j], [0.0, -1.0]]) * 2.0**-600
+    assert_allclose(
+        expm(tiny, [0.45 * 2.0**600])[0], expm(tiny * (0.45 * 2.0**600)), rtol=1e-14
+    )
     # decay past the float range underflows to 0 without a warning
     assert_allclose(expm(np.diag([-800.0, 0.0])), np.diag([0.0, 1.0]), atol=0)
     assert_allclose(expm(-a), [[0.0, -1.0], [0.0, 1.0]], atol=1e-15)
@@ -327,11 +335,12 @@ def test_expm_multiples_match_40_digit_mpmath():
     digits, relative in the spectral norm, where the degree rule drops
     the most levels: one call per radius r = |c| ||a||_1 in {1e-8, 1e-5,
     1e-3, 0.1, 1} (degrees 2, 3, 5, 10 and 19), on dense and strictly
-    upper-triangular a of d in {2, 5, 8}, with real and complex c."""
+    upper-triangular a of d in {2, 5, 8, 12, 16}, with real and complex
+    c."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(53)
     worst = 0.0
-    for dim in (2, 5, 8):
+    for dim in (2, 5, 8, 12, 16):
         g = _random_complex(rng, dim)
         for a in (g, np.triu(g, 1)):
             a = a / np.abs(a).sum(axis=0).max()
@@ -345,19 +354,20 @@ def test_expm_multiples_match_40_digit_mpmath():
     assert worst <= 4 * EPS
 
 
-def test_expm_multiples_inside_the_radius_hold_two_stacks():
+def test_expm_multiples_inside_the_radius_hold_one_stack():
     import tracemalloc
 
-    # every slice inside the radius: the Horner sum's two (d, d, k) work
-    # buffers, the result a view of the last one, and besides them
-    # O(k) arrays (r, c/j) and numpy's ufunc iterator buffers of
-    # np.getbufsize() entries (0.31 MB in all here, as at the parent); a
-    # result beside both work buffers would add a third stack (1.18 MB)
+    # every slice inside the radius: the one (k, d, d) stack the product
+    # writes, the result a view of it, the (n, k) table of scalar powers,
+    # and besides them O(k) arrays (|c|, r) and numpy's ufunc iterator
+    # buffers of np.getbufsize() entries; a second stack, such as a
+    # Horner scheme's other work buffer, would add 1.18 MB
     d, k = 6, 2048
     rng = np.random.default_rng(59)
     g = _random_complex(rng, d)
     a = g / np.abs(g).sum(axis=0).max()
     scalars = rng.uniform(-1.0, 1.0, k) * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+    n = matrixcore._taylor_degree(float(np.abs(scalars).max()))
     expm(a, scalars)
     tracemalloc.start()
     try:
@@ -366,7 +376,7 @@ def test_expm_multiples_inside_the_radius_hold_two_stacks():
     finally:
         tracemalloc.stop()
     stack = d * d * k * 16
-    assert peak <= 2 * stack + 48 * k + 2 * np.getbufsize() * 16
+    assert peak <= stack + 16 * n * k + 48 * k + 2 * np.getbufsize() * 16
 
 
 def test_expm_multiples_taylor_degree_rule():
