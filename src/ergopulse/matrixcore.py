@@ -5,18 +5,15 @@ controlled eigenphase gaps, and a small JSON interchange format for
 matrices.
 
 Everything operates on square complex128 arrays of dimension at most
-MAX_DIM.  expm also takes one matrix and many scalar multiples; the
-small multiples share a truncated Taylor sum, a combination of the
-matrix's powers formed once for all of them in one matrix product, and
-one matrix of any norm is scaled into that sum's radius and squared
-back.  Public entry points validate and normalize their inputs with
-as_operator, require_count, require_real and require_pair, so
-downstream code can assume clean, C-contiguous data and plain ints and
-finite floats.
+MAX_DIM.  expm also takes one matrix and many scalar multiples; they
+share a truncated Taylor sum, a combination of the matrix's powers
+formed once for all of them in one matrix product, and each multiple
+past that sum's radius is scaled into it and squared back.  Public
+entry points validate and normalize their inputs with as_operator,
+require_count, require_real and require_pair, so downstream code can
+assume clean, C-contiguous data and plain ints and finite floats.
 
-The module needs numpy alone on import, and expm(m) numpy alone at any
-norm: only expm's scalar multiples past the Taylor radius import
-scipy.linalg, on the first call that has one.
+The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -198,11 +195,11 @@ def expm(m, scalars=None) -> np.ndarray:
     after it: n d^2 k complex multiply-adds in one BLAS call for the
     stack, and O(n (d^3 + k)) for the powers.  A call holds one stack,
     the (n, k) table of the z_k^j and O(n d^2) more.  The stack is
-    C-ordered and holds the T_n(c_k m)^T; the result is its view
-    transposed, not a copy (kernels.chain_product's real form reads the
-    stack itself).  The
-    degree n is the smallest n >= 1 with r^(n+1)/(n+1)! e^r <= 2^-53/24
-    at the largest r of the call (_taylor_degree), so n <= 19.  A slice's
+    C-ordered and holds the T_n(c_k m)^T; with every r_k <= 1 the result
+    is its view transposed, not a copy (kernels.chain_product's real
+    form reads the stack itself).  The degree n is the smallest n >= 1
+    with r^(n+1)/(n+1)! e^r <= 2^-53/24 at the largest r of the call
+    (_taylor_degree), so n <= 19.  A slice's
     result therefore depends on the other slices of the call: on their
     largest r, and, bit by bit, on its position in the product, whose
     rounding BLAS may order by the shape of the call.  |z_k| <= 2(1 + u)
@@ -230,95 +227,92 @@ def expm(m, scalars=None) -> np.ndarray:
     smallest first, which measured more accurate than the other order
     (BENCH_taylor_powers.json).
 
-    expm(m): scaling and squaring around the Taylor side (Moler & Van
-    Loan, sec. 3; Higham, SIMAX 26(4), 2005).  With r = ||m||_1, s is the
-    smallest integer >= 0 with r 2^-s <= 1 (_squarings, exact), X_0 is
-    T_n(2^-s m), the Taylor side at c = 2^-s, a matrix of 1-norm
-    r 2^-s <= 1 (above 1/2 if s > 0), and X_(i+1) = X_i X_i for i < s.
-    The scalings by powers of 2 are exact but for entries they take
-    below the normal range, which move X_0 by under 2^-1074 each.  For r <= 1,
-    s = 0 and expm(m) equals expm(m, [1.0])[0] bit for bit, C-ordered.
-    No normality test picks a method, so a small non-normal matrix keeps
-    its off-diagonal first-order term.
+    Scaling and squaring, in both forms (Moler & Van Loan, sec. 3;
+    Higham, SIMAX 26(4), 2005); expm(m) is the one-slice case
+    expm(m, [1.0])[0], made C-ordered.  With r_k = |c_k| ||m||_1, s_k is
+    the smallest integer >= 0 with r_k 2^-s_k <= 1 (_squarings, exact),
+    X_0 is the Taylor side at the scalars c_k 2^-s_k, of radii
+    r_k 2^-s_k <= 1 (above 1/2 if s_k > 0), and X_(i+1) = X_i X_i for
+    i < s_k: the stack, copied to C order, is squared whole while every
+    s_k > i, and then the slices with s_k > i alone.  The scalings by
+    powers of 2 are exact but for entries they take below the normal
+    range, which move X_0 by under 2^-1074 each.  The degree is the one
+    the largest scaled radius needs, so a call with a slice past the
+    radius runs its slices inside it (s_k = 0) at that degree, up to 19,
+    where a call of those slices alone may take fewer.  A call with
+    every r_k <= 1 makes no masks and returns the Taylor stack's view;
+    any other call returns a C-ordered stack.  No normality test picks a
+    method, so a small non-normal matrix keeps its off-diagonal
+    first-order term.
 
-    Error of the squarings, to first order in u, with gamma as above.
-    Let beta = e^(r 2^-s), so ||e^(2^(i-s) m)|| <= beta^(2^i).  An error
+    Error of the squarings, to first order in u, with gamma as above,
+    for one slice A = c_k m with r = r_k and s = s_k.  Let
+    beta = e^(r 2^-s), so ||e^(2^(i-s) A)|| <= beta^(2^i).  An error
     e_i of X_i grows to e_(i+1) <= 2 beta^(2^i) e_i + gamma beta^(2^(i+1)),
-    so ||X_s - e^m|| <= (2^s eps0 / beta + (2^s - 1) gamma) beta^(2^s)
+    so ||X_s - e^A|| <= (2^s eps0 / beta + (2^s - 1) gamma) beta^(2^s)
     <= 2r (eps0 + gamma) e^r for s >= 1, as 2^s < 2r and beta >= 1;
-    for s = 0 it is eps0.  Relative to ||e^m|| that is about
-    2r (eps0 + gamma) where ||e^m|| is near e^||m||; where it is far
-    smaller (a skew-Hermitian m, say) the squarings may lose more, as
+    for s = 0 it is eps0.  Relative to ||e^A|| that is about
+    2r (eps0 + gamma) where ||e^A|| is near e^||A||; where it is far
+    smaller (a skew-Hermitian A, say) the squarings may lose more, as
     with any squaring method (Moler & Van Loan, sec. 3), and the bound
     is loose.  Measured against 40-digit mpmath, on dense, strictly
-    upper-triangular and skew-Hermitian m with d <= 8 and r <= 32, the
-    spectral-norm error relative to ||e^m|| was at most 17 eps over six
-    seeds of 96 matrices (scipy.linalg.expm: 45 eps;
-    BENCH_taylor_powers.json), and the tests hold it to 64 eps.
+    upper-triangular and skew-Hermitian m with d <= 16 and r <= 32, the
+    spectral-norm error relative to ||e^A|| was at most 17 eps for
+    expm(m) over six seeds of 96 matrices (BENCH_taylor_powers.json)
+    and 27 eps for stacked real and complex multiples with d <= 16 over
+    six seeds of 36 slices, and the tests hold it to 64 eps.
 
-    The scalar-multiples form sends every c_k with r_k > 1 to
-    scipy.linalg.expm, in one call on their stack: scaling and squaring
-    around a Pade approximant whose degree and scaling are chosen from
-    1-norm estimates (Al-Mohy & Higham, SIMAX 31(3), 2009).  scipy.linalg
-    is imported by the first call that reaches it, so a process that
-    calls expm(m) and expm(m, scalars) with r_k <= 1 only never loads
-    scipy.  A call with such slices returns a C-ordered stack.
+    A limit of every squaring method, this one included: where m
+    preserves norms (skew-Hermitian, say) and r u is near 1 or more, X_0
+    is a contraction or an expansion by about u, and its 2^s ~ r
+    squarings raise that to a power near r, so the result is noise.
+    expm(1e20 [[0, 1], [-1, 0]]) returns the zero matrix, where e^m is a
+    rotation.  Nothing flags it; the bound above then exceeds ||e^m||.
 
-    A scalar array that is not 1-D, is empty or holds a non-finite value,
-    and a product c_k m past the radius that overflows, raise ValueError.
-    So does an exponential that overflows: an ||m||_1 that is not finite,
-    or a result with a non-finite entry.
+    A scalar array that is not 1-D, is empty or holds a non-finite value
+    raises ValueError.  So does an exponential that overflows: an r_k
+    that is not finite (||m||_1 in the single form), or a result with a
+    non-finite entry.  Where m's entries are finite but ||m||_1 is not,
+    the scalar form takes 2^-8 m and the scalars 2^8 c_k, so a slice
+    with c_k = 0 is still I.
     """
     a = as_operator(m)
     if scalars is None:
-        # |z| of finite entries may still overflow, and so may their sum
-        with np.errstate(over="ignore"):
-            r = float(np.abs(a).sum(axis=0).max())
-        if not math.isfinite(r):
-            raise ValueError(
-                "the matrix exponential overflows: ||m||_1 is not finite"
-            )
-        s = _squarings(r)
-        scale = np.full(1, math.ldexp(1.0, -s), dtype=np.complex128)
-        e = _taylor_powers(a, scale, _taylor_degree(math.ldexp(r, -s)), r)
-        e = e[0].T.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(s):
-                e = e @ e
-        return _finite(e, "e^m")
-    c = np.asarray(scalars, dtype=np.complex128)
-    if c.ndim != 1 or c.shape[0] == 0 or not np.isfinite(c).all():
-        raise ValueError("scalars must be a nonempty 1-D array of finite numbers")
-    d = a.shape[0]
-    k = c.shape[0]
-    # an r or a product that overflows is caught below: r = inf or nan
-    # (0 inf) is not small, so the product lands in big
+        c, names = np.ones(1, dtype=np.complex128), ("||m||_1 is not finite", "e^m")
+    else:
+        c = np.asarray(scalars, dtype=np.complex128)
+        if c.ndim != 1 or c.shape[0] == 0 or not np.isfinite(c).all():
+            raise ValueError("scalars must be a nonempty 1-D array of finite numbers")
+        names = ("a radius |c_k| ||m||_1 is non-finite", "e^(c_k m)")
+    # |z| of finite entries may overflow, and so may their sum, or r
     with np.errstate(over="ignore", invalid="ignore"):
         norm = float(np.abs(a).sum(axis=0).max())
+        if not math.isfinite(norm):
+            # e^(c m) = e^((2^8 c)(2^-8 m)), and ||2^-8 m||_1 is finite
+            a, c = a * 2.0**-8, c * 2.0**8
+            norm = float(np.abs(a).sum(axis=0).max())
         r = np.abs(c) * norm
         top = float(r.max())
         if top <= 1.0:
-            # every slice inside the radius: no masks, no scatter, and no
-            # overflow to check for
-            taylor = _taylor_powers(a, c, _taylor_degree(top), norm)
-            return taylor.transpose(0, 2, 1)
-        small = r <= 1.0
-        big = c[~small, None, None] * a
-    if not np.isfinite(big).all():
-        raise ValueError("c_k m contains non-finite entries")
-    # e^(c_k m) may overflow past the radius
+            # every slice inside the radius: no masks, and no overflow
+            e = _taylor_powers(a, c, _taylor_degree(top), norm).transpose(0, 2, 1)
+            return e if scalars is not None else np.ascontiguousarray(e[0])
+    if not math.isfinite(top):
+        raise ValueError(f"the matrix exponential overflows: {names[0]}")
+    s = np.array([_squarings(x) for x in r.tolist()])
+    # c_k 2^-s_k, exact but below the normal range: a complex times a
+    # power of 2 (with imaginary part 0) scales its parts one by one
+    z = c * np.ldexp(1.0, -s)
+    n = _taylor_degree(float(np.ldexp(r, -s).max()))
+    e = np.ascontiguousarray(_taylor_powers(a, z, n, norm).transpose(0, 2, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        if big.shape[0]:
-            import scipy.linalg
-
-            big = scipy.linalg.expm(big)
-    if not small.any():
-        return _finite(big, "e^(c_k m)")
-    out = np.empty((k, d, d), dtype=np.complex128)
-    out[~small] = big
-    taylor = _taylor_powers(a, c[small], _taylor_degree(r[small].max()), norm)
-    out[small] = taylor.transpose(0, 2, 1)
-    return _finite(out, "e^(c_k m)")
+        for _ in range(s.min()):
+            e = e @ e
+        for i in range(s.min(), s.max()):
+            x = e[s > i]
+            e[s > i] = x @ x
+    _finite(e, names[1])
+    return e if scalars is not None else e[0]
 
 
 def _finite(e: np.ndarray, what: str) -> np.ndarray:

@@ -26,13 +26,14 @@ form at the dimensions of REAL_FORM_DIMS, with the real form of u^T
 written out entry by entry and every block's leaves formed afresh.
 expm_pade13 and pulse_product_taylor are independent references for
 matrixcore.expm and pulse_product: the former is the hand-written
-Pade-13 kernel that matrixcore.expm used before it became
-scipy.linalg.expm (and, for one matrix, a squared Taylor sum after
-that), the latter builds every factor from its Taylor sum.
+Pade-13 kernel that matrixcore.expm used before scipy.linalg.expm,
+and then its own squared Taylor sum, replaced it; the latter builds
+every factor from its Taylor sum.
 limit_evolution takes its factor from scipy.linalg.expm, so the limit
 oracle shares no exponential with the package.
-expm_multiples is the reference for the scalar-multiples form of
-matrixcore.expm: scipy.linalg.expm on each c a in turn.
+expm_multiples is scipy.linalg.expm on each c a in turn, a reference
+for the scalar-multiples form of matrixcore.expm within the Taylor
+radius; past it the tests compare with 40-digit mpmath instead.
 cohen_uniformity_probe is the probe's earlier row loop: each row
 padded with a zero, differenced, and its tails read off a reversed
 cumsum.  n_grid, tv_sequence and verdict must match it bit for bit;

@@ -82,6 +82,13 @@ NO_SCIPY_CALLS = {
         "ergopulse.cesaro_mean(ergopulse.random_unitary(4, seed=1), np.eye(4), 999)"
     ),
     "expm(m)": "ergopulse.expm(np.array([[0.5, 2.0], [-1.0, 1j]]))",
+    # ||m||_1 = 3: every slice past the Taylor radius, then one on each side
+    "expm(m, scalars) past the radius": (
+        "ergopulse.expm(np.array([[0.5, 2.0], [-1.0, 1j]]), [1.0, -2j])"
+    ),
+    "expm(m, scalars) mixed": (
+        "ergopulse.expm(np.array([[0.5, 2.0], [-1.0, 1j]]), [1.0, 0.1])"
+    ),
     "sweep squaring": SQUARING_SYSTEM,
     "limit_evolution": COBOUNDARY + "ergopulse.limit_evolution(s, 8)",
     "control_error": COBOUNDARY + "ergopulse.control_error(s, row)",
@@ -126,20 +133,76 @@ def test_importing_the_cli_builds_no_parser(tmp_path):
     assert _fresh(code, tmp_path) == "0 0\n"
 
 
-# expm(m) past the radius squares its Taylor sum (see "expm(m)" above); the
-# scalar form still sends its large slices to scipy
-@pytest.mark.parametrize("form", ["expm(m, [1.0, 0.1])[0]"])
-def test_expm_past_the_taylor_radius_imports_scipy_on_first_use(tmp_path, form):
-    # ||m||_1 = 3 > 1 sends the slice c = 1 to scipy.linalg.expm
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from ergopulse.matrixcore import expm\n"
-        "m = np.array([[0.5, 2.0], [-1.0, 1j]])\n"
-        "assert 'scipy' not in sys.modules\n"
-        f"got = {form}\n"
-        "assert 'scipy.linalg' in sys.modules\n"
-        "import scipy.linalg\n"
-        "print(np.array_equal(got, scipy.linalg.expm(m)))\n"
-    )
-    assert _fresh(code, tmp_path).strip() == "True"
+# every public function and the four CLI subcommands, with any import of
+# scipy made to fail; the system's factors e^(a X t) and its generator's
+# multiples below reach past the Taylor radius
+SCIPY_BLOCKED = (
+    "import inspect, sys\n"
+    "sys.modules['scipy'] = None\n"
+    "import numpy as np\n"
+    "import ergopulse\n"
+    "from ergopulse.cli import main\n"
+    "done = set()\n"
+    "def call(name, *args):\n"
+    "    done.add(name)\n"
+    "    return getattr(ergopulse, name)(*args)\n"
+    + COBOUNDARY
+    + "s = ergopulse.PulseSystem(u, x, 4.0)\n"
+    "assert 4.0 * np.abs(x).sum(axis=0).max() / 8 > 1\n"
+    "call('random_unitary', 2, 0.1, 7)\n"
+    "call('as_operator', x)\n"
+    "call('op_norm', x)\n"
+    "call('is_unitary', u)\n"
+    "call('exp_product_defect_bound', 0.5, 0.7)\n"
+    "call('expm', 4.0 * x)\n"
+    "call('expm', x, [0.01, 5.0, -2j])\n"
+    "call('save_matrix', u, 'u.json')\n"
+    "call('load_matrix', 'u.json')\n"
+    "call('matrix_from_json_dict', call('matrix_to_json_dict', u))\n"
+    "for name in ('equidistant', 'pathological', 'pathological_tv_exact', 'uhrig'):\n"
+    "    call(name, 8)\n"
+    "for name in ('equidistant_family', 'pathological_family', 'uhrig_family'):\n"
+    "    call(name)\n"
+    "call('family_by_name', 'uniform')\n"
+    "call('from_cdf', np.sqrt, 8)\n"
+    "call('cdf_family', np.sqrt)\n"
+    "table = call('table_density_family', [0.0, 0.5, 1.0], [0.5, 1.5, 0.5])\n"
+    "call('cohen_uniformity_probe', table, 64)\n"
+    "call('tv_functional', row)\n"
+    "call('save_schedule', row, 'row.json')\n"
+    "call('load_schedule', 'row.json')\n"
+    "call('schedule_from_json_dict', call('schedule_to_json_dict', row))\n"
+    "spec = call('spectrum', u)\n"
+    "call('commutant_project', spec, x)\n"
+    "call('yosida_split', spec, x)\n"
+    "call('solve_coboundary', spec, x)\n"
+    "call('cesaro_mean', u, x, 99)\n"
+    "call('weighted_cesaro_mean', u, x, row)\n"
+    "call('pulse_product', s, row)\n"
+    "call('control_error', s, row)\n"
+    "call('limit_evolution', s, 8)\n"
+    "call('schedule_bound_rhs', s, row)\n"
+    "call('equidistant_bound_constants', s)\n"
+    "report = call('convergence_sweep', s, ergopulse.uhrig_family(), [4, 8, 16])\n"
+    "call('report_to_json_dict', report)\n"
+    "call('write_report_csv', report, 'report.csv')\n"
+    "call('minimize_tv', 3)\n"
+    "call('minimize_bound_rhs', s, 2)\n"
+    "call('simplex_lattice', 3, 0.25)\n"
+    "call('brute_force_simplex_grid', 3, 0.25, lambda w: float(w.max()))\n"
+    + _cli("sweep --system qubit-z-x --family uniform --n 2,4,8 --t 6")
+    + "\n"
+    + _cli("optimize --mode bound --system qubit-z-x --n 3")
+    + "\n"
+    + _cli("probe --family uhrig --nmax 64")
+    + "\n"
+    + _cli("schedule --family uhrig --n 9")
+    + "\n"
+    "public = {n for n in ergopulse.__all__ if inspect.isfunction(getattr(ergopulse, n))}\n"
+    "print(sorted(public ^ done))\n"
+)
+
+
+def test_every_public_function_and_subcommand_runs_without_scipy(tmp_path):
+    # the public functions left uncalled, and the names called that are none
+    assert _fresh(SCIPY_BLOCKED, tmp_path).splitlines()[-1] == "[]"
