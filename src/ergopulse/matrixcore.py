@@ -273,8 +273,8 @@ def expm(m, scalars=None) -> np.ndarray:
     raises ValueError.  So does an exponential that overflows: an r_k
     that is not finite (||m||_1 in the single form), or a result with a
     non-finite entry.  Where m's entries are finite but ||m||_1 is not,
-    the scalar form takes 2^-8 m and the scalars 2^8 c_k, so a slice
-    with c_k = 0 is still I.
+    expm takes 2^-8 m and the scalars 2^8 c_k, so in the scalar form a
+    slice with c_k = 0 is still I.
     """
     a = as_operator(m)
     if scalars is None:
