@@ -36,15 +36,16 @@ row by row, so leaves need no widening copy: they are u F_k transposed,
 F_k^T u^T, one stacked matmul on the float views of the transposed
 factors, and the tree forms the transposed row,
 P^T = (F_N^T u^T) ... (F_1^T u^T), on the index row reversed.  Each
-part of an entry is held twice in W(m), and the two copies drift apart
-by a rounding or so over the tree; the result reads back their mean,
-re = (W[2i, 2j] + W[2i+1, 2j+1]) / 2 and
-im = (W[2i, 2j+1] - W[2i+1, 2j]) / 2.  Elsewhere the leaves are the
-complex products u F_k.  Besides the factors, their transposed form in
-the real form (the factors' own stack when they come from the Taylor
-side of matrixcore.expm, else a copy of their size) and the memo, which holds one
-result and one CHAIN_BLOCK-index key per distinct block (at most the
-size of the index row), the tree holds O(CHAIN_BLOCK d^2) memory.
+part of an entry is held twice in W(m), and either copy carries the
+error bound of the complex product (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., sec. 3.5), so the result reads back the
+even rows alone: the float view of P^T, with no arithmetic.  Elsewhere
+the leaves are the complex products u F_k.  Besides the factors, their
+transposed form in the real form (the factors' own stack when they come
+from matrixcore.expm(m, scalars), else a copy of their size) and the
+memo, which holds one result and one CHAIN_BLOCK-index key per
+distinct block (at most the size of the index row), the tree holds
+O(CHAIN_BLOCK d^2) memory.
 
 simplex_project and tv_value, the optimizer kernels, work on stacks of
 rows with whole-array operations; tv_value is the package's one
@@ -114,10 +115,9 @@ def conj_weighted_sum(u, x, w):
 
     # complex128 viewed as float64 pairs, so the real weights multiply real
     # and imaginary parts in one real product; the partial last block reads
-    # its weights in place.  Each full block is a (1 x B) @ (B x 2m)
-    # slice of one stacked matmul, which BLAS runs as gemv: gemv streams
-    # its operands and packs nothing, where a 2-D gemm of the same product
-    # keeps its packing buffer resident for the process's life.
+    # its weights in place.  Each full block is a (1 x B) @ (B x 2m) slice
+    # of the stacked gemv (a 2-D gemm keeps a packing buffer resident:
+    # BENCH_cesaro_hermitian.json, notes)
     flat = powers.view(np.float64)
     full = (q_count - 1) * b
     inner = np.empty((q_count, 2 * m))
@@ -143,9 +143,8 @@ def _half_table(d):
     """(rows, cols, upper, lower, diag) for conj_weighted_sum at dimension
     d: the pairs i <= j of np.triu_indices, their flat indices i d + j and
     j d + i, and the positions of the pairs i = j.  When their count m is
-    odd, the last pair is repeated: the stacked gemv over 2m columns runs
-    about twice as slow when 2m is 2 mod 4 (6 columns against 8 at
-    N = 1e5)."""
+    odd, the last pair is repeated: the stacked gemv runs about twice as
+    slow on 2m = 2 (mod 4) columns (BENCH_cesaro_hermitian.json)."""
     rows, cols = np.triu_indices(d)
     if rows.shape[0] % 2:
         rows = np.append(rows, rows[-1])
@@ -156,24 +155,16 @@ def _half_table(d):
 
 def chain_product(u, factors, idx):
     """Left-to-right product u.factors[idx[0]].u.factors[idx[1]]....,
-    for a nonempty index row idx.
-
-    Blocked pairwise tree that multiplies each repeated pair and each
-    repeated block once (see the module docstring and _block_product).
-    Each block forms the leaves it multiplies from the factors it reads.
-    At the dimensions of REAL_FORM_DIMS a leaf is W(F_k^T u^T), the
-    2d x 2d real form of the transposed leaf, the tree multiplies the
-    transposed row in float64, and the d x d result is read back once, as
-    the mean of the two copies of each part; elsewhere a leaf is u F_k.
-    Every product, leaves included, has the same operands, and is made by
-    the same matmul or dot call, as in the tree that multiplies every
-    pair, so the result is bit-identical to it.  factors may have any
-    strides.  The real form reads the stack transposed and C-ordered:
-    the stack itself where factors is the transposed view that
-    matrixcore.expm's Taylor side returns, and a copy otherwise.  The
-    complex side copies nothing, as each block gathers what it reads.
-    Besides the factors, any transposed copy and the memo, it holds
-    O(CHAIN_BLOCK d^2) memory, never an (N, d, d) stack.
+    for a nonempty index row idx, by the blocked pairwise tree of the
+    module docstring, bit-identical to the tree that multiplies every
+    pair.  At the dimensions of REAL_FORM_DIMS the tree multiplies the
+    transposed row in the real form, whose leaves W(F_k^T u^T) read the
+    factors transposed and C-ordered: the stack itself where factors is
+    the transposed view that matrixcore.expm(m, scalars) returns, and a
+    copy otherwise.  Elsewhere a leaf is u F_k, and each block gathers
+    what it reads.  factors may have any strides.  Besides the factors,
+    any transposed copy and the memo, it holds O(CHAIN_BLOCK d^2)
+    memory, never an (N, d, d) stack.
 
     A product that overflows gives inf or nan entries without a warning;
     the caller checks the result (pulse_product raises ValueError).
@@ -207,9 +198,8 @@ def _right_factor(b):
     of block c is row l of b times units[s, c], so each entry is a part
     of b, or its negative, exactly."""
     d = b.shape[0]
-    # built per call, not at import: an import-time array moved the heap
-    # layout that the N = 1e5 temporaries of cohen_uniformity_probe are
-    # sensitive to (BENCH_chain_real_form.json, notes)
+    # per call, not at import: an import-time array moved the heap layout
+    # of cesaro's N = 1e5 temporaries (BENCH_chain_real_form.json, notes)
     units = np.array([[1.0, 1.0j], [1.0j, -1.0]])
     w = np.multiply(b[:, None, None, :], units[:, :, None], order="C")
     return w.view(np.float64).reshape(2 * d, 4 * d)
@@ -224,25 +214,11 @@ def _real_leaves(a, right):
 
 def _read_back_transposed(w):
     """m^T, C-ordered, for the complex m whose 2d x 2d real form w is
-    (W(m) up to rounding): the mean of the two copies of each part,
-    re = (w[2i, 2j] + w[2i+1, 2j+1]) / 2 and
-    im = (w[2i, 2j+1] - w[2i+1, 2j]) / 2.  Of an exact W(m) it returns
-    m^T bit for bit.  Where the sum of two finite copies overflows (an
-    entry above half the float range), that part is formed again as
-    a/2 + b/2.  An inf part may form inf - inf: the caller silences it."""
-    d = w.shape[0] // 2
-    out = np.empty((d, d), dtype=np.complex128)
-    np.add(w[0::2, 0::2], w[1::2, 1::2], out=out.real.T)
-    np.subtract(w[0::2, 1::2], w[1::2, 0::2], out=out.imag.T)
-    out.view(np.float64)[...] *= 0.5
-    if not np.isfinite(out).all():
-        for part, a, b in (
-            (out.real.T, w[0::2, 0::2], w[1::2, 1::2]),
-            (out.imag.T, w[0::2, 1::2], -w[1::2, 0::2]),
-        ):
-            redo = ~np.isfinite(part) & np.isfinite(a) & np.isfinite(b)
-            part[redo] = 0.5 * a[redo] + 0.5 * b[redo]
-    return out
+    (W(m) up to rounding): rows 0, 2, ... of w, the float view of m,
+    viewed as complex and copied transposed.  No arithmetic runs, so an
+    exact W(m) reads back as m^T bit for bit, and a finite part stays
+    finite however large it is."""
+    return np.ascontiguousarray(w[0::2].view(np.complex128).T)
 
 
 def _block_product(table, ids, leaf):

@@ -372,6 +372,26 @@ def schedule_bound_rhs(sys: PulseSystem, s: Schedule) -> BoundBreakdown:
     (_equal_row_terms), with the same bits.  Where a term overflows the
     bound is +inf.  Generators with a commutant component are refused:
     split them with yosida_split and bound the pieces separately.
+
+    A leading zero weight leaves the bound unchanged.  The bound reads a
+    row only through lead_k, follow_k (_step_norms) and the TV.  For
+    w' = (0, a_1, ..., a_n), step 1 has lead'_1 = 0, so its term S(0, .)
+    is exactly 0, and for k >= 2, as |a'_2 - a'_1| = a_1 stands in for
+    the leading a'_1 = 0, lead'_k = lead_(k-1) and
+    follow'_k = 2 a_k = follow_(k-1); the TV is unchanged likewise.  So
+    w' has a zero step and then the steps of w: the same last step and
+    the same sums.  (A trailing zero adds a last step: not neutral.)  In
+    floating point the prefixes, the TV and the prefactored sum are
+    summed in other orders.  Each sum of at most n + 1 nonnegative terms
+    errs by at most n u relative (u = 2^-53), and S and expm1 magnify a
+    relative change of their arguments by at most
+    M = 2 + scale (TV + 2): the degree-i parts of S(a, b) have
+    (i - 2) S_i <= (a + b) S_(i-1) coefficient by coefficient, so
+    sum_i i S_i <= (2 + a + b) S, with a <= scale TV and b <= 2 scale,
+    and x e^x / (e^x - 1) <= 1 + x.  So to first order the totals differ
+    by 2 (n + 1) M u relative, plus 2 (n - 2) u from the prefactored sums
+    and the two evaluations' own roundings, which the tests measure
+    within the first term.
     """
     _require_kind(sys, PulseSystem, "sys")
     _require_kind(s, Schedule, "s")

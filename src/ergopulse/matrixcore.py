@@ -195,11 +195,11 @@ def expm(m, scalars=None) -> np.ndarray:
     after it: n d^2 k complex multiply-adds in one BLAS call for the
     stack, and O(n (d^3 + k)) for the powers.  A call holds one stack,
     the (n, k) table of the z_k^j and O(n d^2) more.  The stack is
-    C-ordered and holds the T_n(c_k m)^T; with every r_k <= 1 the result
-    is its view transposed, not a copy (kernels.chain_product's real
-    form reads the stack itself).  The degree n is the smallest n >= 1
-    with r^(n+1)/(n+1)! e^r <= 2^-53/24 at the largest r of the call
-    (_taylor_degree), so n <= 19.  A slice's
+    C-ordered and holds the T_n(c_k m)^T, and every result of the scalar
+    form is such a stack's view transposed, not a copy
+    (kernels.chain_product's real form reads the stack itself).  The
+    degree n is the smallest n >= 1 with r^(n+1)/(n+1)! e^r <= 2^-53/24
+    at the largest r of the call (_taylor_degree), so n <= 19.  A slice's
     result therefore depends on the other slices of the call: on their
     largest r, and, bit by bit, on its position in the product, whose
     rounding BLAS may order by the shape of the call.  |z_k| <= 2(1 + u)
@@ -233,17 +233,16 @@ def expm(m, scalars=None) -> np.ndarray:
     the smallest integer >= 0 with r_k 2^-s_k <= 1 (_squarings, exact),
     X_0 is the Taylor side at the scalars c_k 2^-s_k, of radii
     r_k 2^-s_k <= 1 (above 1/2 if s_k > 0), and X_(i+1) = X_i X_i for
-    i < s_k: the stack, copied to C order, is squared whole while every
-    s_k > i, and then the slices with s_k > i alone.  The scalings by
-    powers of 2 are exact but for entries they take below the normal
-    range, which move X_0 by under 2^-1074 each.  The degree is the one
-    the largest scaled radius needs, so a call with a slice past the
-    radius runs its slices inside it (s_k = 0) at that degree, up to 19,
-    where a call of those slices alone may take fewer.  A call with
-    every r_k <= 1 makes no masks and returns the Taylor stack's view;
-    any other call returns a C-ordered stack.  No normality test picks a
-    method, so a small non-normal matrix keeps its off-diagonal
-    first-order term.
+    i < s_k.  The Taylor stack holds the X_0^T and is squared as it is,
+    since (X^T)^2 = (X^2)^T: whole while every s_k > i, and then the
+    slices with s_k > i alone.  The scalings by powers of 2 are exact but
+    for entries they take below the normal range, which move X_0 by under
+    2^-1074 each.  The degree is the one the largest scaled radius needs,
+    so a call with a slice past the radius runs its slices inside it
+    (s_k = 0) at that degree, up to 19, where a call of those slices
+    alone may take fewer.  A call with every r_k <= 1 makes no masks and
+    no squarings.  No normality test picks a method, so a small
+    non-normal matrix keeps its off-diagonal first-order term.
 
     Error of the squarings, to first order in u, with gamma as above,
     for one slice A = c_k m with r = r_k and s = s_k.  Let
@@ -255,12 +254,11 @@ def expm(m, scalars=None) -> np.ndarray:
     2r (eps0 + gamma) where ||e^A|| is near e^||A||; where it is far
     smaller (a skew-Hermitian A, say) the squarings may lose more, as
     with any squaring method (Moler & Van Loan, sec. 3), and the bound
-    is loose.  Measured against 40-digit mpmath, on dense, strictly
-    upper-triangular and skew-Hermitian m with d <= 16 and r <= 32, the
-    spectral-norm error relative to ||e^A|| was at most 17 eps for
-    expm(m) over six seeds of 96 matrices (BENCH_taylor_powers.json)
-    and 27 eps for stacked real and complex multiples with d <= 16 over
-    six seeds of 36 slices, and the tests hold it to 64 eps.
+    is loose.  Against 40-digit mpmath, on the tests' dense, strictly
+    upper-triangular and skew-Hermitian m (d <= 16, r <= 32), the
+    spectral-norm error relative to ||e^A|| was at most 19 eps for
+    expm(m) and 25 eps for stacked multiples over six seeds each, and the
+    tests hold it to 64 eps.
 
     A limit of every squaring method, this one included: where m
     preserves norms (skew-Hermitian, say) and r u is near 1 or more, X_0
@@ -295,24 +293,25 @@ def expm(m, scalars=None) -> np.ndarray:
         top = float(r.max())
         if top <= 1.0:
             # every slice inside the radius: no masks, and no overflow
-            e = _taylor_powers(a, c, _taylor_degree(top), norm).transpose(0, 2, 1)
-            return e if scalars is not None else np.ascontiguousarray(e[0])
-    if not math.isfinite(top):
-        raise ValueError(f"the matrix exponential overflows: {names[0]}")
-    s = np.array([_squarings(x) for x in r.tolist()])
-    # c_k 2^-s_k, exact but below the normal range: a complex times a
-    # power of 2 (with imaginary part 0) scales its parts one by one
-    z = c * np.ldexp(1.0, -s)
-    n = _taylor_degree(float(np.ldexp(r, -s).max()))
-    e = np.ascontiguousarray(_taylor_powers(a, z, n, norm).transpose(0, 2, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s.min()):
-            e = e @ e
-        for i in range(s.min(), s.max()):
-            x = e[s > i]
-            e[s > i] = x @ x
-    _finite(e, names[1])
-    return e if scalars is not None else e[0]
+            e = _taylor_powers(a, c, _taylor_degree(top), norm)
+        elif not math.isfinite(top):
+            raise ValueError(f"the matrix exponential overflows: {names[0]}")
+        else:
+            s = np.array([_squarings(x) for x in r.tolist()])
+            # c_k 2^-s_k, exact but below the normal range: a complex times
+            # a power of 2 (with imaginary part 0) scales its parts one by one
+            z = c * np.ldexp(1.0, -s)
+            n = _taylor_degree(float(np.ldexp(r, -s).max()))
+            # the stack holds the X_i^T, and (X^T)^2 = (X^2)^T
+            e = _taylor_powers(a, z, n, norm)
+            for _ in range(s.min()):
+                e = e @ e
+            for i in range(s.min(), s.max()):
+                x = e[s > i]
+                e[s > i] = x @ x
+            _finite(e, names[1])
+    e = e.transpose(0, 2, 1)
+    return e if scalars is not None else np.ascontiguousarray(e[0])
 
 
 def _finite(e: np.ndarray, what: str) -> np.ndarray:
@@ -406,14 +405,15 @@ def _defect_series_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     |y| < 1, else (expm1(y)/y - 1)/y.
 
     lo and -d = lo - hi (the negated d, bit for bit) share one (2, ...)
-    buffer y, and phi2 of both is written into a second one.  Each branch
-    runs only on the entries that select it, on a copy of those entries
-    when the two branches split y, and a branch no entry selects is
-    skipped outright, so the common call (every |y| < 1) makes no expm1
-    pass at all.  The bracket, the products and the final + 2^-1074 run
-    in place, and hi = max(a, b) is formed again for e^hi instead of
-    being held: at its peak a call holds about 8.25 input-sized float64
-    arrays where the branches split y, and about 5.5 where they do not.
+    buffer y, and phi2 of both is written into a second one.  Where every
+    |y| < 1, the common call, the Taylor branch runs on y in place and no
+    expm1 pass is made; otherwise each branch runs on a copy of the
+    entries that select it, an empty one included, which gives the bits
+    of a whole-array pass.  The bracket, the products and the final
+    + 2^-1074 run in place, and hi = max(a, b) is formed again for e^hi
+    instead of being held: at its peak a call holds about 8.25
+    input-sized float64 arrays where some |y| >= 1, and about 5.5 where
+    none is.
 
     Proof of the bound, with u = 2^-53 and exp, expm1 within 4 ulps
     (eta = 8u; SVML, behind NumPy's AVX-512 kernels, states 4, glibc 1).
@@ -447,11 +447,8 @@ def _defect_series_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.minimum(a, b, out=lo)
         np.subtract(lo, np.maximum(a, b, out=inner), out=neg_d)
         small = np.abs(y, out=phi) < 1.0
-        count = np.count_nonzero(small)
-        if count == small.size:
+        if np.count_nonzero(small) == small.size:
             _phi2_taylor(y, out=phi)
-        elif count == 0:
-            _phi2_expm1(y, out=phi)
         else:
             phi[small] = _phi2_taylor(y[small])
             big = np.logical_not(small, out=small)
@@ -476,9 +473,9 @@ def _phi2_taylor(y, out=None):
     return out
 
 
-def _phi2_expm1(y, out=None):
+def _phi2_expm1(y):
     """phi2 as (expm1(y)/y - 1)/y, for |y| >= 1."""
-    out = np.expm1(y, out=out)
+    out = np.expm1(y)
     out /= y
     out -= 1.0
     out /= y
@@ -501,7 +498,8 @@ def exp_product_defect_bound(a_norm: float, b_norm: float) -> float:
 def random_unitary(dim: int, min_phase_gap: float = 0.0, seed=None) -> np.ndarray:
     """Seeded random unitary of a count dim in [1, MAX_DIM] whose
     eigenphases are pairwise separated by at least min_phase_gap, a
-    nonnegative real, on the circle.
+    nonnegative real, on the circle.  seed is None (fresh entropy) or a
+    count >= 0.
 
     Phases are laid out as the mandatory gap plus Dirichlet-distributed
     slack, then conjugated by a Haar-random basis.
@@ -517,6 +515,8 @@ def random_unitary(dim: int, min_phase_gap: float = 0.0, seed=None) -> np.ndarra
             "infeasible: %d phases with pairwise gap %.6g do not fit on the circle"
             % (dim, gap)
         )
+    if seed is not None:
+        seed = require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     slack = rng.dirichlet(np.ones(dim)) * (2 * np.pi - dim * gap)
     phases = (rng.uniform(0.0, 2 * np.pi) + np.cumsum(gap + slack)) % (2 * np.pi)

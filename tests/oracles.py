@@ -272,8 +272,8 @@ def chain_tree(u, factors, idx, block=256):
     (F_N^T u^T) ... (F_1^T u^T), in the real form W(m), whose row 2i is
     the float view of row i of m and row 2i + 1 that of row i of i m.
     Each leaf W(F^T u^T) is the float view of F^T times
-    [W(u^T) | W(i u^T)], and the result reads back as the mean of the
-    two copies of each part, transposed."""
+    [W(u^T) | W(i u^T)], and the result reads back from the even rows,
+    transposed."""
     d = u.shape[0]
     if d in REAL_FORM_DIMS:
         b = u.T
@@ -318,8 +318,8 @@ def chain_tree(u, factors, idx, block=256):
     if d not in REAL_FORM_DIMS:
         return out
     p = np.empty((d, d), dtype=np.complex128)
-    p.real = (out[0::2, 0::2] + out[1::2, 1::2]).T / 2
-    p.imag = (out[0::2, 1::2] - out[1::2, 0::2]).T / 2
+    p.real = out[0::2, 0::2].T
+    p.imag = out[0::2, 1::2].T
     return p
 
 

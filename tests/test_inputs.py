@@ -68,6 +68,7 @@ COUNT_SITES = {
     "minimize_tv": minimize_tv,
     "minimize_bound_rhs": lambda v: minimize_bound_rhs(SYS, v),
     "random_unitary dim": random_unitary,
+    "random_unitary seed": lambda v: random_unitary(2, seed=v),
     "json dim": lambda v: matrix_from_json_dict({"dim": v, "entries": [[1, 0]]}),
     "json n": lambda v: schedule_from_json_dict({"n": v, "weights": [1.0]}),
     "convergence_sweep": lambda v: convergence_sweep(

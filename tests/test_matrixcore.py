@@ -283,6 +283,19 @@ def test_expm_past_the_radius_is_the_one_slice_case_bit_for_bit():
                 assert np.array_equal(e, expm(m, [1.0])[0])
 
 
+def test_expm_multiples_have_one_layout_at_every_radius():
+    # inside the radius, past it and mixed, the result is the transposed
+    # view of a C-ordered stack of the e^(c_k m)^T, which the real form of
+    # chain_product reads without a copy
+    rng = np.random.default_rng(71)
+    g = _random_complex(rng, 3)
+    m = g / np.abs(g).sum(axis=0).max()
+    for scalars in ([0.5, 1.0], [0.5, 3.0j], [40.0, -300.0]):
+        e = expm(m, scalars)
+        assert e.transpose(0, 2, 1).flags.c_contiguous
+        assert np.shares_memory(np.ascontiguousarray(e.transpose(0, 2, 1)), e)
+
+
 def test_expm_overflow_is_a_value_error():
     # pytest turns the RuntimeWarning that an unguarded overflow gives
     # into a failure, so each case must raise and nothing else
@@ -789,6 +802,8 @@ def test_random_unitary_rejects_infeasible_gap():
         random_unitary(8, 1.0, seed=0)
     with pytest.raises(ValueError):
         random_unitary(0, 0.1, seed=0)
+    with pytest.raises(ValueError, match=r"dim must be in \[1, 64\], got 65"):
+        random_unitary(matrixcore.MAX_DIM + 1, seed=0)
     with pytest.raises(ValueError):
         random_unitary(3, -0.5, seed=0)
 
@@ -944,6 +959,7 @@ def test_matrix_json_dict_shape():
         {"dim": 2, "entries": [[1.0, 0.0]] * 3 + [["1", "0"]]},
         {"dim": 2, "entries": [[1.0, 0.0]] * 3 + [[True, 0.0]]},
         {"dim": 0, "entries": []},
+        {"dim": 65, "entries": [[1.0, 0.0]] * 65**2},
         {"dim": 2.0, "entries": [[1.0, 0.0]] * 4},
         {"dim": 2, "entries": [[1.0, 0.0]] * 4, "extra": 1},
     ],

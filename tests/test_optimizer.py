@@ -18,6 +18,7 @@ from ergopulse.optimizer import (
     LATTICE_LIMIT,
     OptimizationResult,
     OptimizerConfig,
+    _canonical_orientation,
     _certify,
     _descend_fd,
     _lattice_groups,
@@ -548,6 +549,26 @@ def test_minimize_bound_rhs_makes_one_objective_call_per_iteration(monkeypatch):
     assert res.certified_by_grid
     assert len(calls) <= cfg.max_iters + 3
     assert calls[-1] == math.comb(52, 2)
+
+
+def test_canonical_orientation_takes_the_reversed_row_when_it_scores_lower():
+    # the objective is the first weight: reversed, the row scores 0.5
+    # lower, past tie_tol, and is returned with its own value; within
+    # tie_tol the lexicographically smaller row is kept
+    w = np.array([0.6, 0.3, 0.1])
+
+    def first(rows):
+        return rows[:, 0]
+
+    def flat(rows):
+        return np.full(rows.shape[0], 0.6)
+
+    got, value = _canonical_orientation(w, 0.6, first, 1e-9)
+    assert np.array_equal(got, w[::-1]) and value == 0.1
+    got, value = _canonical_orientation(w[::-1].copy(), 0.1, first, 1e-9)
+    assert np.array_equal(got, w[::-1]) and value == 0.1
+    got, value = _canonical_orientation(w, 0.6, flat, 1e-9)
+    assert np.array_equal(got, w[::-1]) and value == 0.6
 
 
 def test_certify_scores_a_lattice_within_the_row_budget_in_one_call():

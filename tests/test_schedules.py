@@ -284,6 +284,13 @@ def test_table_density_validation():
         table_density_family([0.0, 1.0], [1.0, -1.0])
     with pytest.raises(ValueError):
         table_density_family([0.0], [1.0])
+    for xs, ys in (
+        ([0.0, 0.5, 1.0], [1.0, math.inf, 1.0]),
+        ([0.0, 0.5, 1.0], [1.0, math.nan, 1.0]),
+        ([0.0, math.nan, 1.0], [1.0, 1.0, 1.0]),
+    ):
+        with pytest.raises(ValueError, match="table samples must be finite"):
+            table_density_family(xs, ys)
 
 
 # ---------------------------------------------------------- pathological
